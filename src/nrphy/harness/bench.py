@@ -50,9 +50,6 @@ def run_throughput_bench(cfg: ChainConfig, blocks: int) -> RunReport:
         if not (dec.block_ok[0] and np.array_equal(dec.payload, payloads[b])):
             errors += 1
         report.count_iterations(dec.results[0].iterations_used)
-        report.block_status.append(
-            dec.results[0].termination_reason.value
-            if dec.block_ok[0] else "parity_fail")
     elapsed = time.perf_counter() - t0
 
     info_bits = blocks * cfg.k_prime

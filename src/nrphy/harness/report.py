@@ -20,7 +20,6 @@ class RunReport:
     config: dict
     columns: list[str]
     rows: list[dict] = field(default_factory=list)
-    block_status: list[str] = field(default_factory=list)
     iterations_histogram: dict[int, int] = field(default_factory=dict)
     bler: float | None = None
     throughput_mbps: float | None = None

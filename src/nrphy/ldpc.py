@@ -2,10 +2,12 @@
 
 Base graphs BG1/BG2 are stored as data files of (row, column, shift-per-set)
 records and expanded ("lifted") by a lifting size Zc into the working
-parity-check structure. The encoder solves the four core parity blocks via
-the base graphs' double-diagonal structure; the decoder is a row-layered
-offset min-sum with saturating 8-bit fixed-point messages (2 fractional
-bits, so the 0.5 offset is exactly two LSBs).
+parity-check structure. Encoder, parity check and decoder read that
+structure through one table of lifted row indices. The encoder solves the
+first core parity block from the sum of the four core rows, then every
+other parity block from the one row in which it is the last unknown. The
+decoder is a row-layered offset min-sum with saturating 8-bit fixed-point
+messages (2 fractional bits, so the 0.5 offset is exactly two LSBs).
 """
 
 from __future__ import annotations
@@ -187,16 +189,27 @@ def build_code(bg: BaseGraphId, Zc: int) -> LiftedLdpcCode:
     )
 
 
+@lru_cache(maxsize=None)
+def _row_gather(bg: BaseGraphId, Zc: int) -> tuple[np.ndarray, ...]:
+    """Per base row: read-only (degree, Zc) matrix of lifted bit indices.
+
+    Entry e of lifted row t is ``c*Zc + (t + s) % Zc`` for the row's e-th
+    (column, shift) pair, so ``bits[idx]`` lines up every bit that one
+    lifted check reads and an XOR over axis 0 is that row's syndrome.
+    """
+    code = build_code(bg, Zc)
+    t = np.arange(Zc)
+    out = []
+    for row in code.rows:
+        idx = np.array([c * Zc + (t + s) % Zc for c, s in row], dtype=np.int64)
+        idx.flags.writeable = False
+        out.append(idx)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Encoding
-#
-# Row equation of base row r: XOR over entries (c, s) of rot(x_c, s) = 0,
-# where rot(v, s)[t] = v[(t + s) % Zc] (i.e. np.roll(v, -s)).
 # ---------------------------------------------------------------------------
-
-def _rot(v: np.ndarray, s: int) -> np.ndarray:
-    return np.roll(v, -s)
-
 
 def _vec_to_poly(v: np.ndarray) -> int:
     return int.from_bytes(np.packbits(v, bitorder="little").tobytes(), "little")
@@ -242,7 +255,7 @@ def _poly_inv(a: int, n: int) -> int:
 
 
 def _solve_rotation_sum(shifts: list[int], rhs: np.ndarray, Zc: int) -> np.ndarray:
-    """Solve sum_k rot(p, shifts[k]) = rhs for p (vectors of Zc bits)."""
+    """Solve sum_k rot(p, shifts[k]) = rhs for p, where rot(v, s)[t] = v[(t+s) % Zc]."""
     # XOR-cancel repeated shifts; a single survivor is a plain rotation.
     counts: dict[int, int] = {}
     for s in shifts:
@@ -265,57 +278,29 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
         raise ValueError(f"info length {bits.shape} != K={code.K}")
     Zc = code.Zc
     kb = code.systematic_cols
-    n_cols = code.N_full // Zc
-    x = np.zeros(n_cols * Zc, dtype=np.uint8)
+    gather = _row_gather(code.bg, Zc)
+    x = np.zeros(code.N_full, dtype=np.uint8)
     x[: code.K] = bits
 
-    def seg(c: int) -> np.ndarray:
-        return x[c * Zc:(c + 1) * Zc]
+    # Unsolved parity bits are still zero, so a row's XOR is its
+    # information-part syndrome. Summing the four core rows cancels every
+    # parity column except the first one, leaving a pure rotation (or, for
+    # some lifting sizes, a small circulant) in p0.
+    p0_shifts = [s for row in code.rows[:4] for c, s in row if c == kb]
+    core_syndrome = np.bitwise_xor.reduce(x[np.concatenate(gather[:4])], axis=0)
+    x[kb * Zc:(kb + 1) * Zc] = _solve_rotation_sum(p0_shifts, core_syndrome, Zc)
 
-    # Information-part syndrome of each core row.
-    lam = []
-    for r in range(4):
-        acc = np.zeros(Zc, dtype=np.uint8)
-        for c, s in code.rows[r]:
-            if c < kb:
-                acc ^= _rot(seg(c), s)
-        lam.append(acc)
-
-    # Summing the four core rows cancels every parity column except the
-    # first one, leaving a pure rotation (or small circulant) in p0.
-    first_parity_shifts = [s for r in range(4) for c, s in code.rows[r] if c == kb]
-    x[kb * Zc:(kb + 1) * Zc] = _solve_rotation_sum(
-        first_parity_shifts, lam[0] ^ lam[1] ^ lam[2] ^ lam[3], Zc
-    )
-
-    # Back-substitute the remaining three core parity columns.
-    solved = {kb}
-    for _ in range(3):
-        for r in range(4):
-            core = [(c, s) for c, s in code.rows[r] if kb <= c < kb + 4]
-            unknown = [(c, s) for c, s in core if c not in solved]
-            if len(unknown) != 1:
-                continue
-            acc = lam[r].copy()
-            for c, s in core:
-                if c in solved:
-                    acc ^= _rot(seg(c), s)
-            uc, us = unknown[0]
-            x[uc * Zc:(uc + 1) * Zc] = np.roll(acc, us)
-            solved.add(uc)
-    if len(solved) != 4:
-        raise ConfigError("unsupported parity core structure")
-
-    # Extension parities accumulate directly (identity column, shift 0).
-    for r in range(4, len(code.rows)):
-        acc = np.zeros(Zc, dtype=np.uint8)
-        ext_col = None
-        for c, s in code.rows[r]:
-            if c >= kb + 4:
-                ext_col = c
-            else:
-                acc ^= _rot(seg(c), s)
-        x[ext_col * Zc:(ext_col + 1) * Zc] = acc
+    # In base-graph order each row meets at most one unsolved column (the
+    # rest of the core, then one extension column per row), and that
+    # column's bits are the XOR of the row's other bits.
+    solved = set(range(kb + 1))
+    for row, idx in zip(code.rows, gather):
+        unsolved = [e for e, (c, _) in enumerate(row) if c not in solved]
+        if len(unsolved) > 1:
+            raise ConfigError("unsupported parity core structure")
+        if unsolved:
+            x[idx[unsolved[0]]] = np.bitwise_xor.reduce(x[idx], axis=0)
+            solved.add(row[unsolved[0]][0])
 
     return Codeword(bits=x, code=code)
 
@@ -323,20 +308,6 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _row_gather(bg: BaseGraphId, Zc: int) -> list[np.ndarray]:
-    """Per base row: (degree, Zc) matrix of lifted bit indices."""
-    code = build_code(bg, Zc)
-    t = np.arange(Zc)
-    out = []
-    for row in code.rows:
-        idx = np.empty((len(row), Zc), dtype=np.int64)
-        for e, (c, s) in enumerate(row):
-            idx[e] = c * Zc + (t + s) % Zc
-        out.append(idx)
-    return out
-
 
 def parity_check(code: LiftedLdpcCode, bits: np.ndarray) -> bool:
     """True iff every lifted parity row XORs to zero."""
@@ -395,6 +366,8 @@ def ldpc_decode(
     llr = np.asarray(channel_llrs)
     if llr.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} LLRs")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     offset_raw = int(round(offset * 4))
     gather = _row_gather(code.bg, code.Zc)
 
@@ -423,6 +396,6 @@ def ldpc_decode(
     return DecodeResult(
         hard_bits=hard[: code.K],
         iterations_used=iterations,
-        parity_ok=parity_check(code, hard),
+        parity_ok=reason is TerminationReason.PARITY_SATISFIED,
         termination_reason=reason,
     )

@@ -38,11 +38,6 @@ _NORM = {2: math.sqrt(2.0), 4: math.sqrt(10.0), 6: math.sqrt(42.0), 8: math.sqrt
 _OFFSETS = {2: (), 4: (1,), 6: (2, 1), 8: (4, 2, 1)}
 
 
-def llr_values(raw: np.ndarray) -> np.ndarray:
-    """Semantic LLR values of raw SoftLlr integers."""
-    return np.asarray(raw, dtype=np.float64) / LLR_SCALE
-
-
 def assert_softllr(raw: np.ndarray) -> np.ndarray:
     """Range instrumentation: raw SoftLlrs must stay within [-31, 31]."""
     raw = np.asarray(raw)

@@ -108,7 +108,6 @@ class _SlotMeta:
     Zc: int = 0
     n_cb: int = 0
     filler_range: range = range(0)
-    last_use: int = 0
 
 
 class HarqBufferPool:
@@ -127,12 +126,10 @@ class HarqBufferPool:
         self._meta = [_SlotMeta() for _ in range(num_slots)]
         self.bindings: dict[int, int] = {}
         self.free_list: list[int] = list(range(num_slots))
-        self._clock = 0
 
     def acquire(self, process_id: int, is_new_packet: bool,
                 code: LiftedLdpcCode = None, filler_count: int = 0) -> SoftBuffer:
         """Bind (new packet) or look up (retransmission) a soft buffer."""
-        self._clock += 1
         if is_new_packet:
             if code is None:
                 raise ValueError("new packet requires the code dimensions")
@@ -147,7 +144,6 @@ class HarqBufferPool:
             meta = self._meta[slot]
             meta.bg, meta.Zc, meta.n_cb = code.bg, code.Zc, code.N_cb
             meta.filler_range = buffer_filler_range(code, filler_count)
-            meta.last_use = self._clock
             self._store[slot, :] = 0
         else:
             if process_id not in self.bindings:
@@ -156,7 +152,6 @@ class HarqBufferPool:
             meta = self._meta[slot]
             if code is not None and (meta.bg, meta.Zc) != (code.bg, code.Zc):
                 raise ValueError("bound buffer dimensions do not match the code")
-            meta.last_use = self._clock
         return SoftBuffer(self._store[slot, : meta.n_cb], meta.filler_range)
 
     def release(self, process_id: int) -> None:

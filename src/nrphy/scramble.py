@@ -46,63 +46,59 @@ class GoldState:
     position: int = 0
 
 
-def _lfsr_blocks(seed31: np.ndarray, n: int, taps: tuple[int, ...]) -> np.ndarray:
-    """First n outputs of x[i+31] = XOR of x[i+t] for t in taps (t includes 0)."""
+_X1_TAPS = (0, 3)
+_X2_TAPS = (0, 1, 2, 3)
+
+
+def _lfsr_blocks(reg: int, n: int, taps: tuple[int, ...]) -> np.ndarray:
+    """First n outputs of x[i+31] = XOR of x[i+t] for t in taps (t includes 0).
+
+    Outputs 0..30 are the bits of ``reg``, LSB first.
+    """
     out = np.zeros(max(n, _REG_BITS), dtype=np.uint8)
-    out[:_REG_BITS] = seed31
-    # x[j] for j >= 31 depends on x[j-31+t]; fill in strides of 28, the gap
-    # between the highest tap (3) and the register length.
+    out[:_REG_BITS] = (reg >> np.arange(_REG_BITS)) & 1
+    # Squaring the feedback polynomial over GF(2) spreads its taps: the
+    # sequence also obeys x[j] = XOR_t x[j - 31*2^k + t*2^k] for every
+    # j >= 31*2^k. The newest input is then 28*2^k back, so each pass can
+    # fill that many outputs and a run of n outputs takes O(log n) passes.
     j = _REG_BITS
     while j < n:
-        span = min(_REG_BITS - max(taps), n - j)
-        acc = out[j - _REG_BITS: j - _REG_BITS + span].copy()
+        step = 1 << ((j // _REG_BITS).bit_length() - 1)
+        span = min((_REG_BITS - max(taps)) * step, n - j)
+        base = j - _REG_BITS * step
+        acc = out[base: base + span].copy()
         for t in taps[1:]:
-            acc ^= out[j - _REG_BITS + t: j - _REG_BITS + t + span]
+            acc ^= out[base + t * step: base + t * step + span]
         out[j: j + span] = acc
         j += span
     return out[:n]
 
 
-def _seed_x2(c_init: int) -> np.ndarray:
-    return np.array([(c_init >> i) & 1 for i in range(_REG_BITS)], dtype=np.uint8)
-
-
-_SEED_X1 = np.array([1] + [0] * (_REG_BITS - 1), dtype=np.uint8)
+def _pack(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def sequence(identity: ScramblingIdentity, n: int) -> np.ndarray:
     """First n scrambling bits for this identity."""
     total = WARMUP + n
-    x1 = _lfsr_blocks(_SEED_X1, total, (0, 3))
-    x2 = _lfsr_blocks(_seed_x2(identity.c_init), total, (0, 1, 2, 3))
+    x1 = _lfsr_blocks(1, total, _X1_TAPS)
+    x2 = _lfsr_blocks(identity.c_init, total, _X2_TAPS)
     return x1[WARMUP:] ^ x2[WARMUP:]
 
 
 def gold_init(identity: ScramblingIdentity) -> GoldState:
     """State positioned at sequence output 0, warm-up already discarded."""
-    x1 = _lfsr_blocks(_SEED_X1, WARMUP + _REG_BITS, (0, 3))[WARMUP:]
-    x2 = _lfsr_blocks(_seed_x2(identity.c_init), WARMUP + _REG_BITS, (0, 1, 2, 3))[WARMUP:]
-    return GoldState(x1=int(np.packbits(x1, bitorder="little").view(np.uint32)[0]) & 0x7FFFFFFF,
-                     x2=int(np.packbits(x2, bitorder="little").view(np.uint32)[0]) & 0x7FFFFFFF,
-                     position=0)
-
-
-def _step(reg: int, taps: tuple[int, ...]) -> int:
-    new = 0
-    for t in taps:
-        new ^= (reg >> t) & 1
-    return (reg >> 1) | (new << (_REG_BITS - 1))
+    total = WARMUP + _REG_BITS
+    return GoldState(x1=_pack(_lfsr_blocks(1, total, _X1_TAPS)[WARMUP:]),
+                     x2=_pack(_lfsr_blocks(identity.c_init, total, _X2_TAPS)[WARMUP:]))
 
 
 def gold_next_word(state: GoldState) -> tuple[int, GoldState]:
     """Next 32 sequence bits packed LSB-first, plus the advanced state."""
-    x1, x2 = state.x1, state.x2
-    word = 0
-    for i in range(32):
-        word |= ((x1 ^ x2) & 1) << i
-        x1 = _step(x1, (0, 3))
-        x2 = _step(x2, (0, 1, 2, 3))
-    return word, GoldState(x1=x1, x2=x2, position=state.position + 32)
+    x1 = _lfsr_blocks(state.x1, 32 + _REG_BITS, _X1_TAPS)
+    x2 = _lfsr_blocks(state.x2, 32 + _REG_BITS, _X2_TAPS)
+    return _pack(x1[:32] ^ x2[:32]), GoldState(
+        x1=_pack(x1[32:]), x2=_pack(x2[32:]), position=state.position + 32)
 
 
 def scramble_bits(bits: np.ndarray, identity: ScramblingIdentity) -> np.ndarray:

@@ -161,12 +161,15 @@ class TestEncoder:
 
     def test_every_lifting_set_encodable(self):
         rng = np.random.default_rng(5)
+        # A word that passes every check and starts with the info bits is
+        # the unique systematic codeword, so this pins the encoder's output.
         for bg in BaseGraphId:
             for zs in LIFTING_SETS:
-                for Zc in (zs[0], zs[-1]):
+                for Zc in zs:
                     code = build_code(bg, Zc)
-                    _, cw = random_codeword(code, rng)
+                    info, cw = random_codeword(code, rng)
                     assert parity_check(code, cw.bits), f"{bg} Zc={Zc}"
+                    assert np.array_equal(cw.bits[: code.K], info.bits), f"{bg} Zc={Zc}"
 
     def test_wrong_length_rejected(self):
         code = build_code(BaseGraphId.BG2, 2)
@@ -260,6 +263,11 @@ class TestDecoder:
         noise = rng.integers(-5, 6, code.N_full).astype(np.int8)
         res = ldpc_decode(code, noise)
         assert 1 <= res.iterations_used <= 8
+
+    def test_rejects_zero_iteration_budget(self):
+        code = build_code(BaseGraphId.BG2, 2)
+        with pytest.raises(ValueError):
+            ldpc_decode(code, np.zeros(code.N_full, np.int8), max_iter=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

@@ -42,6 +42,13 @@ IDENTITIES = [
     ScramblingIdentity(65535, 0, 0),
 ]
 
+# The generator fills 28*2^k outputs per pass once 31*2^k outputs exist, so
+# its pass boundaries fall where WARMUP + n = 31*2^k; probe each one, plus
+# the 101376-bit transport block of the 8-block K'=8448 link.
+ORACLE_LENGTHS = sorted(
+    {4096, 101376}
+    | {31 * 2 ** k - 1600 + d for k in range(6, 12) for d in (-1, 0, 1)})
+
 
 class TestGoldSequence:
     def test_c_init_packing(self):
@@ -59,7 +66,11 @@ class TestGoldSequence:
 
     @pytest.mark.parametrize("ident", IDENTITIES, ids=lambda i: f"cinit={i.c_init}")
     def test_matches_bitwise_oracle(self, ident):
-        assert np.array_equal(sequence(ident, 4096), gold_oracle(ident.c_init, 4096))
+        # Shorter sequences are prefixes of longer ones, so one oracle run
+        # checks every length.
+        oracle = gold_oracle(ident.c_init, max(ORACLE_LENGTHS))
+        for n in ORACLE_LENGTHS:
+            assert np.array_equal(sequence(ident, n), oracle[:n]), f"n={n}"
 
     def test_distinct_identities_distinct_sequences(self):
         a = sequence(ScramblingIdentity(1, 0, 0), 512)
@@ -76,11 +87,11 @@ class TestGoldStreaming:
         ident = ScramblingIdentity(77, 0, 123)
         state = gold_init(ident)
         words = []
-        for _ in range(4):
+        for _ in range(200):
             w, state = gold_next_word(state)
             words.append(w)
         bits = np.array([(w >> i) & 1 for w in words for i in range(32)], np.uint8)
-        assert np.array_equal(bits, sequence(ident, 128))
+        assert np.array_equal(bits, sequence(ident, 32 * 200))
 
     def test_reset_reproduces_stream(self):
         ident = ScramblingIdentity(8, 0, 8)
