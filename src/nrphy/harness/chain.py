@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import llr as llr_mod
-from ..errors import PoolExhaustedError, UnknownProcessError
+from ..errors import ConfigError, PoolExhaustedError, UnknownProcessError
 from ..ldpc import DecodeResult, InfoBlock, ldpc_decode, ldpc_encode
 from ..llr import EqualizedSymbols, PackedWordStream, assert_softllr, pack_bit_words
 from ..rate_adapt import (
@@ -90,6 +90,10 @@ def decode_chain_from_llrs(
     raw = assert_softllr(np.asarray(llrs, dtype=np.int8))
     if raw.shape != (cfg.G,):
         raise ValueError(f"expected G = {cfg.G} LLRs")
+    if cfg.blocks > POOL_SLOTS and (release != RELEASE_ALWAYS or not new_packet):
+        # process ids wrap, so a later block would rebind an earlier block's buffer
+        raise ConfigError(f"{cfg.blocks} blocks cannot keep combined state in "
+                          f"{POOL_SLOTS} soft buffers")
     code, filler = cfg.code()
     rv = cfg.rv_schedule[rv_round % len(cfg.rv_schedule)]
     rm_cfg = RateMatchConfig(E_r=cfg.e_r, rv=rv, Q_m=cfg.q_m)

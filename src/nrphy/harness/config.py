@@ -6,6 +6,8 @@ from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError
 from ..ldpc import LiftedLdpcCode, build_code, choose_base_graph, select_lifting
+from ..llr import MODULATION_ORDERS
+from ..rate_adapt import POOL_SLOTS
 from ..scramble import ScramblingIdentity
 
 DEFAULT_CONFIG_NAME = "default"
@@ -35,8 +37,14 @@ class ChainConfig:
     def __post_init__(self):
         if not self.rv_schedule:
             raise ConfigError("rv schedule must be nonempty")
+        if any(rv not in (0, 1, 2, 3) for rv in self.rv_schedule):
+            raise ConfigError("every rv must be in 0..3")
+        if not 0 <= self.harq_process < POOL_SLOTS:
+            raise ConfigError(f"harq_process must be in [0, {POOL_SLOTS})")
         if self.blocks < 1:
             raise ConfigError("blocks must be >= 1")
+        if self.q_m not in MODULATION_ORDERS:
+            raise ConfigError("Q_m must be one of 2, 4, 6, 8")
         if self.e_r % self.q_m:
             raise ConfigError("E_r must be a multiple of Q_m")
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import PoolExhaustedError
 from ..llr import awgn
-from ..rate_adapt import HarqBufferPool
+from ..rate_adapt import POOL_SLOTS, HarqBufferPool
 from .chain import RELEASE_NEVER, _block_process_id, decode_chain, encode_chain
 from .config import ChainConfig
 from .report import RunReport
@@ -116,8 +116,10 @@ def run_harq_sim(
     combining, which at the simulated operating point almost never
     succeeds. Reports delivered information per transmission.
     """
-    if not 1 <= pool_size <= 16:
-        raise ValueError("pool_size must be in [1, 16]")
+    if not 1 <= pool_size <= POOL_SLOTS:
+        raise ValueError(f"pool_size must be in [1, {POOL_SLOTS}]")
+    if not 1 <= n_processes <= POOL_SLOTS:
+        raise ValueError(f"n_processes must be in [1, {POOL_SLOTS}]")
     seed = cfg.seed if seed is None else seed
     cfg = replace(cfg, blocks=1)
     pool = HarqBufferPool(num_slots=pool_size)
@@ -160,12 +162,11 @@ def run_harq_sim(
                     proc.bound = False
 
             r = proc.round_idx
-            enc = encode_chain(replace(cfg, harq_process=proc.pid),
-                               proc.payload, rv_round=r)
+            run_cfg = replace(cfg, harq_process=proc.pid)
+            enc = encode_chain(run_cfg, proc.payload, rv_round=r)
             noise_key = np.random.SeedSequence(
                 [seed, proc.pid, proc.packets_done, r, 7])
             noisy = awgn(enc.symbols, cfg.sigma2, noise_key)
-            run_cfg = replace(cfg, harq_process=proc.pid)
             if proc.bound:
                 dec = decode_chain(run_cfg, noisy, pool, rv_round=r,
                                    new_packet=False, release=RELEASE_NEVER)

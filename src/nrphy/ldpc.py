@@ -72,7 +72,6 @@ class LiftedLdpcCode:
 
     bg: BaseGraphId
     Zc: int
-    set_index: int
     K: int
     N_cb: int
     N_full: int
@@ -181,7 +180,6 @@ def build_code(bg: BaseGraphId, Zc: int) -> LiftedLdpcCode:
     return LiftedLdpcCode(
         bg=bg,
         Zc=Zc,
-        set_index=set_index,
         K=kb * Zc,
         N_cb=(n_cols - 2) * Zc,
         N_full=n_cols * Zc,

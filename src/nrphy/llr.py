@@ -8,6 +8,9 @@ symbols are Q3.12 (16-bit signed, 12 fractional bits) per component.
 The demapper evaluates the per-bit piecewise-linear max-log approximation
 (nested absolute differences against the constellation's A/B/C/D offsets)
 with every intermediate saturated to 16 bits, then quantizes to SoftLlr.
+
+``PackedWordStream.to_bytes``/``from_bytes`` alone define the 32-bit word
+layout; the packers only fill bytes, so words and dump files cannot disagree.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .errors import FormatError
 
 LLR_RAW_MAX = 31
 LLR_SCALE = 4  # raw units per unit LLR (2 fractional bits)
-LLR_VALUE_MAX = LLR_RAW_MAX / LLR_SCALE  # 7.75
 
 SYMBOL_FRAC_BITS = 12
 SYMBOL_SCALE = 1 << SYMBOL_FRAC_BITS
@@ -213,22 +215,15 @@ class PackedWordStream:
 
 def pack_llr_words(llrs: np.ndarray) -> PackedWordStream:
     """4 LLRs per word, lowest byte first, each sign-extended to 8 bits."""
-    raw = assert_softllr(np.asarray(llrs, dtype=np.int8))
-    padded = np.zeros((len(raw) + 3) // 4 * 4, dtype=np.int8)
-    padded[: len(raw)] = raw
-    words = padded.view(np.uint8).astype(np.uint32).reshape(-1, 4)
-    return PackedWordStream(
-        words[:, 0] | words[:, 1] << 8 | words[:, 2] << 16 | words[:, 3] << 24,
-        KIND_LLRS,
-    )
+    raw = assert_softllr(np.asarray(llrs, dtype=np.int8)).tobytes()
+    return PackedWordStream.from_bytes(raw + bytes(-len(raw) % 4), KIND_LLRS)
 
 
 def unpack_llr_words(stream: PackedWordStream, count: int | None = None) -> np.ndarray:
     if stream.kind != KIND_LLRS:
         raise FormatError(f"expected llr words, got {stream.kind}")
-    w = stream.words.astype(np.uint32)
-    raw = np.stack([w & 0xFF, w >> 8 & 0xFF, w >> 16 & 0xFF, w >> 24 & 0xFF], axis=1)
-    raw = raw.astype(np.uint8).view(np.int8).reshape(-1)
+    # a bytearray keeps the returned LLRs writable, as a fresh array would be
+    raw = np.frombuffer(bytearray(stream.to_bytes()), dtype=np.int8)
     if count is not None:
         if count > raw.size:
             raise FormatError("count exceeds stream capacity")
@@ -240,14 +235,8 @@ def unpack_llr_words(stream: PackedWordStream, count: int | None = None) -> np.n
 
 def pack_bit_words(bits: np.ndarray) -> PackedWordStream:
     """Bit i lands in bit (i mod 32) of word (i div 32), LSB-first."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    padded = np.zeros((len(bits) + 31) // 32 * 32, dtype=np.uint8)
-    padded[: len(bits)] = bits
-    weights = (np.uint32(1) << np.arange(32, dtype=np.uint32))
-    words = (padded.reshape(-1, 32).astype(np.uint32) * weights).sum(
-        axis=1, dtype=np.uint64
-    )
-    return PackedWordStream(words.astype(np.uint32), KIND_RAW_BITS)
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
+    return PackedWordStream.from_bytes(packed + bytes(-len(packed) % 4), KIND_RAW_BITS)
 
 
 def unpack_bit_words(stream: PackedWordStream, count: int) -> np.ndarray:
@@ -255,6 +244,5 @@ def unpack_bit_words(stream: PackedWordStream, count: int) -> np.ndarray:
         raise FormatError(f"expected raw bit words, got {stream.kind}")
     if count > 32 * len(stream.words):
         raise FormatError("count exceeds stream capacity")
-    w = stream.words.astype(np.uint32)
-    bits = (w[:, None] >> np.arange(32, dtype=np.uint32)[None, :]) & 1
-    return bits.reshape(-1)[:count].astype(np.uint8)
+    return np.unpackbits(np.frombuffer(stream.to_bytes(), dtype=np.uint8),
+                         count=count, bitorder="little")

@@ -7,11 +7,14 @@ decode path scatters received LLRs back to their buffer positions with
 saturating addition, so retransmissions with different redundancy
 versions combine into a lower-rate observation. Sixteen virtual buffers
 (each large enough for the biggest code) are bound to HARQ process ids.
+Encoder and combiner of every block read the same positions for a given
+transmission layout, so each selection is built once and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,13 +64,15 @@ def buffer_filler_range(code: LiftedLdpcCode, filler_count: int) -> range:
     return range(end - filler_count, end)
 
 
+@lru_cache(maxsize=None)
 def _selection_indices(n_cb: int, k0: int, filler_range: range, count: int) -> np.ndarray:
-    """Buffer positions read/written by a transmission of ``count`` values."""
-    order = np.concatenate([np.arange(k0, n_cb), np.arange(0, k0)])
+    """Buffer positions read/written by ``count`` values, as a read-only array."""
     usable = np.ones(n_cb, dtype=bool)
     usable[list(filler_range)] = False
-    order = order[usable[order]]
-    return order[np.arange(count) % len(order)]
+    order = np.roll(np.arange(n_cb), -k0)
+    idx = np.resize(order[usable[order]], count)
+    idx.flags.writeable = False
+    return idx
 
 
 def rate_match(codeword: Codeword, filler_range: range, cfg: RateMatchConfig) -> np.ndarray:
@@ -102,14 +107,6 @@ class SoftBuffer:
     filler_range: range
 
 
-@dataclass
-class _SlotMeta:
-    bg: BaseGraphId = None
-    Zc: int = 0
-    n_cb: int = 0
-    filler_range: range = range(0)
-
-
 class HarqBufferPool:
     """Fixed pool of virtual circular buffers keyed by HARQ process id.
 
@@ -123,7 +120,9 @@ class HarqBufferPool:
             raise ValueError(f"num_slots must be in [1, {POOL_SLOTS}]")
         self.num_slots = num_slots
         self._store = np.zeros((num_slots, N_CB_MAX), dtype=np.int8)
-        self._meta = [_SlotMeta() for _ in range(num_slots)]
+        # Per slot, the code and buffer of the packet bound there last, so
+        # a retransmission gets back exactly what its first round combined into.
+        self._slots: list[tuple[LiftedLdpcCode, SoftBuffer]] = [None] * num_slots
         self.bindings: dict[int, int] = {}
         self.free_list: list[int] = list(range(num_slots))
 
@@ -141,18 +140,17 @@ class HarqBufferPool:
             else:
                 raise PoolExhaustedError(
                     f"all {self.num_slots} soft buffers are bound")
-            meta = self._meta[slot]
-            meta.bg, meta.Zc, meta.n_cb = code.bg, code.Zc, code.N_cb
-            meta.filler_range = buffer_filler_range(code, filler_count)
             self._store[slot, :] = 0
-        else:
-            if process_id not in self.bindings:
-                raise UnknownProcessError(f"no buffer bound to process {process_id}")
-            slot = self.bindings[process_id]
-            meta = self._meta[slot]
-            if code is not None and (meta.bg, meta.Zc) != (code.bg, code.Zc):
-                raise ValueError("bound buffer dimensions do not match the code")
-        return SoftBuffer(self._store[slot, : meta.n_cb], meta.filler_range)
+            buf = SoftBuffer(self._store[slot, : code.N_cb],
+                             buffer_filler_range(code, filler_count))
+            self._slots[slot] = (code, buf)
+            return buf
+        if process_id not in self.bindings:
+            raise UnknownProcessError(f"no buffer bound to process {process_id}")
+        bound, buf = self._slots[self.bindings[process_id]]
+        if code is not None and (bound.bg, bound.Zc) != (code.bg, code.Zc):
+            raise ValueError("bound buffer dimensions do not match the code")
+        return buf
 
     def release(self, process_id: int) -> None:
         if process_id not in self.bindings:
@@ -178,16 +176,15 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray,
     # Within one pass over the buffer every position is unique, so each
     # chunk is an exact element-wise saturating add in arrival order.
     for start in range(0, cfg.E_r, cycle):
-        sl = slice(start, min(start + cycle, cfg.E_r))
-        acc = buf[idx[sl]].astype(np.int16) + raw[sl]
-        buf[idx[sl]] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX).astype(np.int8)
+        pos = idx[start:start + cycle]
+        acc = buf[pos] + raw[start:start + cycle]
+        buf[pos] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
 
 
 def materialize_decoder_input(buffer: SoftBuffer, code: LiftedLdpcCode) -> np.ndarray:
     """Full N_full LLR vector: zero punctured head, minimum-LLR fillers."""
     out = np.zeros(code.N_full, dtype=np.int8)
     out[2 * code.Zc:] = buffer.llrs
-    if len(buffer.filler_range):
-        out[2 * code.Zc + buffer.filler_range.start:
-            2 * code.Zc + buffer.filler_range.stop] = FILLER_LLR_RAW
+    out[2 * code.Zc + buffer.filler_range.start:
+        2 * code.Zc + buffer.filler_range.stop] = FILLER_LLR_RAW
     return out

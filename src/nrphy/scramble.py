@@ -111,4 +111,4 @@ def descramble_llrs(llrs: np.ndarray, identity: ScramblingIdentity) -> np.ndarra
     """Negate LLRs wherever the scrambling bit is 1."""
     raw = np.asarray(llrs, dtype=np.int8)
     c = sequence(identity, len(raw))
-    return np.where(c == 1, -raw, raw).astype(np.int8)
+    return raw * (1 - 2 * c.view(np.int8))

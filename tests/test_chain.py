@@ -152,6 +152,20 @@ class TestHarqCombining:
         assert res.rounds_used <= 4
         assert len(pool.bindings) == 0  # released at the end
 
+    def test_more_blocks_than_soft_buffers_rejected(self):
+        # Process ids wrap modulo the 16 slots, so block 16 would rebind
+        # block 0's process and zero its buffer between rounds.
+        cfg = ChainConfig(**{**HARQ_POINT, "blocks": 17, "snr_db": 30.0})
+        pool = HarqBufferPool()
+        payload = random_payload(cfg, 4)
+        with pytest.raises(ConfigError, match="soft buffers"):
+            run_harq_link(cfg, pool, payload, seed_key=(4,))
+        assert not pool.bindings
+        # one-shot decoding releases each buffer before the ids wrap
+        dec = decode_chain(cfg, encode_chain(cfg, payload).symbols, pool)
+        assert all(dec.block_ok)
+        assert np.array_equal(dec.payload, payload)
+
     def test_retransmission_may_change_er_and_qm(self):
         # positions are derived per transmission, so a later round may use
         # a different rate-matched length and modulation order
@@ -211,6 +225,12 @@ class TestHarqSimulator:
         assert float(one.rows[0]["bits_per_transmission"]) < \
             float(six.rows[0]["bits_per_transmission"])
 
+    def test_more_processes_than_ids_rejected(self):
+        cfg = ChainConfig(**HARQ_POINT)
+        with pytest.raises(ValueError, match="n_processes"):
+            run_harq_sim(cfg, 16, n_processes=17, max_rounds=1,
+                         packets_per_process=1)
+
 
 class TestBlerMonotonicity:
     def test_bler_nonincreasing_in_snr(self):
@@ -267,6 +287,14 @@ class TestConfigParsing:
     def test_inconsistent_er_qm_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("e_r = 7\nq_m = 2")
+
+    @pytest.mark.parametrize("text", [
+        "q_m = 3", "q_m = 0", "rv_schedule = 0,5", "rv_schedule = -1",
+        "harq_process = 16", "harq_process = -1",
+    ])
+    def test_out_of_range_value_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
 
     def test_default_name(self):
         assert load_config("default") == ChainConfig()

@@ -41,6 +41,12 @@ class TestRoundtrip:
         bad.write_text("nonsense = 12")
         assert main(["roundtrip", "--config", str(bad)]) == 2
 
+    def test_unsupported_modulation_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "qm3.cfg"
+        bad.write_text("q_m = 3")
+        assert main(["roundtrip", "--config", str(bad)]) == 2
+        assert "Q_m" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, small_config):

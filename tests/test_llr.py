@@ -271,6 +271,16 @@ class TestAwgn:
         assert np.var(d.real) + np.var(d.imag) == pytest.approx(0.4, rel=0.05)
 
 
+def _llr_word(raw, w):
+    """Byte k of word w is raw[4w+k] & 0xFF (zero past the end)."""
+    return sum((int(v) & 0xFF) << 8 * k for k, v in enumerate(raw[4 * w:4 * w + 4]))
+
+
+def _bit_word(bits, w):
+    """Bit j of word w is bits[32w+j] (zero past the end)."""
+    return sum(int(b) << j for j, b in enumerate(bits[32 * w:32 * w + 32]))
+
+
 class TestPacking:
     def test_llr_word_layout(self):
         ws = pack_llr_words(np.array([1, -1, 31, -31], np.int8))
@@ -283,8 +293,11 @@ class TestPacking:
 
     def test_llr_roundtrip_random(self):
         rng = np.random.default_rng(2)
-        raw = rng.integers(-31, 32, 10_000).astype(np.int8)
-        assert np.array_equal(unpack_llr_words(pack_llr_words(raw), len(raw)), raw)
+        for n in [*range(201), 10_000]:
+            raw = rng.integers(-31, 32, n).astype(np.int8)
+            ws = pack_llr_words(raw)
+            assert ws.words.tolist() == [_llr_word(raw, w) for w in range(-(-n // 4))]
+            assert np.array_equal(unpack_llr_words(ws, n), raw)
 
     def test_malformed_sign_extension_rejected(self):
         bad = PackedWordStream(np.array([0x00000040], np.uint32), KIND_LLRS)
@@ -308,8 +321,11 @@ class TestPacking:
 
     def test_bit_roundtrip_random(self):
         rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, 10_000).astype(np.uint8)
-        assert np.array_equal(unpack_bit_words(pack_bit_words(bits), len(bits)), bits)
+        for n in [*range(201), 10_000]:
+            bits = rng.integers(0, 2, n).astype(np.uint8)
+            ws = pack_bit_words(bits)
+            assert ws.words.tolist() == [_bit_word(bits, w) for w in range(-(-n // 32))]
+            assert np.array_equal(unpack_bit_words(ws, n), bits)
 
     def test_count_overflow_rejected(self):
         ws = pack_bit_words(np.zeros(32, np.uint8))

@@ -18,6 +18,7 @@ from nrphy.rate_adapt import (
     materialize_decoder_input,
     rate_match,
     rate_unmatch_combine,
+    _selection_indices,
 )
 
 
@@ -258,7 +259,13 @@ class TestRateMatchUnmatchAdjoint:
     @pytest.mark.parametrize("rv", [0, 1, 2, 3])
     @pytest.mark.parametrize("e_r", [24, 120, 1200])
     def test_max_llrs_land_at_transmitted_positions(self, rv, e_r):
-        k_prime = 50
+        # K'=14 gives BG2, Zc 2, 6 fillers and N_cb 100, so E_r 120 and 1200
+        # wrap around a buffer with a filler gap.
+        for k_prime in (50, 14):
+            self._check_adjoint(rv, e_r, k_prime)
+
+    @staticmethod
+    def _check_adjoint(rv, e_r, k_prime):
         Zc, _, K, F = select_lifting(BaseGraphId.BG2, k_prime)
         code = build_code(BaseGraphId.BG2, Zc)
         rng = np.random.default_rng(rv * 100 + e_r)
@@ -282,6 +289,11 @@ class TestRateMatchUnmatchAdjoint:
         order = np.concatenate([np.arange(k0, code.N_cb), np.arange(0, k0)])
         order = order[usable[order]]
         touched[order[np.arange(e_r) % len(order)]] = True
+        # encoder and combiner share one read-only selection per transmission
+        idx = _selection_indices(code.N_cb, k0, fr, e_r)
+        assert idx is _selection_indices(code.N_cb, k0, fr, e_r)
+        assert not idx.flags.writeable
+        assert np.array_equal(idx, order[np.arange(e_r) % len(order)])
 
         body = full[2 * code.Zc:]
         filler_mask = np.zeros(code.N_cb, bool)
