@@ -30,10 +30,6 @@ from ..rate_adapt import (
 from ..scramble import descramble_llrs, scramble_bits
 from .config import ChainConfig
 
-RELEASE_ALWAYS = "always"
-RELEASE_ON_SUCCESS = "on_success"
-RELEASE_NEVER = "never"
-
 
 @dataclass(frozen=True)
 class EncodeOutput:
@@ -45,7 +41,10 @@ class EncodeOutput:
 class DecodeOutput:
     results: list[DecodeResult]
     payload: np.ndarray
-    block_ok: list[bool]
+
+    @property
+    def block_ok(self) -> list[bool]:
+        return [res.parity_ok for res in self.results]
 
 
 def _block_process_id(cfg: ChainConfig, block: int) -> int:
@@ -84,13 +83,17 @@ def decode_chain_from_llrs(
     pool: HarqBufferPool,
     rv_round: int = 0,
     new_packet: bool = True,
-    release: str = RELEASE_ALWAYS,
+    release: bool = True,
 ) -> DecodeOutput:
-    """Decode from raw received LLRs (post-demap, pre-descramble)."""
+    """Decode from raw received LLRs (post-demap, pre-descramble).
+
+    With ``release`` false, every block's soft buffer stays bound for a
+    later retransmission to combine into.
+    """
     raw = assert_softllr(np.asarray(llrs, dtype=np.int8))
     if raw.shape != (cfg.G,):
         raise ValueError(f"expected G = {cfg.G} LLRs")
-    if cfg.blocks > POOL_SLOTS and (release != RELEASE_ALWAYS or not new_packet):
+    if cfg.blocks > POOL_SLOTS and not (release and new_packet):
         # process ids wrap, so a later block would rebind an earlier block's buffer
         raise ConfigError(f"{cfg.blocks} blocks cannot keep combined state in "
                           f"{POOL_SLOTS} soft buffers")
@@ -100,7 +103,6 @@ def decode_chain_from_llrs(
 
     descrambled = descramble_llrs(raw, cfg.identity)
     results: list[DecodeResult] = []
-    ok: list[bool] = []
     payload = np.empty(cfg.k_prime * cfg.blocks, dtype=np.uint8)
     for b in range(cfg.blocks):
         block = descrambled[b * cfg.e_r:(b + 1) * cfg.e_r]
@@ -114,11 +116,10 @@ def decode_chain_from_llrs(
         channel = assert_softllr(materialize_decoder_input(buf, code))
         res = ldpc_decode(code, channel)
         results.append(res)
-        ok.append(res.parity_ok)
         payload[b * cfg.k_prime:(b + 1) * cfg.k_prime] = res.hard_bits[: cfg.k_prime]
-        if release == RELEASE_ALWAYS or (release == RELEASE_ON_SUCCESS and res.parity_ok):
+        if release:
             pool.release(pid)
-    return DecodeOutput(results=results, payload=payload, block_ok=ok)
+    return DecodeOutput(results=results, payload=payload)
 
 
 def decode_chain(
@@ -127,7 +128,7 @@ def decode_chain(
     pool: HarqBufferPool,
     rv_round: int = 0,
     new_packet: bool = True,
-    release: str = RELEASE_ALWAYS,
+    release: bool = True,
 ) -> DecodeOutput:
     """Full decode pipeline from equalized symbols."""
     params = llr_mod.DemapperParams.for_noise(cfg.q_m, cfg.sigma2)

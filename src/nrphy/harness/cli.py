@@ -92,8 +92,7 @@ def _random_payload(cfg) -> np.ndarray:
     return rng.integers(0, 2, cfg.k_prime * cfg.blocks, dtype=np.uint8)
 
 
-def _cmd_encode(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed)
+def _cmd_encode(cfg, args) -> int:
     payload = _random_payload(cfg)
     enc = encode_chain(cfg, payload)
     print(f"encoded {cfg.blocks} block(s): K'={cfg.k_prime} E_r={cfg.e_r} "
@@ -112,8 +111,7 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _cmd_decode(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed)
+def _cmd_decode(cfg, args) -> int:
     try:
         with open(args.infile, "rb") as fh:
             stream = PackedWordStream.from_bytes(fh.read(), KIND_LLRS)
@@ -132,8 +130,7 @@ def _cmd_decode(args) -> int:
     return EXIT_FAILURE
 
 
-def _cmd_roundtrip(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed)
+def _cmd_roundtrip(cfg, args) -> int:
     payload = _random_payload(cfg)
     enc = encode_chain(cfg, payload)
     if args.dump_words:
@@ -152,16 +149,14 @@ def _cmd_roundtrip(args) -> int:
     return EXIT_FAILURE
 
 
-def _cmd_bler(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed)
+def _cmd_bler(cfg, args) -> int:
     snrs = [float(s) for s in args.snrs.split(",") if s]
     report = run_bler_sweep(cfg, snrs, args.blocks)
     _emit(report, args.out)
     return EXIT_OK
 
 
-def _cmd_harq_sim(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed)
+def _cmd_harq_sim(cfg, args) -> int:
     sizes = [int(s) for s in args.pool_sizes.split(",") if s]
     merged = RunReport(kind="harq-sim", config=cfg.echo(),
                        columns=HARQ_COLUMNS)
@@ -174,8 +169,7 @@ def _cmd_harq_sim(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed)
+def _cmd_bench(cfg, args) -> int:
     report = run_throughput_bench(cfg, args.blocks)
     _emit(report, args.out)
     return EXIT_OK
@@ -195,7 +189,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = with_overrides(load_config(args.config), seed=args.seed)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

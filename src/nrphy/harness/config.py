@@ -47,6 +47,7 @@ class ChainConfig:
             raise ConfigError("Q_m must be one of 2, 4, 6, 8")
         if self.e_r % self.q_m:
             raise ConfigError("E_r must be a multiple of Q_m")
+        self.code()  # raises ConfigError for a K' its base graph cannot carry
 
     @property
     def G(self) -> int:

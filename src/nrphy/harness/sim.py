@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import PoolExhaustedError
 from ..llr import awgn
 from ..rate_adapt import POOL_SLOTS, HarqBufferPool
-from .chain import RELEASE_NEVER, _block_process_id, decode_chain, encode_chain
+from .chain import _block_process_id, decode_chain, encode_chain
 from .config import ChainConfig
 from .report import RunReport
 
@@ -90,7 +90,7 @@ def run_harq_link(
         enc = encode_chain(cfg, payload, rv_round=r)
         noisy = awgn(enc.symbols, cfg.sigma2, np.random.SeedSequence([*seed_key, r]))
         dec = decode_chain(cfg, noisy, pool, rv_round=r,
-                           new_packet=(r == 0), release=RELEASE_NEVER)
+                           new_packet=(r == 0), release=False)
         used = r + 1
         history.append(all(dec.block_ok))
         if all(dec.block_ok) and np.array_equal(dec.payload, payload):
@@ -169,7 +169,7 @@ def run_harq_sim(
             noisy = awgn(enc.symbols, cfg.sigma2, noise_key)
             if proc.bound:
                 dec = decode_chain(run_cfg, noisy, pool, rv_round=r,
-                                   new_packet=False, release=RELEASE_NEVER)
+                                   new_packet=False, release=False)
             else:
                 dec = decode_chain(replace(run_cfg, harq_process=0), noisy,
                                    scratch, rv_round=r, new_packet=True)

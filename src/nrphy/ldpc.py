@@ -37,7 +37,7 @@ LIFTING_SETS = (
 DATA_DIR_ENV = "NRPHY_DATA_DIR"
 
 MAX_ITERATIONS = 8
-DEFAULT_OFFSET = 0.5
+OFFSET_RAW = 2  # the 0.5 min-sum offset in quarter-LLR units
 
 # Internal decoder precision: 8-bit signed, 2 fractional bits, symmetric.
 DECODER_LLR_MAX = 127
@@ -108,8 +108,11 @@ class Codeword:
 class DecodeResult:
     hard_bits: np.ndarray
     iterations_used: int
-    parity_ok: bool
     termination_reason: TerminationReason
+
+    @property
+    def parity_ok(self) -> bool:
+        return self.termination_reason is TerminationReason.PARITY_SATISFIED
 
 
 def choose_base_graph(payload_length: int, target_rate: float) -> BaseGraphId:
@@ -145,6 +148,9 @@ def select_lifting(bg: BaseGraphId, k_prime: int) -> tuple[int, int, int, int]:
             if kb * z >= k_prime and (best is None or z < best[0]):
                 best = (z, i)
     Zc, set_index = best
+    if k_prime < 2 * Zc:
+        raise ConfigError(f"K'={k_prime} would put filler bits in the punctured "
+                          f"first 2Zc={2 * Zc} bits")
     K = kb * Zc
     return Zc, set_index, K, K - k_prime
 
@@ -318,42 +324,33 @@ def parity_check(code: LiftedLdpcCode, bits: np.ndarray) -> bool:
     return True
 
 
-def _min_sum_messages(q: np.ndarray, offset_raw: int) -> np.ndarray:
-    """Offset min-sum check update on a (degree, n) block of messages."""
+def _min_sum_messages(q: np.ndarray) -> np.ndarray:
+    """Offset min-sum check update on a (degree, n) int16 block of messages."""
     mag = np.abs(q)
+    min1, min2 = np.sort(mag, axis=0)[:2]
+    # Every edge but the minimum one sees min1; when the minimum is tied,
+    # min2 == min1, so comparing values is exact.
+    out_mag = np.maximum(np.where(mag == min1, min2, min1) - OFFSET_RAW, 0)
     neg = q < 0
-    min1 = mag.min(axis=0)
-    pos = mag.argmin(axis=0)
-    tmp = mag.copy()
-    tmp[pos, np.arange(mag.shape[1])] = np.iinfo(mag.dtype).max
-    min2 = tmp.min(axis=0)
-    excl = np.where(np.arange(mag.shape[0])[:, None] == pos[None, :], min2, min1)
-    out_mag = np.maximum(excl - offset_raw, 0)
     sign_flip = np.logical_xor.reduce(neg, axis=0) ^ neg
-    return np.where(sign_flip, -out_mag, out_mag).astype(q.dtype)
+    return np.where(sign_flip, -out_mag, out_mag)
 
 
-def check_node_update(llrs: np.ndarray, offset: float = DEFAULT_OFFSET) -> np.ndarray:
+def check_node_update(llrs: np.ndarray) -> np.ndarray:
     """Extrinsic min-sum messages for one check node.
 
-    Edge i gets magnitude max(0, min_{j != i} |llr_j| - offset) and the
+    Edge i gets magnitude max(0, min_{j != i} |llr_j| - 0.5) and the
     product of the other edges' signs. Inputs and outputs are raw SoftLlr
     integers (quarter-LLR units).
     """
     raw = np.asarray(llrs, dtype=np.int16)
     if raw.size < 2:
         raise ValueError("check node needs at least 2 edges")
-    offset_raw = int(round(offset * 4))
-    return _min_sum_messages(raw[:, None], offset_raw)[:, 0].astype(np.int8)
+    return _min_sum_messages(raw[:, None])[:, 0].astype(np.int8)
 
 
-def ldpc_decode(
-    code: LiftedLdpcCode,
-    channel_llrs: np.ndarray,
-    max_iter: int = MAX_ITERATIONS,
-    offset: float = DEFAULT_OFFSET,
-) -> DecodeResult:
-    """Row-layered offset min-sum decode of one codeword.
+def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
+    """Row-layered offset min-sum decode of one codeword, at most MAX_ITERATIONS.
 
     ``channel_llrs`` are raw SoftLlr values (positive favors bit 1). The
     working messages are kept in the opposite orientation so the classic
@@ -364,36 +361,26 @@ def ldpc_decode(
     llr = np.asarray(channel_llrs)
     if llr.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} LLRs")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    offset_raw = int(round(offset * 4))
     gather = _row_gather(code.bg, code.Zc)
 
     post = -llr.astype(np.int16)  # internal orientation: positive favors bit 0
     msgs = [np.zeros(idx.shape, dtype=np.int16) for idx in gather]
     hard_prev = None
-    reason = TerminationReason.MAX_ITERATIONS
-    iterations = max_iter
-    for it in range(1, max_iter + 1):
-        for idx, r in zip(gather, msgs):
-            q = np.clip(post[idx] - r, -DECODER_LLR_MAX, DECODER_LLR_MAX)
-            r_new = _min_sum_messages(q, offset_raw)
-            post[idx] = np.clip(q + r_new, -DECODER_LLR_MAX, DECODER_LLR_MAX)
-            r[:] = r_new
+    for it in range(1, MAX_ITERATIONS + 1):
+        for i, idx in enumerate(gather):
+            q = np.clip(post[idx] - msgs[i], -DECODER_LLR_MAX, DECODER_LLR_MAX)
+            msgs[i] = _min_sum_messages(q)
+            post[idx] = np.clip(q + msgs[i], -DECODER_LLR_MAX, DECODER_LLR_MAX)
         hard = (post <= 0).astype(np.uint8)
         if parity_check(code, hard):
             reason = TerminationReason.PARITY_SATISFIED
-            iterations = it
             break
         if hard_prev is not None and np.array_equal(hard, hard_prev):
             reason = TerminationReason.DECISIONS_STABLE
-            iterations = it
             break
         hard_prev = hard
+    else:
+        reason = TerminationReason.MAX_ITERATIONS
 
-    return DecodeResult(
-        hard_bits=hard[: code.K],
-        iterations_used=iterations,
-        parity_ok=reason is TerminationReason.PARITY_SATISFIED,
-        termination_reason=reason,
-    )
+    return DecodeResult(hard_bits=hard[: code.K], iterations_used=it,
+                        termination_reason=reason)

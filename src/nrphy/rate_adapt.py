@@ -68,7 +68,7 @@ def buffer_filler_range(code: LiftedLdpcCode, filler_count: int) -> range:
 def _selection_indices(n_cb: int, k0: int, filler_range: range, count: int) -> np.ndarray:
     """Buffer positions read/written by ``count`` values, as a read-only array."""
     usable = np.ones(n_cb, dtype=bool)
-    usable[list(filler_range)] = False
+    usable[filler_range.start:filler_range.stop] = False
     order = np.roll(np.arange(n_cb), -k0)
     idx = np.resize(order[usable[order]], count)
     idx.flags.writeable = False

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ldpc import _poly_to_vec, _vec_to_poly
+
 WARMUP = 1600
 _REG_BITS = 31
 
@@ -56,7 +58,7 @@ def _lfsr_blocks(reg: int, n: int, taps: tuple[int, ...]) -> np.ndarray:
     Outputs 0..30 are the bits of ``reg``, LSB first.
     """
     out = np.zeros(max(n, _REG_BITS), dtype=np.uint8)
-    out[:_REG_BITS] = (reg >> np.arange(_REG_BITS)) & 1
+    out[:_REG_BITS] = _poly_to_vec(reg, _REG_BITS)
     # Squaring the feedback polynomial over GF(2) spreads its taps: the
     # sequence also obeys x[j] = XOR_t x[j - 31*2^k + t*2^k] for every
     # j >= 31*2^k. The newest input is then 28*2^k back, so each pass can
@@ -74,10 +76,6 @@ def _lfsr_blocks(reg: int, n: int, taps: tuple[int, ...]) -> np.ndarray:
     return out[:n]
 
 
-def _pack(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def sequence(identity: ScramblingIdentity, n: int) -> np.ndarray:
     """First n scrambling bits for this identity."""
     total = WARMUP + n
@@ -89,16 +87,16 @@ def sequence(identity: ScramblingIdentity, n: int) -> np.ndarray:
 def gold_init(identity: ScramblingIdentity) -> GoldState:
     """State positioned at sequence output 0, warm-up already discarded."""
     total = WARMUP + _REG_BITS
-    return GoldState(x1=_pack(_lfsr_blocks(1, total, _X1_TAPS)[WARMUP:]),
-                     x2=_pack(_lfsr_blocks(identity.c_init, total, _X2_TAPS)[WARMUP:]))
+    return GoldState(x1=_vec_to_poly(_lfsr_blocks(1, total, _X1_TAPS)[WARMUP:]),
+                     x2=_vec_to_poly(_lfsr_blocks(identity.c_init, total, _X2_TAPS)[WARMUP:]))
 
 
 def gold_next_word(state: GoldState) -> tuple[int, GoldState]:
     """Next 32 sequence bits packed LSB-first, plus the advanced state."""
     x1 = _lfsr_blocks(state.x1, 32 + _REG_BITS, _X1_TAPS)
     x2 = _lfsr_blocks(state.x2, 32 + _REG_BITS, _X2_TAPS)
-    return _pack(x1[:32] ^ x2[:32]), GoldState(
-        x1=_pack(x1[32:]), x2=_pack(x2[32:]), position=state.position + 32)
+    return _vec_to_poly(x1[:32] ^ x2[:32]), GoldState(
+        x1=_vec_to_poly(x1[32:]), x2=_vec_to_poly(x2[32:]), position=state.position + 32)
 
 
 def scramble_bits(bits: np.ndarray, identity: ScramblingIdentity) -> np.ndarray:

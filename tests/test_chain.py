@@ -16,7 +16,6 @@ from nrphy.harness import (
     run_harq_sim,
     run_throughput_bench,
 )
-from nrphy.harness.chain import RELEASE_NEVER, RELEASE_ON_SUCCESS
 from nrphy.harness.config import load_config, parse_config_text
 from nrphy.llr import awgn
 from nrphy.rate_adapt import HarqBufferPool
@@ -126,19 +125,9 @@ class TestPoolErrorSurfacing:
         pool = HarqBufferPool(num_slots=1)
         enc_a = encode_chain(cfg_a, random_payload(cfg_a))
         enc_b = encode_chain(cfg_b, random_payload(cfg_b))
-        decode_chain(cfg_a, enc_a.symbols, pool, release=RELEASE_NEVER)
+        decode_chain(cfg_a, enc_a.symbols, pool, release=False)
         with pytest.raises(PoolExhaustedError):
-            decode_chain(cfg_b, enc_b.symbols, pool, release=RELEASE_NEVER)
-
-    def test_release_on_success_keeps_failed_binding(self):
-        cfg = ChainConfig(**HARQ_POINT)
-        pool = HarqBufferPool()
-        payload = random_payload(cfg, 5)
-        enc = encode_chain(cfg, payload)
-        noisy = awgn(enc.symbols, cfg.sigma2, 1)
-        dec = decode_chain(cfg, noisy, pool, release=RELEASE_ON_SUCCESS)
-        assert not any(dec.block_ok)  # single punctured TX at 0 dB fails
-        assert cfg.harq_process in pool.bindings
+            decode_chain(cfg_b, enc_b.symbols, pool, release=False)
 
 
 class TestHarqCombining:
@@ -175,13 +164,13 @@ class TestHarqCombining:
         enc0 = encode_chain(base, payload, rv_round=0)
         noisy0 = awgn(enc0.symbols, base.sigma2, 100)
         dec0 = decode_chain(base, noisy0, pool, rv_round=0,
-                            new_packet=True, release=RELEASE_NEVER)
+                            new_packet=True, release=False)
         assert not all(dec0.block_ok)
         wider = ChainConfig(**{**HARQ_POINT, "e_r": 512, "q_m": 4, "snr_db": 20.0})
         enc1 = encode_chain(wider, payload, rv_round=1)
         noisy1 = awgn(enc1.symbols, wider.sigma2, 101)
         dec1 = decode_chain(wider, noisy1, pool, rv_round=1,
-                            new_packet=False, release=RELEASE_NEVER)
+                            new_packet=False, release=False)
         assert all(dec1.block_ok)
         assert np.array_equal(dec1.payload, payload)
 
@@ -291,6 +280,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("text", [
         "q_m = 3", "q_m = 0", "rv_schedule = 0,5", "rv_schedule = -1",
         "harq_process = 16", "harq_process = -1",
+        "k_prime = 0", "k_prime = 3", "k_prime = 8449",
     ])
     def test_out_of_range_value_rejected(self, text):
         with pytest.raises(ConfigError):

@@ -47,6 +47,11 @@ class TestRoundtrip:
         assert main(["roundtrip", "--config", str(bad)]) == 2
         assert "Q_m" in capsys.readouterr().err
 
+    def test_fillers_in_punctured_head_exit_2(self, tmp_path):
+        bad = tmp_path / "k3.cfg"
+        bad.write_text("k_prime = 3")
+        assert main(["roundtrip", "--config", str(bad)]) == 2
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, small_config):
