@@ -28,6 +28,8 @@ FPGA_REFERENCE_MBPS = {20: 899.9, 40: 900.1}
 
 def run_throughput_bench(cfg: ChainConfig, blocks: int) -> RunReport:
     """Time the decode chain over ``blocks`` identical code blocks."""
+    if blocks < 1:
+        raise ValueError("blocks must be >= 1")
     cfg = replace(cfg, blocks=1)
     report = RunReport(kind="bench", config=cfg.echo(), columns=BENCH_COLUMNS)
 

@@ -112,8 +112,8 @@ def decode_chain_from_llrs(
             buf = pool.acquire(pid, new_packet, code, filler)
         except (PoolExhaustedError, UnknownProcessError) as exc:
             raise type(exc)(f"block {b}: {exc}") from None
-        rate_unmatch_combine(buf, soft, rm_cfg, code)
-        channel = assert_softllr(materialize_decoder_input(buf, code))
+        rate_unmatch_combine(buf, soft, rm_cfg)
+        channel = assert_softllr(materialize_decoder_input(buf))
         res = ldpc_decode(code, channel)
         results.append(res)
         payload[b * cfg.k_prime:(b + 1) * cfg.k_prime] = res.hard_bits[: cfg.k_prime]

@@ -117,6 +117,10 @@ def _cmd_decode(cfg, args) -> int:
             stream = PackedWordStream.from_bytes(fh.read(), KIND_LLRS)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.infile!r}: {exc}") from exc
+    words = -(-cfg.G // 4)  # four LLRs per word
+    if len(stream.words) != words:
+        raise FormatError(f"expected {words} LLR words for G = {cfg.G}, "
+                          f"got {len(stream.words)}")
     raw = unpack_llr_words(stream, cfg.G)
     dec = decode_chain_from_llrs(cfg, raw, HarqBufferPool())
     for b, res in enumerate(dec.results):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError
@@ -45,9 +46,18 @@ class ChainConfig:
             raise ConfigError("blocks must be >= 1")
         if self.q_m not in MODULATION_ORDERS:
             raise ConfigError("Q_m must be one of 2, 4, 6, 8")
+        if self.e_r < 1:
+            raise ConfigError("E_r must be >= 1")
         if self.e_r % self.q_m:
             raise ConfigError("E_r must be a multiple of Q_m")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError("snr_db must be finite")
         self.code()  # raises ConfigError for a K' its base graph cannot carry
+        try:
+            identity = ScramblingIdentity(rnti=self.rnti, q=self.q, cell_id=self.cell_id)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "identity", identity)  # derived, not a field
 
     @property
     def G(self) -> int:
@@ -57,10 +67,6 @@ class ChainConfig:
     @property
     def sigma2(self) -> float:
         return 10.0 ** (-self.snr_db / 10.0)
-
-    @property
-    def identity(self) -> ScramblingIdentity:
-        return ScramblingIdentity(rnti=self.rnti, q=self.q, cell_id=self.cell_id)
 
     def code(self) -> tuple[LiftedLdpcCode, int]:
         """The lifted code and filler count this configuration selects."""
@@ -75,9 +81,13 @@ class ChainConfig:
         return out
 
 
-_INT_KEYS = {"k_prime", "e_r", "q_m", "rnti", "q", "cell_id",
-             "harq_process", "blocks", "seed"}
-_FLOAT_KEYS = {"target_rate", "snr_db"}
+_PARSERS = {
+    **dict.fromkeys(("k_prime", "e_r", "q_m", "rnti", "q", "cell_id",
+                     "harq_process", "blocks", "seed"), int),
+    "target_rate": float,
+    "snr_db": float,
+    "rv_schedule": lambda val: tuple(int(v) for v in val.split(",") if v),
+}
 
 
 def parse_config_text(text: str) -> ChainConfig:
@@ -90,14 +100,12 @@ def parse_config_text(text: str) -> ChainConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key == "rv_schedule":
-            values[key] = tuple(int(v) for v in val.split(",") if v)
-        else:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _PARSERS[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     try:
         return ChainConfig(**values)
     except TypeError as exc:

@@ -107,7 +107,6 @@ def run_harq_sim(
     n_processes: int,
     max_rounds: int,
     packets_per_process: int = 8,
-    seed: int | None = None,
 ) -> RunReport:
     """Interleaved HARQ processes contending for a limited buffer pool.
 
@@ -120,70 +119,52 @@ def run_harq_sim(
         raise ValueError(f"pool_size must be in [1, {POOL_SLOTS}]")
     if not 1 <= n_processes <= POOL_SLOTS:
         raise ValueError(f"n_processes must be in [1, {POOL_SLOTS}]")
-    seed = cfg.seed if seed is None else seed
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     cfg = replace(cfg, blocks=1)
+    code, filler = cfg.code()
     pool = HarqBufferPool(num_slots=pool_size)
     scratch = HarqBufferPool(num_slots=1)
     report = RunReport(kind="harq-sim", config=cfg.echo(), columns=HARQ_COLUMNS)
     t0 = time.perf_counter()
-
-    @dataclass
-    class _Proc:
-        pid: int
-        packets_done: int = 0
-        round_idx: int = 0
-        bound: bool = False
-        payload: np.ndarray = None
-
-    procs = [_Proc(pid=p) for p in range(n_processes)]
     transmissions = 0
     delivered_bits = 0
 
-    def finish(proc: _Proc) -> None:
-        if proc.bound:
-            pool.release(proc.pid)
-        proc.bound = False
-        proc.payload = None
-        proc.round_idx = 0
-        proc.packets_done += 1
+    def process(pid: int):
+        """Send one process's packets, yielding after each transmission."""
+        nonlocal transmissions, delivered_bits
+        run_cfg = replace(cfg, harq_process=pid)
+        for packet in range(packets_per_process):
+            payload = _rng_for(cfg.seed, pid, packet).integers(0, 2, cfg.k_prime, dtype=np.uint8)
+            try:
+                pool.acquire(pid, True, code, filler)
+                bound = True
+            except PoolExhaustedError:
+                bound = False
+            for r in range(max_rounds):
+                enc = encode_chain(run_cfg, payload, rv_round=r)
+                noise_key = np.random.SeedSequence([cfg.seed, pid, packet, r, 7])
+                noisy = awgn(enc.symbols, cfg.sigma2, noise_key)
+                if bound:
+                    dec = decode_chain(run_cfg, noisy, pool, rv_round=r,
+                                       new_packet=False, release=False)
+                else:  # no soft buffer: this round is decoded on its own
+                    dec = decode_chain(run_cfg, noisy, scratch, rv_round=r)
+                transmissions += 1
+                for res in dec.results:
+                    report.count_iterations(res.iterations_used)
+                ok = all(dec.block_ok) and np.array_equal(dec.payload, payload)
+                if ok:
+                    delivered_bits += cfg.k_prime
+                if bound and (ok or r + 1 == max_rounds):
+                    pool.release(pid)  # free before the next process's turn
+                yield True
+                if ok:
+                    break
 
-    while any(p.packets_done < packets_per_process for p in procs):
-        for proc in procs:
-            if proc.packets_done >= packets_per_process:
-                continue
-            if proc.payload is None:
-                rng = _rng_for(seed, proc.pid, proc.packets_done)
-                proc.payload = rng.integers(0, 2, cfg.k_prime, dtype=np.uint8)
-                code, filler = cfg.code()
-                try:
-                    pool.acquire(proc.pid, True, code, filler)
-                    proc.bound = True
-                except PoolExhaustedError:
-                    proc.bound = False
-
-            r = proc.round_idx
-            run_cfg = replace(cfg, harq_process=proc.pid)
-            enc = encode_chain(run_cfg, proc.payload, rv_round=r)
-            noise_key = np.random.SeedSequence(
-                [seed, proc.pid, proc.packets_done, r, 7])
-            noisy = awgn(enc.symbols, cfg.sigma2, noise_key)
-            if proc.bound:
-                dec = decode_chain(run_cfg, noisy, pool, rv_round=r,
-                                   new_packet=False, release=False)
-            else:
-                dec = decode_chain(replace(run_cfg, harq_process=0), noisy,
-                                   scratch, rv_round=r, new_packet=True)
-            transmissions += 1
-            for res in dec.results:
-                report.count_iterations(res.iterations_used)
-
-            if all(dec.block_ok) and np.array_equal(dec.payload, proc.payload):
-                delivered_bits += cfg.k_prime
-                finish(proc)
-            elif proc.round_idx + 1 >= max_rounds:
-                finish(proc)
-            else:
-                proc.round_idx += 1
+    turns = [process(pid) for pid in range(n_processes)]
+    while turns:  # round robin, one transmission per turn, until all are done
+        turns = [proc for proc in turns if next(proc, False)]
 
     report.wall_clock_s = time.perf_counter() - t0
     per_tx = delivered_bits / transmissions if transmissions else 0.0

@@ -5,8 +5,8 @@ The encode path reads E_r bits circularly from the N_cb-bit buffer
 offset and skipping filler positions, which are never transmitted. The
 decode path scatters received LLRs back to their buffer positions with
 saturating addition, so retransmissions with different redundancy
-versions combine into a lower-rate observation. Sixteen virtual buffers
-(each large enough for the biggest code) are bound to HARQ process ids.
+versions combine into a lower-rate observation. The pool holds at most
+sixteen buffers, one per bound process, each sized for its code.
 Encoder and combiner of every block read the same positions for a given
 transmission layout, so each selection is built once and shared read-only.
 """
@@ -23,7 +23,6 @@ from .ldpc import BaseGraphId, Codeword, LiftedLdpcCode
 from .llr import LLR_RAW_MAX
 
 POOL_SLOTS = 16
-N_CB_MAX = 25344  # largest buffer any code needs (BG1, Zc=384)
 
 FILLER_LLR_RAW = -LLR_RAW_MAX  # known-zero bits get the minimum LLR
 
@@ -101,30 +100,26 @@ def deinterleave(llrs: np.ndarray, q_m: int) -> np.ndarray:
 
 @dataclass
 class SoftBuffer:
-    """One process's N_cb soft values plus its filler interval."""
+    """One process's N_cb soft values, the code they belong to and its fillers."""
 
+    code: LiftedLdpcCode
     llrs: np.ndarray
     filler_range: range
 
 
 class HarqBufferPool:
-    """Fixed pool of virtual circular buffers keyed by HARQ process id.
+    """At most ``num_slots`` soft buffers, keyed by HARQ process id.
 
     All methods must be called from a single owner; distinct pools are
-    independent. Buffers are zeroed when (re)bound to a new packet and
-    returned untouched for retransmissions.
+    independent. A new packet gets a zeroed buffer; a retransmission gets
+    back exactly what its earlier rounds combined into.
     """
 
     def __init__(self, num_slots: int = POOL_SLOTS):
         if not 1 <= num_slots <= POOL_SLOTS:
             raise ValueError(f"num_slots must be in [1, {POOL_SLOTS}]")
         self.num_slots = num_slots
-        self._store = np.zeros((num_slots, N_CB_MAX), dtype=np.int8)
-        # Per slot, the code and buffer of the packet bound there last, so
-        # a retransmission gets back exactly what its first round combined into.
-        self._slots: list[tuple[LiftedLdpcCode, SoftBuffer]] = [None] * num_slots
-        self.bindings: dict[int, int] = {}
-        self.free_list: list[int] = list(range(num_slots))
+        self.bindings: dict[int, SoftBuffer] = {}
 
     def acquire(self, process_id: int, is_new_packet: bool,
                 code: LiftedLdpcCode = None, filler_count: int = 0) -> SoftBuffer:
@@ -132,35 +127,25 @@ class HarqBufferPool:
         if is_new_packet:
             if code is None:
                 raise ValueError("new packet requires the code dimensions")
-            if process_id in self.bindings:
-                slot = self.bindings[process_id]  # replace the stale packet
-            elif self.free_list:
-                slot = self.free_list.pop(0)
-                self.bindings[process_id] = slot
-            else:
-                raise PoolExhaustedError(
-                    f"all {self.num_slots} soft buffers are bound")
-            self._store[slot, :] = 0
-            buf = SoftBuffer(self._store[slot, : code.N_cb],
+            if process_id not in self.bindings and len(self.bindings) == self.num_slots:
+                raise PoolExhaustedError(f"all {self.num_slots} soft buffers are bound")
+            buf = SoftBuffer(code, np.zeros(code.N_cb, dtype=np.int8),
                              buffer_filler_range(code, filler_count))
-            self._slots[slot] = (code, buf)
+            self.bindings[process_id] = buf
             return buf
         if process_id not in self.bindings:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
-        bound, buf = self._slots[self.bindings[process_id]]
-        if code is not None and (bound.bg, bound.Zc) != (code.bg, code.Zc):
+        buf = self.bindings[process_id]
+        if code is not None and (buf.code.bg, buf.code.Zc) != (code.bg, code.Zc):
             raise ValueError("bound buffer dimensions do not match the code")
         return buf
 
     def release(self, process_id: int) -> None:
-        if process_id not in self.bindings:
+        if self.bindings.pop(process_id, None) is None:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
-        slot = self.bindings.pop(process_id)
-        self.free_list.append(slot)
 
 
-def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray,
-                         cfg: RateMatchConfig, code: LiftedLdpcCode) -> None:
+def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> None:
     """Scatter-add received LLRs into their buffer positions (saturating).
 
     Positions hit more than once by one transmission (wrap-around
@@ -169,6 +154,7 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray,
     raw = np.asarray(llrs, dtype=np.int16)
     if raw.shape != (cfg.E_r,):
         raise ValueError("LLR count must equal E_r")
+    code = buffer.code
     idx = _selection_indices(code.N_cb, k0_start(code, cfg.rv),
                              buffer.filler_range, cfg.E_r)
     buf = buffer.llrs
@@ -181,8 +167,9 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray,
         buf[pos] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
 
 
-def materialize_decoder_input(buffer: SoftBuffer, code: LiftedLdpcCode) -> np.ndarray:
+def materialize_decoder_input(buffer: SoftBuffer) -> np.ndarray:
     """Full N_full LLR vector: zero punctured head, minimum-LLR fillers."""
+    code = buffer.code
     out = np.zeros(code.N_full, dtype=np.int8)
     out[2 * code.Zc:] = buffer.llrs
     out[2 * code.Zc + buffer.filler_range.start:

@@ -7,6 +7,7 @@ offline scans with the same oracles used here and are frozen below.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -171,8 +172,8 @@ def test_criterion_5_virtual_memory_trend():
     for size in sizes:
         samples = []
         for s in range(20):
-            rep = run_harq_sim(cfg, size, n_processes=8, max_rounds=4,
-                               packets_per_process=2, seed=5000 + s)
+            rep = run_harq_sim(replace(cfg, seed=5000 + s), size, n_processes=8,
+                               max_rounds=4, packets_per_process=2)
             samples.append(float(rep.rows[0]["bits_per_transmission"]))
         means[size] = float(np.mean(samples))
     nondecreasing = all(means[a] <= means[b] + 1e-9

@@ -23,6 +23,13 @@ def small_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def default_llr_dump(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dump") / "llrs.bin"
+    assert main(["encode", "--config", "default", "--dump-llrs", str(path)]) == 0
+    return path.read_bytes()
+
+
 class TestRoundtrip:
     def test_default_config_prints_ok(self, capsys):
         assert main(["roundtrip", "--config", "default"]) == 0
@@ -51,6 +58,12 @@ class TestRoundtrip:
         bad = tmp_path / "k3.cfg"
         bad.write_text("k_prime = 3")
         assert main(["roundtrip", "--config", str(bad)]) == 2
+
+    def test_unparsable_number_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "abc.cfg"
+        bad.write_text("k_prime = abc")
+        assert main(["roundtrip", "--config", str(bad)]) == 2
+        assert "line 1" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -92,6 +105,23 @@ class TestEncodeDecodePipeline:
         assert rc == 1
         assert "parity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated", "oversized", "odd_length", "byte_7f"])
+    def test_malformed_dump_fails_cleanly(self, default_llr_dump, tmp_path, damage, capsys):
+        data = bytearray(default_llr_dump)
+        if damage == "truncated":
+            data = data[:4000]
+        elif damage == "oversized":
+            data += bytes(400)
+        elif damage == "odd_length":
+            data = data[:4001]
+        else:
+            data[100] = 0x7F
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        assert main(["decode", "--config", "default", "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_decode_missing_file_exits_2(self, small_config):
         assert main(["decode", "--config", small_config, "--in", "/no/file"]) == 2
 
@@ -132,6 +162,14 @@ class TestReports:
         assert header.startswith("codeblocks,info_bits,elapsed_s,mbps")
         assert row.startswith("4,384,")
         assert "Mbps" in capsys.readouterr().out
+
+    def test_bench_zero_blocks_exits_1(self, small_config, capsys):
+        assert main(["bench", "--config", small_config, "--blocks", "0"]) == 1
+        assert "blocks" in capsys.readouterr().err
+
+    def test_harq_sim_zero_rounds_exits_1(self, small_config, capsys):
+        assert main(["harq-sim", "--config", small_config, "--rounds", "0"]) == 1
+        assert "max_rounds" in capsys.readouterr().err
 
     def test_harq_sim_rows_per_pool_size(self, tmp_path, capsys):
         cfg = tmp_path / "harq.cfg"

@@ -175,6 +175,21 @@ class TestHarqPool:
         buf2 = pool.acquire(2, True, small_code, 0)
         assert not buf2.llrs.any()
 
+    def test_rebinding_a_bound_id_in_a_full_pool_zeroes_it(self, small_code):
+        pool = HarqBufferPool(num_slots=2)
+        pool.acquire(0, True, small_code, 0).llrs[:] = 9
+        pool.acquire(1, True, small_code, 0)
+        buf = pool.acquire(0, True, small_code, 0)  # a new packet on process 0
+        assert len(buf.llrs) == small_code.N_cb
+        assert not buf.llrs.any()
+        assert len(pool.bindings) == 2
+
+    def test_retransmission_with_other_code_rejected(self, small_code):
+        pool = HarqBufferPool()
+        pool.acquire(0, True, small_code, 0)
+        with pytest.raises(ValueError, match="do not match"):
+            pool.acquire(0, False, build_code(BaseGraphId.BG2, 4))
+
     def test_partition_invariant_under_random_ops(self, small_code):
         rng = np.random.default_rng(5)
         pool = HarqBufferPool()
@@ -190,8 +205,8 @@ class TestHarqPool:
                     live.discard(pid)
             except (PoolExhaustedError, UnknownProcessError):
                 pass
-            assert len(pool.bindings) + len(pool.free_list) == 16
             assert set(pool.bindings) == live
+            assert len(pool.bindings) <= 16
 
 
 class TestRateUnmatchCombine:
@@ -202,7 +217,7 @@ class TestRateUnmatchCombine:
         llrs = np.where(tx == 1, 9, -9).astype(np.int8)
         pool = HarqBufferPool()
         buf = pool.acquire(0, True, code, 0)
-        rate_unmatch_combine(buf, llrs, cfg, code)
+        rate_unmatch_combine(buf, llrs, cfg)
         assert np.array_equal(buf.llrs[:40], llrs)
         assert not buf.llrs[40:].any()
 
@@ -211,7 +226,7 @@ class TestRateUnmatchCombine:
         buf = pool.acquire(0, True, small_code, 0)
         buf.llrs[0] = 28  # +7.0
         cfg = RateMatchConfig(E_r=2, rv=0, Q_m=2)
-        rate_unmatch_combine(buf, np.array([6, 0], np.int8), cfg, small_code)
+        rate_unmatch_combine(buf, np.array([6, 0], np.int8), cfg)
         assert buf.llrs[0] == 31  # +7.75, clamped
 
     def test_two_rv_combining_matches_scatter_oracle(self, small_codeword):
@@ -223,7 +238,7 @@ class TestRateUnmatchCombine:
         for rv in (0, 2):
             cfg = RateMatchConfig(E_r=60, rv=rv, Q_m=2)
             llrs = rng.integers(-10, 11, 60).astype(np.int8)
-            rate_unmatch_combine(buf, llrs, cfg, code)
+            rate_unmatch_combine(buf, llrs, cfg)
             k0 = k0_start(code, rv)
             for j in range(60):  # brute-force scatter-add
                 reference[(k0 + j) % code.N_cb] += llrs[j]
@@ -236,7 +251,7 @@ class TestRateUnmatchCombine:
             cfg = RateMatchConfig(E_r=40, rv=rv, Q_m=2)
             pool = HarqBufferPool()
             buf = pool.acquire(0, True, code, 0)
-            rate_unmatch_combine(buf, np.full(40, 5, np.int8), cfg, code)
+            rate_unmatch_combine(buf, np.full(40, 5, np.int8), cfg)
             touched[rv] = set(np.flatnonzero(buf.llrs))
         assert touched[0] != touched[2]
 
@@ -250,7 +265,7 @@ class TestRateUnmatchCombine:
             pool = HarqBufferPool()
             buf = pool.acquire(0, True, code, 0)
             for i in order:
-                rate_unmatch_combine(buf, llrs[i], cfgs[i], code)
+                rate_unmatch_combine(buf, llrs[i], cfgs[i])
             outputs.append(buf.llrs.copy())
         assert np.array_equal(outputs[0], outputs[1])
 
@@ -279,8 +294,8 @@ class TestRateMatchUnmatchAdjoint:
         llrs = np.where(tx == 1, 31, -31).astype(np.int8)
         pool = HarqBufferPool()
         buf = pool.acquire(0, True, code, F)
-        rate_unmatch_combine(buf, llrs, cfg, code)
-        full = materialize_decoder_input(buf, code)
+        rate_unmatch_combine(buf, llrs, cfg)
+        full = materialize_decoder_input(buf)
 
         touched = np.zeros(code.N_cb, bool)
         k0 = k0_start(code, rv)
@@ -312,7 +327,7 @@ class TestMaterialize:
         pool = HarqBufferPool()
         buf = pool.acquire(0, True, small_code, 0)
         buf.llrs[:] = 7
-        out = materialize_decoder_input(buf, small_code)
+        out = materialize_decoder_input(buf)
         assert not out[: 2 * small_code.Zc].any()
         assert np.all(out[2 * small_code.Zc:] == 7)
 
@@ -322,7 +337,7 @@ class TestMaterialize:
         pool = HarqBufferPool()
         buf = pool.acquire(0, True, code, F)
         buf.llrs[:] = 12  # filler positions get overwritten regardless
-        out = materialize_decoder_input(buf, code)
+        out = materialize_decoder_input(buf)
         fr = buffer_filler_range(code, F)
         assert np.all(out[2 * Zc + fr.start: 2 * Zc + fr.stop] == FILLER_LLR_RAW)
 
@@ -330,5 +345,5 @@ class TestMaterialize:
         pool = HarqBufferPool()
         buf = pool.acquire(0, True, small_code, 0)
         buf.llrs[:] = np.arange(small_code.N_cb) % 23 - 11
-        out = materialize_decoder_input(buf, small_code)
+        out = materialize_decoder_input(buf)
         assert np.array_equal(out[2 * small_code.Zc:], buf.llrs)
