@@ -48,13 +48,6 @@ from .rate_adapt import (
     rate_match,
     rate_unmatch_combine,
 )
-from .scramble import (
-    GoldState,
-    ScramblingIdentity,
-    descramble_llrs,
-    gold_init,
-    gold_next_word,
-    scramble_bits,
-)
+from .scramble import ScramblingIdentity, descramble_llrs, scramble_bits
 
 __version__ = "0.1.0"

@@ -52,6 +52,10 @@ class ChainConfig:
             raise ConfigError("E_r must be a multiple of Q_m")
         if not math.isfinite(self.snr_db):
             raise ConfigError("snr_db must be finite")
+        if not (math.isfinite(self.target_rate) and 0 < self.target_rate <= 1):
+            raise ConfigError("target_rate must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.code()  # raises ConfigError for a K' its base graph cannot carry
         try:
             identity = ScramblingIdentity(rnti=self.rnti, q=self.q, cell_id=self.cell_id)

@@ -2,12 +2,14 @@
 
 Base graphs BG1/BG2 are stored as data files of (row, column, shift-per-set)
 records and expanded ("lifted") by a lifting size Zc into the working
-parity-check structure. Encoder, parity check and decoder read that
-structure through one table of lifted row indices. The encoder solves the
-first core parity block from the sum of the four core rows, then every
-other parity block from the one row in which it is the last unknown. The
-decoder is a row-layered offset min-sum with saturating 8-bit fixed-point
-messages (2 fractional bits, so the 0.5 offset is exactly two LSBs).
+parity-check structure. Encoder and decoder read that structure through
+one table of lifted row indices; the parity check reads each edge as a
+rotated window of its column block. The encoder solves the first core
+parity block from the sum of the four core rows, then every other parity
+block from the one row in which it is the last unknown. The decoder is a
+row-layered offset min-sum with saturating 8-bit fixed-point messages (2
+fractional bits, so the 0.5 offset is exactly two LSBs) that updates
+consecutive rows sharing no column as one block.
 """
 
 from __future__ import annotations
@@ -318,22 +320,142 @@ def parity_check(code: LiftedLdpcCode, bits: np.ndarray) -> bool:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} bits")
-    for idx in _row_gather(code.bg, code.Zc):
-        if (np.bitwise_xor.reduce(bits[idx], axis=0)).any():
-            return False
-    return True
+    Zc = code.Zc
+    # Every column block twice over, then a zero block for padding edges.
+    # The Zc bits from offset 2*Zc*c + s are block c rotated left by s,
+    # which is what lifted row t of an edge (c, s) reads at position t.
+    doubled = np.zeros((code.N_full // Zc + 1, 2, Zc), dtype=np.uint8)
+    doubled[:-1] = bits.reshape(-1, 1, Zc)
+    windows = np.ndarray((doubled.size - Zc + 1, Zc), np.uint8, doubled, strides=(1, 1))
+    return not np.bitwise_xor.reduce(windows[_check_windows(code.bg, Zc)], axis=0).any()
 
 
-def _min_sum_messages(q: np.ndarray) -> np.ndarray:
-    """Offset min-sum check update on a (degree, n) int16 block of messages."""
-    mag = np.abs(q)
-    min1, min2 = np.sort(mag, axis=0)[:2]
-    # Every edge but the minimum one sees min1; when the minimum is tied,
-    # min2 == min1, so comparing values is exact.
-    out_mag = np.maximum(np.where(mag == min1, min2, min1) - OFFSET_RAW, 0)
-    neg = q < 0
-    sign_flip = np.logical_xor.reduce(neg, axis=0) ^ neg
-    return np.where(sign_flip, -out_mag, out_mag)
+@lru_cache(maxsize=None)
+def _check_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
+    """(max degree, rows) window offsets of every edge, row by row.
+
+    Rows shorter than the longest are padded with the zero block after
+    the last column.
+    """
+    code = build_code(bg, Zc)
+    zero_block = code.N_full // Zc
+    starts = np.full((max(len(row) for row in code.rows), len(code.rows)),
+                     2 * Zc * zero_block, dtype=np.intp)
+    for r, row in enumerate(code.rows):
+        for e, (c, s) in enumerate(row):
+            starts[e, r] = 2 * Zc * c + s
+    starts.flags.writeable = False
+    return starts
+
+
+@dataclass(frozen=True)
+class _Layer:
+    """Consecutive base rows with pairwise disjoint columns, updated as one block.
+
+    Lane ``j * Zc + t`` is lifted row t of the layer's j-th base row, and
+    ``idx[e, lane]`` is the bit its e-th edge reads. A row shorter than the
+    layer's degree is padded after its real edges with edges that read the
+    +127 sentinel at index N_full. No real |q| exceeds 127 and ties go to
+    the lower edge number, so padding is never min1 or min2 and, being
+    positive, never flips a sign. ``real`` is 0 on padding, so its messages
+    stay 0 and the sentinel never changes.
+    """
+
+    rows: tuple[int, ...]
+    idx: np.ndarray  # (degree, lanes) intp
+    real: np.ndarray  # (degree, lanes) int16, 1 on real edges
+    edge: np.ndarray  # (degree, lanes) int16, the edge number e
+    lanes: np.ndarray  # (lanes,) intp, 0 .. lanes - 1
+    # (2, degree, lanes) int16, +127 then -127: NumPy's minimum and maximum
+    # run several times slower against a scalar than against an array
+    rails: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
+    """The decoder's layers: base rows grouped in order, each group column-disjoint.
+
+    Rows that share no column read and write disjoint posteriors, so
+    updating them side by side gives exactly what updating them one after
+    the other gives (Hocevar, SiPS 2004). Only consecutive rows are merged:
+    moving a row past one it shares a column with would change the result.
+    """
+    code = build_code(bg, Zc)
+    gather = _row_gather(bg, Zc)
+    groups: list[list[int]] = []
+    seen: set[int] = set()
+    for r, row in enumerate(code.rows):
+        cols = {c for c, _ in row}
+        if not groups or cols & seen:
+            groups.append([])
+            seen = set()
+        groups[-1].append(r)
+        seen |= cols
+
+    layers = []
+    for rows in groups:
+        degree = max(len(gather[r]) for r in rows)
+        shape = (degree, len(rows) * Zc)
+        idx = np.full(shape, code.N_full, dtype=np.intp)
+        for j, r in enumerate(rows):
+            idx[: len(gather[r]), j * Zc:(j + 1) * Zc] = gather[r]
+        edge = np.broadcast_to(np.arange(degree, dtype=np.int16)[:, None], shape).copy()
+        rails = np.empty((2, *shape), dtype=np.int16)
+        rails[0], rails[1] = DECODER_LLR_MAX, -DECODER_LLR_MAX
+        layer = _Layer(rows=tuple(rows), idx=idx, real=(idx != code.N_full).astype(np.int16),
+                       edge=edge, lanes=np.arange(shape[1]), rails=rails)
+        for arr in (layer.idx, layer.real, layer.edge, layer.lanes, layer.rails):
+            arr.flags.writeable = False
+        layers.append(layer)
+    return tuple(layers)
+
+
+# Check-node keys pack |q| above the edge number, so one minimum over a
+# lane gives both min1 and its edge, and ties go to the lowest edge.
+_EDGE_BITS = 5  # edge numbers up to 31; base-graph rows have at most 19 edges
+_EDGE_SCALE = np.int16(1 << _EDGE_BITS)
+_EDGE_MASK = np.int16((1 << _EDGE_BITS) - 1)
+_KEY_BUMP = np.int16(np.iinfo(np.int16).max)  # above every key
+_SIGN_SHIFT = np.int16(15)
+# key -> max(|q| - offset, 0); int8 input reaches |q| = 128
+_KEY_TO_MAG = np.maximum((np.arange(129 << _EDGE_BITS) >> _EDGE_BITS) - OFFSET_RAW,
+                         0).astype(np.int16)
+_KEY_TO_MAG.flags.writeable = False
+
+
+def _min_sum_messages(q: np.ndarray, real: np.ndarray, edge: np.ndarray,
+                      lanes: np.ndarray) -> np.ndarray:
+    """Offset min-sum check update on a (degree, lanes) int16 block.
+
+    Each lane is one check node and ``edge`` numbers its edges 0, 1, ...
+    Every edge but the lane's minimum one gets min1 less the offset; the
+    minimum edge gets min2, which equals min1 when the minimum is tied.
+    Edges where ``real`` is 0 get 0. The sign is the product of the other
+    edges' signs.
+    """
+    n = q.shape[1]
+    key = np.abs(q)
+    np.multiply(key, _EDGE_SCALE, out=key)
+    np.bitwise_or(key, edge, out=key)
+    best = np.empty((2, n), dtype=np.int16)
+    np.minimum.reduce(key, axis=0, out=best[0])
+    # flat position of each lane's minimum edge; bumping it leaves min2 lowest
+    at = np.bitwise_and(best[0], _EDGE_MASK).astype(np.intp)
+    at *= n
+    at += lanes
+    flat = key.reshape(-1)
+    flat[at] = _KEY_BUMP
+    np.minimum.reduce(key, axis=0, out=best[1])
+    mag = _KEY_TO_MAG[best]
+    out = np.multiply(real, mag[0], out=key)
+    flat[at] = mag[1]
+    # sign bit of q ^ (XOR of the lane) is the XOR of the other edges' signs;
+    # as 0 / -1 it negates by (m ^ s) - s
+    sign = np.bitwise_xor(q, np.bitwise_xor.reduce(q, axis=0))
+    np.right_shift(sign, _SIGN_SHIFT, out=sign)
+    np.bitwise_xor(out, sign, out=out)
+    np.subtract(out, sign, out=out)
+    return out
 
 
 def check_node_update(llrs: np.ndarray) -> np.ndarray:
@@ -344,9 +466,12 @@ def check_node_update(llrs: np.ndarray) -> np.ndarray:
     integers (quarter-LLR units).
     """
     raw = np.asarray(llrs, dtype=np.int16)
-    if raw.size < 2:
-        raise ValueError("check node needs at least 2 edges")
-    return _min_sum_messages(raw[:, None])[:, 0].astype(np.int8)
+    if not 2 <= raw.size <= 1 << _EDGE_BITS:
+        raise ValueError(f"check node needs 2 to {1 << _EDGE_BITS} edges")
+    q = raw[:, None]
+    edge = np.arange(raw.size, dtype=np.int16)[:, None]
+    out = _min_sum_messages(q, np.ones_like(q), edge, np.zeros(1, np.intp))
+    return out[:, 0].astype(np.int8)
 
 
 def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
@@ -356,22 +481,34 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     working messages are kept in the opposite orientation so the classic
     sign-product rule applies; they saturate at +/-127 (8-bit signed, 2
     fractional bits). A zero posterior is decided as bit 1, so an all-zero
-    input does not pass off as the all-zero codeword.
+    input does not pass off as the all-zero codeword. Base rows are
+    updated in order, column-disjoint neighbours together (``_layers``).
     """
     llr = np.asarray(channel_llrs)
     if llr.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} LLRs")
-    gather = _row_gather(code.bg, code.Zc)
+    layers = _layers(code.bg, code.Zc)
 
-    post = -llr.astype(np.int16)  # internal orientation: positive favors bit 0
-    msgs = [np.zeros(idx.shape, dtype=np.int16) for idx in gather]
+    # internal orientation: positive favors bit 0; the last entry is the sentinel
+    post = np.empty(code.N_full + 1, dtype=np.int16)
+    post[:-1] = llr
+    np.negative(post, out=post)
+    post[-1] = DECODER_LLR_MAX
+    msgs = [np.zeros(layer.idx.shape, dtype=np.int16) for layer in layers]
     hard_prev = None
     for it in range(1, MAX_ITERATIONS + 1):
-        for i, idx in enumerate(gather):
-            q = np.clip(post[idx] - msgs[i], -DECODER_LLR_MAX, DECODER_LLR_MAX)
-            msgs[i] = _min_sum_messages(q)
-            post[idx] = np.clip(q + msgs[i], -DECODER_LLR_MAX, DECODER_LLR_MAX)
-        hard = (post <= 0).astype(np.uint8)
+        for i, layer in enumerate(layers):
+            hi, lo = layer.rails
+            q = post[layer.idx]
+            np.subtract(q, msgs[i], out=q)
+            np.minimum(q, hi, out=q)
+            np.maximum(q, lo, out=q)
+            msgs[i] = _min_sum_messages(q, layer.real, layer.edge, layer.lanes)
+            np.add(q, msgs[i], out=q)
+            np.minimum(q, hi, out=q)
+            np.maximum(q, lo, out=q)
+            post[layer.idx] = q
+        hard = (post[:-1] <= 0).astype(np.uint8)
         if parity_check(code, hard):
             reason = TerminationReason.PARITY_SATISFIED
             break

@@ -227,6 +227,8 @@ def unpack_llr_words(stream: PackedWordStream, count: int | None = None) -> np.n
     if count is not None:
         if count > raw.size:
             raise FormatError("count exceeds stream capacity")
+        if raw[count:].any():
+            raise FormatError("padding after the last LLR is not zero")
         raw = raw[:count]
     if raw.size and int(np.abs(raw.astype(np.int16)).max()) > LLR_RAW_MAX:
         raise FormatError("byte is not a sign-extended 6-bit LLR")

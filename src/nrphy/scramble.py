@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldpc import _poly_to_vec, _vec_to_poly
+from .ldpc import _poly_to_vec
 
 WARMUP = 1600
 _REG_BITS = 31
@@ -37,15 +37,6 @@ class ScramblingIdentity:
     @property
     def c_init(self) -> int:
         return (self.rnti << 15) + (self.q << 14) + self.cell_id
-
-
-@dataclass(frozen=True)
-class GoldState:
-    """Registers after warm-up; bit i of x1/x2 is sequence element i."""
-
-    x1: int
-    x2: int
-    position: int = 0
 
 
 _X1_TAPS = (0, 3)
@@ -82,21 +73,6 @@ def sequence(identity: ScramblingIdentity, n: int) -> np.ndarray:
     x1 = _lfsr_blocks(1, total, _X1_TAPS)
     x2 = _lfsr_blocks(identity.c_init, total, _X2_TAPS)
     return x1[WARMUP:] ^ x2[WARMUP:]
-
-
-def gold_init(identity: ScramblingIdentity) -> GoldState:
-    """State positioned at sequence output 0, warm-up already discarded."""
-    total = WARMUP + _REG_BITS
-    return GoldState(x1=_vec_to_poly(_lfsr_blocks(1, total, _X1_TAPS)[WARMUP:]),
-                     x2=_vec_to_poly(_lfsr_blocks(identity.c_init, total, _X2_TAPS)[WARMUP:]))
-
-
-def gold_next_word(state: GoldState) -> tuple[int, GoldState]:
-    """Next 32 sequence bits packed LSB-first, plus the advanced state."""
-    x1 = _lfsr_blocks(state.x1, 32 + _REG_BITS, _X1_TAPS)
-    x2 = _lfsr_blocks(state.x2, 32 + _REG_BITS, _X2_TAPS)
-    return _vec_to_poly(x1[:32] ^ x2[:32]), GoldState(
-        x1=_vec_to_poly(x1[32:]), x2=_vec_to_poly(x2[32:]), position=state.position + 32)
 
 
 def scramble_bits(bits: np.ndarray, identity: ScramblingIdentity) -> np.ndarray:

@@ -309,9 +309,16 @@ class TestConfigParsing:
         "k_prime = 0", "k_prime = 3", "k_prime = 8449",
         "k_prime = abc", "rv_schedule = 0,x", "e_r = 0", "e_r = -2",
         "rnti = 65536", "q = 2", "cell_id = 1008", "snr_db = nan", "snr_db = -inf",
+        "target_rate = nan", "target_rate = 5", "target_rate = 0", "seed = -1",
     ])
     def test_out_of_range_value_rejected(self, text):
         with pytest.raises(ConfigError):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("text", ["target_rate = 0", "target_rate = -1"])
+    def test_nonpositive_rate_names_the_rate(self, text):
+        # rejected for the rate itself, not for a K' the rate's base graph cannot carry
+        with pytest.raises(ConfigError, match="target_rate"):
             parse_config_text(text)
 
     def test_default_name(self):

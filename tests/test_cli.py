@@ -23,11 +23,25 @@ def small_config(tmp_path):
     return str(path)
 
 
+# G = 258 is not a multiple of 4, so the last LLR word carries two pad bytes
+PADDED_CONFIG = SMALL_CONFIG.replace("e_r = 256", "e_r = 258")
+
+
 @pytest.fixture(scope="module")
 def default_llr_dump(tmp_path_factory):
     path = tmp_path_factory.mktemp("dump") / "llrs.bin"
     assert main(["encode", "--config", "default", "--dump-llrs", str(path)]) == 0
     return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def padded_llr_dump(tmp_path_factory):
+    """(config path, dump) for a G that leaves padding in the last word."""
+    tmp = tmp_path_factory.mktemp("padded")
+    config, path = tmp / "padded.cfg", tmp / "llrs.bin"
+    config.write_text(PADDED_CONFIG)
+    assert main(["encode", "--config", str(config), "--dump-llrs", str(path)]) == 0
+    return str(config), path.read_bytes()
 
 
 class TestRoundtrip:
@@ -105,10 +119,23 @@ class TestEncodeDecodePipeline:
         assert rc == 1
         assert "parity" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "oversized", "odd_length", "byte_7f"])
-    def test_malformed_dump_fails_cleanly(self, default_llr_dump, tmp_path, damage, capsys):
-        data = bytearray(default_llr_dump)
-        if damage == "truncated":
+    def test_padded_dump_decodes(self, padded_llr_dump, tmp_path, capsys):
+        config, data = padded_llr_dump
+        assert len(data) == 260
+        dump = tmp_path / "padded.bin"
+        dump.write_bytes(data)
+        assert main(["decode", "--config", config, "--in", str(dump)]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["truncated", "oversized", "odd_length", "byte_7f",
+                                        "pad_byte_7f"])
+    def test_malformed_dump_fails_cleanly(self, default_llr_dump, padded_llr_dump, tmp_path,
+                                          damage, capsys):
+        config, data = "default", bytearray(default_llr_dump)
+        if damage == "pad_byte_7f":
+            config, data = padded_llr_dump[0], bytearray(padded_llr_dump[1])
+            data[-1] = 0x7F
+        elif damage == "truncated":
             data = data[:4000]
         elif damage == "oversized":
             data += bytes(400)
@@ -118,7 +145,7 @@ class TestEncodeDecodePipeline:
             data[100] = 0x7F
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(data))
-        assert main(["decode", "--config", "default", "--in", str(bad)]) == 1
+        assert main(["decode", "--config", config, "--in", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 

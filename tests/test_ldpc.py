@@ -13,6 +13,8 @@ from nrphy.ldpc import (
     BaseGraphId,
     InfoBlock,
     TerminationReason,
+    _layers,
+    _row_gather,
     build_code,
     check_node_update,
     choose_base_graph,
@@ -238,14 +240,42 @@ class TestCheckNodeUpdate:
         assert np.sign(out).tolist() == [-1, 1, -1]
 
     def test_against_brute_force_1000(self):
-        # +/-31 is the channel range, +/-127 the decoder's message range, and
-        # +/-2 makes tied minimum magnitudes common
+        # +/-31 is the channel range, +/-127 the decoder's message range,
+        # +/-2 makes tied minimum magnitudes common, and -128..127 is all of
+        # int8, whose |-128| is the largest magnitude the kernel must order
         rng = np.random.default_rng(7)
-        for lim in (31, 127, 2):
+        for low, high in ((-31, 31), (-127, 127), (-2, 2), (-128, 127)):
             for _ in range(1000):
                 deg = int(rng.integers(2, 20))
-                raws = rng.integers(-lim, lim + 1, deg).astype(np.int8)
+                raws = rng.integers(low, high + 1, deg).astype(np.int8)
                 assert np.array_equal(check_node_update(raws), brute_force_check_node(raws))
+
+    @pytest.mark.parametrize("deg", [1, 33])
+    def test_degree_outside_kernel_range_rejected(self, deg):
+        with pytest.raises(ValueError):
+            check_node_update(np.ones(deg, np.int8))
+
+
+class TestLayers:
+    @pytest.mark.parametrize("bg, merged", [(BaseGraphId.BG1, 32), (BaseGraphId.BG2, 28)])
+    def test_layers_are_ordered_column_disjoint_row_groups(self, bg, merged):
+        # Updating rows side by side equals updating them in turn only when
+        # they are consecutive and share no column.
+        for Zc in (2, 15, 20, 208, 384):
+            code = build_code(bg, Zc)
+            gather = _row_gather(bg, Zc)
+            layers = _layers(bg, Zc)
+            assert len(layers) == merged
+            assert [r for layer in layers for r in layer.rows] == list(range(len(code.rows)))
+            for layer in layers:
+                cols = [{c for c, _ in code.rows[r]} for r in layer.rows]
+                assert sum(map(len, cols)) == len(set().union(*cols)), (Zc, layer.rows)
+                for j, r in enumerate(layer.rows):
+                    block = layer.idx[:, j * Zc:(j + 1) * Zc]
+                    deg = len(code.rows[r])
+                    assert np.array_equal(block[:deg], gather[r])
+                    assert (block[deg:] == code.N_full).all()  # padding reads the sentinel
+                assert np.array_equal(layer.real, layer.idx != code.N_full)
 
 
 class TestDecoder:

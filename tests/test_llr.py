@@ -307,6 +307,14 @@ class TestPacking:
         with pytest.raises(FormatError):
             unpack_llr_words(minus32)
 
+    def test_nonzero_padding_rejected(self):
+        # three LLRs leave one pad byte, the top byte of the word; 5 would be
+        # a valid fourth LLR but is not a valid pad
+        padded = PackedWordStream(np.array([0x05000000], np.uint32), KIND_LLRS)
+        assert unpack_llr_words(padded, 4).tolist() == [0, 0, 0, 5]
+        with pytest.raises(FormatError):
+            unpack_llr_words(padded, 3)
+
     def test_bit_word_lsb_first(self):
         bits = np.zeros(32, np.uint8)
         bits[0] = 1

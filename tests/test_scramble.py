@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from nrphy.scramble import (
-    GoldState,
     ScramblingIdentity,
     descramble_llrs,
-    gold_init,
-    gold_next_word,
     scramble_bits,
     sequence,
 )
@@ -80,38 +77,6 @@ class TestGoldSequence:
     def test_same_identity_reproducible(self):
         ident = ScramblingIdentity(9, 1, 500)
         assert np.array_equal(sequence(ident, 777), sequence(ident, 777))
-
-
-class TestGoldStreaming:
-    def test_word_stream_tiles_sequence(self):
-        ident = ScramblingIdentity(77, 0, 123)
-        state = gold_init(ident)
-        words = []
-        for _ in range(200):
-            w, state = gold_next_word(state)
-            words.append(w)
-        bits = np.array([(w >> i) & 1 for w in words for i in range(32)], np.uint8)
-        assert np.array_equal(bits, sequence(ident, 32 * 200))
-
-    def test_reset_reproduces_stream(self):
-        ident = ScramblingIdentity(8, 0, 8)
-        s0 = gold_init(ident)
-        w1, s1 = gold_next_word(s0)
-        w2, _ = gold_next_word(s1)
-        wide, s_after = gold_next_word(gold_init(ident))
-        assert wide == w1
-        assert gold_next_word(s_after)[0] == w2
-
-    def test_position_advances_by_32(self):
-        state = gold_init(ScramblingIdentity(1, 1, 1))
-        _, nxt = gold_next_word(state)
-        assert nxt.position == state.position + 32
-
-    def test_state_is_immutable_value(self):
-        state = gold_init(ScramblingIdentity(2, 0, 2))
-        with pytest.raises(AttributeError):
-            state.position = 99
-        assert isinstance(state, GoldState)
 
 
 class TestScrambleBits:
