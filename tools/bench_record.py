@@ -5,15 +5,16 @@ Usage, from the root of a checkout:
     python3 tools/bench_record.py --label 6
     python3 tools/bench_record.py --label 5 --checkout ../parent --against BENCH_6.json
 
-For each perfbench workload the file holds the median, over ``--seeds``,
+For each perfbench workload the file holds the median, over ``SEEDS``,
 of the untraced (``--trace 0``) end-to-end metrics, with every run's
 value; the per-layer metrics of one traced (``--trace 1``) run at
-``--trace-seed``; and the `nrphy bench` decode-chain Mbps at the paper's
-20 and 40 code blocks (median of ``--bench-repeats`` runs, default
-config). ``--checkout`` measures another tree (say, a clone of the parent
-commit) with this script; the file is written here. Runs are sequential,
-one process at a time. ``--against`` prints each end-to-end median as a
-ratio to an earlier BENCH file.
+``TRACE_SEED``; and the `nrphy bench` decode-chain Mbps at the paper's
+20 and 40 code blocks (median of ``BENCH_REPEATS`` runs, default
+config). These settings are fixed so that every record compares with
+the earlier ones. ``--checkout`` measures another tree (say, a clone of
+the parent commit) with this script; the file is written here. Runs are
+sequential, one process at a time. ``--against`` prints each end-to-end
+median as a ratio to an earlier BENCH file.
 """
 
 from __future__ import annotations
@@ -32,22 +33,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("link_10db", "link_3db", "harq_ir")
 BENCH_BLOCKS = (20, 40)
+SEEDS = (901, 902, 903)
+TRACE_SEED = 1
+SECONDS = 25.0
+BENCH_REPEATS = 3
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     p.add_argument("--checkout", type=Path, default=ROOT, help="tree to measure")
-    p.add_argument("--seeds", default="901,902,903", help="untraced perfbench seeds")
-    p.add_argument("--trace-seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=25.0, help="perfbench run length")
-    p.add_argument("--bench-repeats", type=int, default=3)
     p.add_argument("--against", type=Path, help="earlier BENCH file to print ratios against")
-    args = p.parse_args(argv)
-    args.seeds = [int(s) for s in args.seeds.split(",")]
-    if not args.seeds or args.bench_repeats < 1 or args.seconds <= 0:
-        p.error("need at least one seed, --bench-repeats >= 1 and --seconds > 0")
-    return args
+    return p.parse_args(argv)
 
 
 def _run(cmd, checkout: Path) -> str:
@@ -57,9 +54,9 @@ def _run(cmd, checkout: Path) -> str:
                           text=True).stdout
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     out = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", str(trace)], checkout)
+                "--seconds", str(SECONDS), "--trace", str(trace)], checkout)
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -84,7 +81,7 @@ def record(args) -> dict:
     checkout = args.checkout.resolve()
     end_to_end = {}
     for workload in WORKLOADS:
-        runs = [perfbench(checkout, workload, seed, args.seconds, 0) for seed in args.seeds]
+        runs = [perfbench(checkout, workload, seed, 0) for seed in SEEDS]
         metrics = {}
         for name, first in runs[0]["metrics"].items():
             values = [run["metrics"][name]["value"] for run in runs]
@@ -98,18 +95,18 @@ def record(args) -> dict:
         }
     per_layer = {}
     for workload in WORKLOADS:
-        run = perfbench(checkout, workload, args.trace_seed, args.seconds, 1)
+        run = perfbench(checkout, workload, TRACE_SEED, 1)
         per_layer[workload] = {"correct": run["correct"], "attempted": run["attempted"],
                                "failed": run["failed"], "metrics": run["metrics"]}
     bench = {}
     for blocks in BENCH_BLOCKS:
-        values = [nrphy_bench_mbps(checkout, blocks) for _ in range(args.bench_repeats)]
+        values = [nrphy_bench_mbps(checkout, blocks) for _ in range(BENCH_REPEATS)]
         bench[str(blocks)] = {"median_mbps": statistics.median(values), "runs": values}
     return {
         "label": args.label,
         "commit": git_commit(checkout),
-        "settings": {"seeds": args.seeds, "trace_seed": args.trace_seed,
-                     "seconds": args.seconds, "bench_repeats": args.bench_repeats},
+        "settings": {"seeds": list(SEEDS), "trace_seed": TRACE_SEED, "seconds": SECONDS,
+                     "bench_repeats": BENCH_REPEATS},
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "end_to_end": end_to_end,
