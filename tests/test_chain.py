@@ -54,6 +54,14 @@ class TestEncodeChain:
         with pytest.raises(ValueError):
             encode_chain(cfg, np.zeros(99, np.uint8))
 
+    @pytest.mark.parametrize("dtype,bad", [(np.uint8, 2), (np.int64, -1), (np.int64, 256)])
+    def test_non_binary_payload_rejected(self, dtype, bad):
+        cfg = ChainConfig(k_prime=100, e_r=256)
+        payload = random_payload(cfg).astype(dtype)
+        payload[37] = bad
+        with pytest.raises(ValueError):
+            encode_chain(cfg, payload)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("q_m", [2, 4, 6, 8])

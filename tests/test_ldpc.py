@@ -194,6 +194,13 @@ class TestEncoder:
         with pytest.raises(ValueError):
             ldpc_encode(code, InfoBlock(np.zeros(code.K + 1, np.uint8), 0))
 
+    @pytest.mark.parametrize("bad", [2, -1, 256, 0.5])
+    def test_non_binary_info_bits_rejected(self, bad):
+        bits = np.zeros(20, dtype=np.asarray(bad).dtype)
+        bits[3] = bad
+        with pytest.raises(ValueError):
+            InfoBlock(bits, 0)
+
 
 class TestParityCheck:
     def test_all_zero_passes(self):

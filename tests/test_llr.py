@@ -91,6 +91,11 @@ class TestModulate:
         with pytest.raises(ValueError):
             modulate(np.zeros(7, np.uint8), 4)
 
+    @pytest.mark.parametrize("bits", [[2, 0, 0, -1], [0, 1, 1, 256], [0.5, 0, 1, 1]])
+    def test_non_binary_bits_rejected(self, bits):
+        with pytest.raises(ValueError):
+            modulate(np.array(bits), 2)
+
 
 class TestQuantize:
     def test_worked_examples(self):
