@@ -53,7 +53,7 @@ def _block_process_id(cfg: ChainConfig, block: int) -> int:
 
 def encode_chain(cfg: ChainConfig, payload: np.ndarray, rv_round: int = 0) -> EncodeOutput:
     """Run the encode pipeline over ``blocks`` identical-parameter blocks."""
-    payload = np.asarray(payload, dtype=np.uint8)
+    payload = np.asarray(payload)  # InfoBlock rejects any bit but 0 and 1
     if payload.shape != (cfg.k_prime * cfg.blocks,):
         raise ValueError(
             f"payload must be K' x C = {cfg.k_prime * cfg.blocks} bits")
@@ -64,7 +64,7 @@ def encode_chain(cfg: ChainConfig, payload: np.ndarray, rv_round: int = 0) -> En
 
     stream = np.empty(cfg.G, dtype=np.uint8)
     for b in range(cfg.blocks):
-        bits = np.zeros(code.K, dtype=np.uint8)
+        bits = np.zeros(code.K, dtype=payload.dtype)
         bits[: cfg.k_prime] = payload[b * cfg.k_prime:(b + 1) * cfg.k_prime]
         cw = ldpc_encode(code, InfoBlock(bits, filler))
         e = rate_match(cw, fill_range, rm_cfg)

@@ -2,11 +2,13 @@
 
 Base graphs BG1/BG2 are stored as data files of (row, column, shift-per-set)
 records and expanded ("lifted") by a lifting size Zc into the working
-parity-check structure. Encoder and decoder read that structure through
-one table of lifted row indices; the parity check reads each edge as a
-rotated window of its column block. The encoder solves the first core
-parity block from the sum of the four core rows, then every other parity
-block from the one row in which it is the last unknown. The decoder is a
+parity-check structure. The decoder and the encoder's core solve read
+that structure through one table of lifted row indices; the parity check
+and the encoder's extension rows read each edge as a rotated window of
+its column block (``_window_xor``). The encoder solves the first core
+parity block from the sum of the four core rows and the next three from
+core rows 0-2, then every extension parity block at once, as the XOR of
+its row's windows into the core. The decoder is a
 row-layered offset min-sum with saturating 8-bit fixed-point messages (2
 fractional bits, so the 0.5 offset is exactly two LSBs) that updates
 consecutive rows sharing no column as one block.
@@ -84,6 +86,16 @@ class LiftedLdpcCode:
         return self.K // self.Zc
 
 
+def as_bits(values) -> np.ndarray:
+    """``values`` as a uint8 array; ValueError if any value is not 0 or 1."""
+    values = np.asarray(values)
+    bits = values.astype(np.uint8, copy=False)
+    cast_exactly = bits is values or np.array_equal(bits, values)
+    if not cast_exactly or (bits.size and bits.max() > 1):
+        raise ValueError("bits must be 0 or 1")
+    return bits
+
+
 @dataclass(frozen=True)
 class InfoBlock:
     """K information bits whose trailing ``filler_count`` bits are zero pad."""
@@ -92,7 +104,7 @@ class InfoBlock:
     filler_count: int
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        bits = as_bits(self.bits)
         object.__setattr__(self, "bits", bits)
         if self.filler_count < 0:
             raise ConfigError("negative filler count")
@@ -213,6 +225,62 @@ def _row_gather(bg: BaseGraphId, Zc: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def _window_xor(blocks: np.ndarray, Zc: int, starts: np.ndarray) -> np.ndarray:
+    """XOR over axis 0 of the rotated windows of ``blocks`` at ``starts``.
+
+    ``blocks`` holds n column blocks of Zc bits. Each is laid out twice
+    over, then a zero block follows, so the Zc bits from offset
+    2*Zc*c + s are block c rotated left by s, which is what lifted row t
+    of an edge (c, s) reads at position t, and offset 2*Zc*n reads zeros.
+    """
+    doubled = np.zeros((blocks.size // Zc + 1, 2, Zc), dtype=np.uint8)
+    doubled[:-1] = blocks.reshape(-1, 1, Zc)
+    windows = np.ndarray((doubled.size - Zc + 1, Zc), np.uint8, doubled, strides=(1, 1))
+    return np.bitwise_xor.reduce(windows[starts], axis=0)
+
+
+def _window_starts(rows, Zc: int, n_blocks: int) -> np.ndarray:
+    """(max degree, rows) ``_window_xor`` offsets of every edge, row by row.
+
+    Rows shorter than the longest are padded with the zero block.
+    """
+    starts = np.full((max(len(row) for row in rows), len(rows)),
+                     2 * Zc * n_blocks, dtype=np.intp)
+    for r, row in enumerate(rows):
+        for e, (c, s) in enumerate(row):
+            starts[e, r] = 2 * Zc * c + s
+    starts.flags.writeable = False
+    return starts
+
+
+@lru_cache(maxsize=None)
+def _check_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
+    """Window offsets of every edge of every row, over all column blocks."""
+    code = build_code(bg, Zc)
+    return _window_starts(code.rows, Zc, code.N_full // Zc)
+
+
+@lru_cache(maxsize=None)
+def _extension_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
+    """Window offsets of the extension rows' edges into the first kb+4 blocks.
+
+    Checks the parity structure ``ldpc_encode`` solves (3GPP TS 38.212
+    5.3.2): core rows 0-2 each end in the next core parity block at shift
+    0, row 3 reads no block past the core, and extension row r reads
+    exactly one block past the core, its own block kb+r, at shift 0.
+    """
+    code = build_code(bg, Zc)
+    kb = code.systematic_cols
+    for r, row in enumerate(code.rows):
+        # blocks not solved before row r: past p0..p_r in the core, past the core after it
+        unsolved = [e for e in row if e[0] > kb + min(r, 3)]
+        if unsolved != ([] if r == 3 else [(kb + r + (r < 3), 0)]):
+            raise ConfigError(f"{bg.name} row {r} does not have the parity structure "
+                              "of TS 38.212")
+    # rows are sorted by column, so each extension row's own block is its last edge
+    return _window_starts([row[:-1] for row in code.rows[4:]], Zc, kb + 4)
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
@@ -279,11 +347,13 @@ def _solve_rotation_sum(shifts: list[int], rhs: np.ndarray, Zc: int) -> np.ndarr
 
 def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
     """Systematic encode; parity solved from the double-diagonal core."""
-    bits = np.asarray(info.bits, dtype=np.uint8)
+    bits = info.bits
     if bits.shape != (code.K,):
         raise ValueError(f"info length {bits.shape} != K={code.K}")
     Zc = code.Zc
     kb = code.systematic_cols
+    core = (kb + 4) * Zc
+    ext_windows = _extension_windows(code.bg, Zc)
     gather = _row_gather(code.bg, Zc)
     x = np.zeros(code.N_full, dtype=np.uint8)
     x[: code.K] = bits
@@ -295,19 +365,11 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
     p0_shifts = [s for row in code.rows[:4] for c, s in row if c == kb]
     core_syndrome = np.bitwise_xor.reduce(x[np.concatenate(gather[:4])], axis=0)
     x[kb * Zc:(kb + 1) * Zc] = _solve_rotation_sum(p0_shifts, core_syndrome, Zc)
-
-    # In base-graph order each row meets at most one unsolved column (the
-    # rest of the core, then one extension column per row), and that
-    # column's bits are the XOR of the row's other bits.
-    solved = set(range(kb + 1))
-    for row, idx in zip(code.rows, gather):
-        unsolved = [e for e, (c, _) in enumerate(row) if c not in solved]
-        if len(unsolved) > 1:
-            raise ConfigError("unsupported parity core structure")
-        if unsolved:
-            x[idx[unsolved[0]]] = np.bitwise_xor.reduce(x[idx], axis=0)
-            solved.add(row[unsolved[0]][0])
-
+    # Core rows 0-2 each end in the next core parity block, unrotated.
+    for r in range(3):
+        x[(kb + r + 1) * Zc:(kb + r + 2) * Zc] = np.bitwise_xor.reduce(x[gather[r]], axis=0)
+    # Each extension block is the XOR of its row's edges into the core.
+    x[core:] = _window_xor(x[:core], Zc, ext_windows).reshape(-1)
     return Codeword(bits=x, code=code)
 
 
@@ -320,32 +382,7 @@ def parity_check(code: LiftedLdpcCode, bits: np.ndarray) -> bool:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} bits")
-    Zc = code.Zc
-    # Every column block twice over, then a zero block for padding edges.
-    # The Zc bits from offset 2*Zc*c + s are block c rotated left by s,
-    # which is what lifted row t of an edge (c, s) reads at position t.
-    doubled = np.zeros((code.N_full // Zc + 1, 2, Zc), dtype=np.uint8)
-    doubled[:-1] = bits.reshape(-1, 1, Zc)
-    windows = np.ndarray((doubled.size - Zc + 1, Zc), np.uint8, doubled, strides=(1, 1))
-    return not np.bitwise_xor.reduce(windows[_check_windows(code.bg, Zc)], axis=0).any()
-
-
-@lru_cache(maxsize=None)
-def _check_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
-    """(max degree, rows) window offsets of every edge, row by row.
-
-    Rows shorter than the longest are padded with the zero block after
-    the last column.
-    """
-    code = build_code(bg, Zc)
-    zero_block = code.N_full // Zc
-    starts = np.full((max(len(row) for row in code.rows), len(code.rows)),
-                     2 * Zc * zero_block, dtype=np.intp)
-    for r, row in enumerate(code.rows):
-        for e, (c, s) in enumerate(row):
-            starts[e, r] = 2 * Zc * c + s
-    starts.flags.writeable = False
-    return starts
+    return not _window_xor(bits, code.Zc, _check_windows(code.bg, code.Zc)).any()
 
 
 @dataclass(frozen=True)

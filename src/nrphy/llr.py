@@ -5,9 +5,11 @@ carried in 8-bit containers: raw integers in [-31, +31], semantic value
 raw / 4, range [-7.75, +7.75]. Positive values favor bit 1. Equalized
 symbols are Q3.12 (16-bit signed, 12 fractional bits) per component.
 
-The demapper evaluates the per-bit piecewise-linear max-log approximation
-(nested absolute differences against the constellation's A/B/C/D offsets)
-with every intermediate saturated to 16 bits, then quantizes to SoftLlr.
+Modulation reads each symbol from a table of the 2^Q_m Q3.12 points,
+built once per order by the Gray arithmetic. The demapper evaluates the
+per-bit piecewise-linear max-log approximation (nested absolute
+differences against the constellation's A/B/C/D offsets) in int32 with
+every intermediate saturated to 16 bits, then quantizes to SoftLlr.
 
 ``PackedWordStream.to_bytes``/``from_bytes`` alone define the 32-bit word
 layout; the packers only fill bytes, so words and dump files cannot disagree.
@@ -17,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import FormatError
+from .ldpc import as_bits
 
 LLR_RAW_MAX = 31
 LLR_SCALE = 4  # raw units per unit LLR (2 fractional bits)
@@ -71,13 +75,15 @@ class EqualizedSymbols:
 
 
 def _sat16(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, _I16_MIN, _I16_MAX).astype(np.int32)
+    return np.clip(x, _I16_MIN, _I16_MAX)
 
 
-def _quantize_symbols(values: np.ndarray) -> EqualizedSymbols:
-    re = np.clip(np.rint(values.real * SYMBOL_SCALE), _I16_MIN, _I16_MAX)
-    im = np.clip(np.rint(values.imag * SYMBOL_SCALE), _I16_MIN, _I16_MAX)
-    return EqualizedSymbols(re.astype(np.int16), im.astype(np.int16))
+def _to_q312(values: np.ndarray) -> np.ndarray:
+    """Round real values to Q3.12, saturating to int16; ``values`` is overwritten."""
+    np.multiply(values, SYMBOL_SCALE, out=values)
+    np.rint(values, out=values)
+    np.clip(values, _I16_MIN, _I16_MAX, out=values)
+    return values.astype(np.int16)
 
 
 @dataclass(frozen=True)
@@ -117,14 +123,10 @@ class DemapperParams:
         )
 
 
-def modulate(bits: np.ndarray, q_m: int) -> EqualizedSymbols:
-    """Gray-map groups of q_m bits onto the unit-energy constellation."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if q_m not in MODULATION_ORDERS:
-        raise ValueError(f"unsupported modulation order {q_m}")
-    if bits.size % q_m:
-        raise ValueError("bit count not a multiple of Q_m")
-    g = bits.reshape(-1, q_m)
+@lru_cache(maxsize=None)
+def _constellation(q_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q3.12 (re, im) of every q_m-bit label, bit 0 of a group as its MSB."""
+    g = (np.arange(1 << q_m)[:, None] >> np.arange(q_m - 1, -1, -1)) & 1
     half = q_m // 2
 
     def axis(cols: np.ndarray) -> np.ndarray:
@@ -134,22 +136,47 @@ def modulate(bits: np.ndarray, q_m: int) -> EqualizedSymbols:
             mag = (1 << lvl) - (1 - 2 * cols[:, half - lvl]) * mag
         return (1 - 2 * cols[:, 0]) * mag
 
-    re = axis(g[:, 0::2])
-    im = axis(g[:, 1::2])
-    return _quantize_symbols((re + 1j * im) / _NORM[q_m])
+    points = (axis(g[:, 0::2]) + 1j * axis(g[:, 1::2])) / _NORM[q_m]
+    table = (_to_q312(points.real.copy()), _to_q312(points.imag.copy()))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def modulate(bits: np.ndarray, q_m: int) -> EqualizedSymbols:
+    """Gray-map groups of q_m bits onto the unit-energy constellation."""
+    if q_m not in MODULATION_ORDERS:
+        raise ValueError(f"unsupported modulation order {q_m}")
+    bits = as_bits(bits)
+    if bits.size % q_m:
+        raise ValueError("bit count not a multiple of Q_m")
+    groups = bits.reshape(-1, q_m)
+    labels = groups[:, 0].copy()
+    for k in range(1, q_m):
+        labels <<= 1
+        labels |= groups[:, k]
+    re, im = _constellation(q_m)
+    return EqualizedSymbols(re.take(labels), im.take(labels))
 
 
 def awgn(symbols: EqualizedSymbols, sigma2: float, seed) -> EqualizedSymbols:
-    """Add complex Gaussian noise of total variance sigma2, re-saturating."""
+    """Add complex Gaussian noise of total variance sigma2, re-saturating.
+
+    The in-phase draws come first, then the quadrature ones; each
+    component is its value plus one draw, rounded back to Q3.12.
+    """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
     if sigma2 == 0:
         return symbols
     rng = np.random.default_rng(seed)
     std = math.sqrt(sigma2 / 2.0)
-    noisy = symbols.values() + rng.normal(0.0, std, len(symbols)) \
-        + 1j * rng.normal(0.0, std, len(symbols))
-    return _quantize_symbols(noisy)
+    noisy = []
+    for comp in (symbols.re, symbols.im):
+        values = rng.normal(0.0, std, len(symbols))
+        values += comp / SYMBOL_SCALE
+        noisy.append(_to_q312(values))
+    return EqualizedSymbols(*noisy)
 
 
 def llr_estimate(symbols: EqualizedSymbols, params: DemapperParams) -> np.ndarray:
@@ -157,7 +184,8 @@ def llr_estimate(symbols: EqualizedSymbols, params: DemapperParams) -> np.ndarra
 
     Bit k of each symbol comes from the k//2-th nested absolute-difference
     stage of the in-phase (even k) or quadrature (odd k) component; stage
-    values and both multiplies saturate to 16 bits.
+    values and both multiplies saturate to 16 bits. Every product is below
+    32768 * 65535 < 2^31 in magnitude, so int32 holds it exactly.
     """
     q_m = params.Q_m
     n = len(symbols)
@@ -167,8 +195,8 @@ def llr_estimate(symbols: EqualizedSymbols, params: DemapperParams) -> np.ndarra
         t = comp.astype(np.int32)
         stage = -t  # sign convention: positive LLR favors bit 1
         for k in range(q_m // 2):
-            scaled = _sat16((stage.astype(np.int64) * params.A) >> SYMBOL_FRAC_BITS)
-            scaled = _sat16((scaled.astype(np.int64) * params.inv_noise) >> INV_NOISE_FRAC_BITS)
+            scaled = _sat16((stage * params.A) >> SYMBOL_FRAC_BITS)
+            scaled = _sat16((scaled * params.inv_noise) >> INV_NOISE_FRAC_BITS)
             raw = np.sign(scaled) * ((np.abs(scaled) + (SYMBOL_SCALE // LLR_SCALE // 2))
                                      // (SYMBOL_SCALE // LLR_SCALE))
             out[:, 2 * k + base] = np.clip(raw, -LLR_RAW_MAX, LLR_RAW_MAX)

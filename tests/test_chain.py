@@ -2,9 +2,12 @@
 
 import math
 import os
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nrphy.errors import ConfigError, PoolExhaustedError, UnknownProcessError
 from nrphy.harness import (
@@ -97,6 +100,33 @@ class TestRoundTrip:
     def test_with_fillers(self):
         cfg = ChainConfig(k_prime=77, target_rate=0.4, e_r=250, q_m=2, snr_db=30.0)
         payload = random_payload(cfg, 7)
+        enc = encode_chain(cfg, payload)
+        dec = decode_chain(cfg, enc.symbols, HarqBufferPool())
+        assert all(dec.block_ok)
+        assert np.array_equal(dec.payload, payload)
+
+
+@st.composite
+def chain_configs(draw):
+    """A valid config whose E_r sends every circular-buffer bit at least once,
+    so that a noiseless transmission decodes at any rv."""
+    q_m = draw(st.sampled_from([2, 4, 6, 8]))
+    fields = dict(k_prime=draw(st.integers(4, 1200)),
+                  target_rate=draw(st.floats(0.1, 1.0)), q_m=q_m, snr_db=40.0)
+    try:
+        code, _ = ChainConfig(e_r=q_m, **fields).code()
+    except ConfigError:  # K' below 2 Zc of its base graph
+        assume(False)
+    e_r = draw(st.integers(code.N_cb, 2 * code.N_cb))
+    return ChainConfig(e_r=e_r + -e_r % q_m, blocks=draw(st.integers(1, 3)),
+                       rv_schedule=(draw(st.integers(0, 3)),), **fields)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=50, deadline=timedelta(seconds=2))
+    @given(chain_configs(), st.integers(0, 2**32 - 1))
+    def test_noiseless_decode_returns_payload(self, cfg, seed):
+        payload = random_payload(cfg, seed)
         enc = encode_chain(cfg, payload)
         dec = decode_chain(cfg, enc.symbols, HarqBufferPool())
         assert all(dec.block_ok)

@@ -13,8 +13,10 @@ from nrphy.ldpc import (
     BaseGraphId,
     InfoBlock,
     TerminationReason,
+    _extension_windows,
     _layers,
     _row_gather,
+    _solve_rotation_sum,
     build_code,
     check_node_update,
     choose_base_graph,
@@ -35,6 +37,28 @@ def random_codeword(code, rng, filler=0):
     bits = np.zeros(code.K, dtype=np.uint8)
     bits[: code.K - filler] = rng.integers(0, 2, code.K - filler)
     return InfoBlock(bits, filler), ldpc_encode(code, InfoBlock(bits, filler))
+
+
+def reference_encode(code, bits):
+    """Per-row loop encoder: p0 from the sum of the four core rows, then,
+    in base-graph order, each row's one unsolved column from the XOR of
+    the row's other bits."""
+    Zc, kb = code.Zc, code.systematic_cols
+    t = np.arange(Zc)
+    idx = [np.array([c * Zc + (t + s) % Zc for c, s in row]) for row in code.rows]
+    x = np.zeros(code.N_full, dtype=np.uint8)
+    x[: code.K] = bits
+    p0_shifts = [s for row in code.rows[:4] for c, s in row if c == kb]
+    syndrome = np.bitwise_xor.reduce(x[np.concatenate(idx[:4])], axis=0)
+    x[kb * Zc:(kb + 1) * Zc] = _solve_rotation_sum(p0_shifts, syndrome, Zc)
+    solved = set(range(kb + 1))
+    for row, ix in zip(code.rows, idx):
+        unsolved = [e for e, (c, _) in enumerate(row) if c not in solved]
+        assert len(unsolved) <= 1
+        if unsolved:
+            x[ix[unsolved[0]]] = np.bitwise_xor.reduce(x[ix], axis=0)
+            solved.add(row[unsolved[0]][0])
+    return x
 
 
 def max_conf_llrs(bits):
@@ -193,6 +217,48 @@ class TestEncoder:
         code = build_code(BaseGraphId.BG2, 2)
         with pytest.raises(ValueError):
             ldpc_encode(code, InfoBlock(np.zeros(code.K + 1, np.uint8), 0))
+
+    def test_matches_per_row_reference_every_lifting_size(self):
+        rng = np.random.default_rng(13)
+        for bg in BaseGraphId:
+            for zs in LIFTING_SETS:
+                for Zc in zs:
+                    code = build_code(bg, Zc)
+                    info, cw = random_codeword(code, rng)
+                    assert np.array_equal(cw.bits, reference_encode(code, info.bits)), \
+                        f"{bg} Zc={Zc}"
+
+    @pytest.mark.parametrize("bg,max_degree", [(BaseGraphId.BG1, 9), (BaseGraphId.BG2, 5)])
+    def test_extension_windows_skip_own_column(self, bg, max_degree):
+        # each extension row reads its core edges; its own block is what it solves
+        code = build_code(bg, 8)
+        windows = _extension_windows(bg, 8)
+        assert windows.shape == (max_degree, len(code.rows) - 4)
+        assert not windows.flags.writeable
+
+    def test_unsupported_parity_structure_rejected(self, tmp_path, monkeypatch):
+        import shutil
+
+        import nrphy.ldpc as ldpc_mod
+
+        src = ldpc_mod.resources.files("nrphy") / "data"
+        for name in ("bg1.txt", "bg2.txt"):
+            shutil.copy(str(src / name), tmp_path / name)
+        # BG2 extension row 4 also reads row 5's parity block (column 15)
+        with open(tmp_path / "bg2.txt", "a") as fh:
+            fh.write("4 15 0 0 0 0 0 0 0 0\n")
+        caches = (ldpc_mod._base_table, build_code, _row_gather, _extension_windows)
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setenv(ldpc_mod.DATA_DIR_ENV, str(tmp_path))
+        try:
+            code = build_code(BaseGraphId.BG2, 8)
+            with pytest.raises(ConfigError):
+                ldpc_encode(code, InfoBlock(np.zeros(code.K, np.uint8), 0))
+        finally:
+            monkeypatch.delenv(ldpc_mod.DATA_DIR_ENV)
+            for cache in caches:
+                cache.cache_clear()
 
     @pytest.mark.parametrize("bad", [2, -1, 256, 0.5])
     def test_non_binary_info_bits_rejected(self, bad):

@@ -49,6 +49,65 @@ def maxlog_oracle(r, q_m, sigma2):
     return out.reshape(-1)
 
 
+def to_q312(values):
+    return np.clip(np.rint(values * SYMBOL_SCALE), -32768, 32767).astype(np.int16)
+
+
+def gray_oracle(bits, q_m):
+    """Gray mapping by arithmetic: nested amplitudes 2 - (1-2c), 4 - (1-2c)(2 - ...)."""
+    g = np.asarray(bits, dtype=np.int64).reshape(-1, q_m)
+    half = q_m // 2
+
+    def axis(cols):
+        mag = np.ones(len(cols), dtype=np.int64)
+        for lvl in range(1, half):
+            mag = (1 << lvl) - (1 - 2 * cols[:, half - lvl]) * mag
+        return (1 - 2 * cols[:, 0]) * mag
+
+    norm = math.sqrt(2 * (4 ** half - 1) / 3)
+    points = (axis(g[:, 0::2]) + 1j * axis(g[:, 1::2])) / norm
+    return to_q312(points.real), to_q312(points.imag)
+
+
+def complex_awgn(symbols, sigma2, seed):
+    """AWGN through complex128 values, in-phase draws first."""
+    rng = np.random.default_rng(seed)
+    std = math.sqrt(sigma2 / 2.0)
+    noisy = symbols.values() + rng.normal(0.0, std, len(symbols)) \
+        + 1j * rng.normal(0.0, std, len(symbols))
+    return to_q312(noisy.real), to_q312(noisy.imag)
+
+
+def int64_llr_estimate(symbols, params):
+    """The demapper with every product widened to int64."""
+    def sat16(x):
+        return np.clip(x, -32768, 32767).astype(np.int32)
+
+    q_m = params.Q_m
+    out = np.empty((len(symbols), q_m), dtype=np.int8)
+    offsets = (params.B, params.C, params.D)
+    for comp, base in ((symbols.re, 0), (symbols.im, 1)):
+        t = comp.astype(np.int32)
+        stage = -t
+        for k in range(q_m // 2):
+            scaled = sat16((stage.astype(np.int64) * params.A) >> 12)
+            scaled = sat16((scaled.astype(np.int64) * params.inv_noise) >> 8)
+            raw = np.sign(scaled) * ((np.abs(scaled) + 512) // 1024)
+            out[:, 2 * k + base] = np.clip(raw, -31, 31)
+            if k < q_m // 2 - 1:
+                t = sat16(np.abs(t) - offsets[k])
+                stage = t
+    return out.reshape(-1)
+
+
+def random_symbols(n, rng):
+    """Q3.12 symbols over the whole int16 range, a quarter of them at the rails."""
+    comps = rng.integers(-32768, 32768, (2, n)).astype(np.int16)
+    comps[:, : n // 8] = rng.integers(32700, 32768, (2, n // 8))
+    comps[:, n // 8: n // 4] = rng.integers(-32768, -32700, (2, n // 4 - n // 8))
+    return EqualizedSymbols(comps[0], comps[1])
+
+
 def noisy_symbols(q_m, sigma2, n, rng):
     tx = rng.integers(0, 2, n * q_m, dtype=np.uint8)
     clean = modulate(tx, q_m).values()
@@ -90,6 +149,13 @@ class TestModulate:
     def test_rejects_partial_group(self):
         with pytest.raises(ValueError):
             modulate(np.zeros(7, np.uint8), 4)
+
+    @pytest.mark.parametrize("q_m", [2, 4, 6, 8])
+    def test_table_matches_gray_formula(self, q_m):
+        labels = all_labels(q_m).reshape(-1)
+        sym = modulate(labels, q_m)
+        re, im = gray_oracle(labels, q_m)
+        assert np.array_equal(sym.re, re) and np.array_equal(sym.im, im)
 
     @pytest.mark.parametrize("bits", [[2, 0, 0, -1], [0, 1, 1, 256], [0.5, 0, 1, 1]])
     def test_non_binary_bits_rejected(self, bits):
@@ -188,6 +254,14 @@ class TestLlrEstimate:
         agree = (np.abs(approx - ref) <= 2).mean()
         assert agree >= 0.95
 
+    @pytest.mark.parametrize("q_m", [2, 4, 6, 8])
+    def test_matches_int64_reference(self, q_m):
+        rng = np.random.default_rng(40 + q_m)
+        sym = random_symbols(4000, rng)
+        for sigma2 in (0.0, 0.01, 0.5, 5.0):  # 0 gives the largest multiplier, 0xFFFF
+            params = DemapperParams.for_noise(q_m, sigma2)
+            assert np.array_equal(llr_estimate(sym, params), int64_llr_estimate(sym, params))
+
     def test_output_in_softllr_range(self):
         rng = np.random.default_rng(5)
         sym = noisy_symbols(8, 0.02, 2000, rng)
@@ -267,6 +341,20 @@ class TestAwgn:
         a = awgn(sym, 0.3, 42)
         b = awgn(sym, 0.3, 42)
         assert np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
+
+    @pytest.mark.parametrize("q_m", [2, 4, 6, 8])
+    @pytest.mark.parametrize("sigma2", [0.01, 0.1, 1.0, 5.0])
+    def test_matches_complex_reference(self, q_m, sigma2):
+        rng = np.random.default_rng(q_m)
+        clean = modulate(rng.integers(0, 2, 1000 * q_m), q_m)
+        rails = random_symbols(1000, rng)  # noise pushes many past +/-32767
+        sym = EqualizedSymbols(np.concatenate([clean.re, rails.re]),
+                               np.concatenate([clean.im, rails.im]))
+        for seed in (0, 7, np.random.SeedSequence(2**40 + q_m)):
+            out = awgn(sym, sigma2, seed)
+            re, im = complex_awgn(sym, sigma2, seed)
+            assert np.array_equal(out.re, re) and np.array_equal(out.im, im)
+            assert out.re.dtype == out.im.dtype == np.int16
 
     def test_sample_variance(self):
         rng = np.random.default_rng(0)
