@@ -152,6 +152,14 @@ class TestEncodeDecodePipeline:
     def test_decode_missing_file_exits_2(self, small_config):
         assert main(["decode", "--config", small_config, "--in", "/no/file"]) == 2
 
+    def test_bad_base_graph_exits_2(self, small_config, tmp_path, request, capsys):
+        llrs = tmp_path / "llrs.bin"
+        assert main(["encode", "--config", small_config, "--dump-llrs", str(llrs)]) == 0
+        capsys.readouterr()
+        request.getfixturevalue("bad_parity_tables")
+        assert main(["decode", "--config", small_config, "--in", str(llrs)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestReports:
     def test_bler_csv(self, small_config, tmp_path, capsys):

@@ -413,6 +413,11 @@ class TestPacking:
         bits[0] = 1
         assert pack_bit_words(bits).words.tolist() == [1]
 
+    @pytest.mark.parametrize("bits", [[2, 0, 0, 0], [256, 1, 0, 0], [0, -1], [0.5, 1]])
+    def test_non_binary_bit_words_rejected(self, bits):
+        with pytest.raises(ValueError):
+            pack_bit_words(np.array(bits))
+
     def test_33rd_bit_starts_new_word(self):
         bits = np.zeros(33, np.uint8)
         bits[32] = 1

@@ -98,6 +98,11 @@ class TestScrambleBits:
         out = scramble_bits(np.zeros(512, np.uint8), ident)
         assert np.array_equal(out, sequence(ident, 512))
 
+    @pytest.mark.parametrize("bits", [[2, 2, 2, 2, 3, 0], [0, 1, -1], [0, 256], [0.5, 1]])
+    def test_non_binary_bits_rejected(self, bits):
+        with pytest.raises(ValueError):
+            scramble_bits(np.array(bits), ScramblingIdentity(31, 1, 900))
+
 
 class TestDescrambleLlrs:
     def test_sign_flip_where_bit_set(self):
