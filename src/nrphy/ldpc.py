@@ -2,16 +2,17 @@
 
 Base graphs BG1/BG2 are stored as data files of (row, column, shift-per-set)
 records and expanded ("lifted") by a lifting size Zc into the working
-parity-check structure. The decoder and the encoder's core solve read
-that structure through one table of lifted row indices; the parity check
-and the encoder's extension rows read each edge as a rotated window of
-its column block (``_window_xor``). The encoder solves the first core
-parity block from the sum of the four core rows and the next three from
-core rows 0-2, then every extension parity block at once, as the XOR of
-its row's windows into the core. The decoder is a
-row-layered offset min-sum with saturating 8-bit fixed-point messages (2
-fractional bits, so the 0.5 offset is exactly two LSBs) that updates
-consecutive rows sharing no column as one block.
+parity-check structure. Every XOR over the code's edges reads one table
+of window offsets (``_check_windows``) into a buffer that holds each
+column block twice over (``_doubled``), so an edge is its column block
+rotated by its shift, as on a circulant-shift datapath. The parity check
+is one such XOR. The encoder fills the buffer once: it solves the first
+core parity block from the sum of the four core rows through the inverse
+circulant's windows, the next three from core rows 0-2, then every
+extension parity block at once. The decoder is a row-layered offset
+min-sum with saturating 8-bit fixed-point messages (2 fractional bits, so
+the 0.5 offset is exactly two LSBs) that updates consecutive rows sharing
+no column as one block; its layers are the only table of element indices.
 """
 
 from __future__ import annotations
@@ -191,123 +192,71 @@ def _base_table(bg: BaseGraphId) -> tuple[tuple[int, int, tuple[int, ...]], ...]
 
 @lru_cache(maxsize=None)
 def build_code(bg: BaseGraphId, Zc: int) -> LiftedLdpcCode:
-    """Expand a base graph into the concrete code for lifting size Zc."""
-    set_index = lifting_set_index(Zc)
-    kb, n_rows, n_cols = _BG_SHAPE[bg]
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
-    for r, c, shifts in _base_table(bg):
-        rows[r].append((c, shifts[set_index] % Zc))
-    return LiftedLdpcCode(
-        bg=bg,
-        Zc=Zc,
-        K=kb * Zc,
-        N_cb=(n_cols - 2) * Zc,
-        N_full=n_cols * Zc,
-        rows=tuple(tuple(sorted(row)) for row in rows),
-    )
-
-
-@lru_cache(maxsize=None)
-def _row_gather(bg: BaseGraphId, Zc: int) -> tuple[np.ndarray, ...]:
-    """Per base row: read-only (degree, Zc) matrix of lifted bit indices.
-
-    Entry e of lifted row t is ``c*Zc + (t + s) % Zc`` for the row's e-th
-    (column, shift) pair, so ``bits[idx]`` lines up every bit that one
-    lifted check reads and an XOR over axis 0 is that row's syndrome.
-    """
-    code = build_code(bg, Zc)
-    t = np.arange(Zc)
-    out = []
-    for row in code.rows:
-        idx = np.array([c * Zc + (t + s) % Zc for c, s in row], dtype=np.int64)
-        idx.flags.writeable = False
-        out.append(idx)
-    return tuple(out)
-
-
-def _window_xor(blocks: np.ndarray, Zc: int, starts: np.ndarray) -> np.ndarray:
-    """XOR over axis 0 of the rotated windows of ``blocks`` at ``starts``.
-
-    ``blocks`` holds n column blocks of Zc bits. Each is laid out twice
-    over, then a zero block follows, so the Zc bits from offset
-    2*Zc*c + s are block c rotated left by s, which is what lifted row t
-    of an edge (c, s) reads at position t, and offset 2*Zc*n reads zeros.
-    """
-    doubled = np.zeros((blocks.size // Zc + 1, 2, Zc), dtype=np.uint8)
-    doubled[:-1] = blocks.reshape(-1, 1, Zc)
-    windows = np.ndarray((doubled.size - Zc + 1, Zc), np.uint8, doubled, strides=(1, 1))
-    return np.bitwise_xor.reduce(windows[starts], axis=0)
-
-
-def _window_starts(rows, Zc: int, n_blocks: int) -> np.ndarray:
-    """(max degree, rows) ``_window_xor`` offsets of every edge, row by row.
-
-    Rows shorter than the longest are padded with the zero block.
-    """
-    starts = np.full((max(len(row) for row in rows), len(rows)),
-                     2 * Zc * n_blocks, dtype=np.intp)
-    for r, row in enumerate(rows):
-        for e, (c, s) in enumerate(row):
-            starts[e, r] = 2 * Zc * c + s
-    starts.flags.writeable = False
-    return starts
-
-
-@lru_cache(maxsize=None)
-def _check_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
-    """Window offsets of every edge of every row, over all column blocks."""
-    code = build_code(bg, Zc)
-    return _window_starts(code.rows, Zc, code.N_full // Zc)
-
-
-@lru_cache(maxsize=None)
-def _extension_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
-    """Window offsets of the extension rows' edges into the first kb+4 blocks.
+    """Expand a base graph into the concrete code for lifting size Zc.
 
     Checks the parity structure ``ldpc_encode`` solves (3GPP TS 38.212
     5.3.2): core rows 0-2 each end in the next core parity block at shift
     0, row 3 reads no block past the core, and extension row r reads
     exactly one block past the core, its own block kb+r, at shift 0.
     """
-    code = build_code(bg, Zc)
-    kb = code.systematic_cols
-    for r, row in enumerate(code.rows):
+    set_index = lifting_set_index(Zc)
+    kb, n_rows, n_cols = _BG_SHAPE[bg]
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
+    for r, c, shifts in _base_table(bg):
+        rows[r].append((c, shifts[set_index] % Zc))
+    for r, row in enumerate(rows):
+        row.sort()
         # blocks not solved before row r: past p0..p_r in the core, past the core after it
         unsolved = [e for e in row if e[0] > kb + min(r, 3)]
         if unsolved != ([] if r == 3 else [(kb + r + (r < 3), 0)]):
             raise ConfigError(f"{bg.name} row {r} does not have the parity structure "
                               "of TS 38.212")
-    # rows are sorted by column, so each extension row's own block is its last edge
-    return _window_starts([row[:-1] for row in code.rows[4:]], Zc, kb + 4)
+    return LiftedLdpcCode(
+        bg=bg,
+        Zc=Zc,
+        K=kb * Zc,
+        N_cb=(n_cols - 2) * Zc,
+        N_full=n_cols * Zc,
+        rows=tuple(map(tuple, rows)),
+    )
+
+
+def _doubled(code: LiftedLdpcCode, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The code's column blocks, each laid out twice, then a zero block.
+
+    ``bits`` fills the first blocks and the rest are zero. Returns that
+    (blocks + 1, 2, Zc) buffer and its stride-1 view of every Zc-bit
+    window. The window at offset 2*Zc*c + s is block c rotated left by s,
+    which is what lifted row t of an edge (c, s) reads at position t, and
+    the window at 2*Zc*blocks reads zeros.
+    """
+    Zc = code.Zc
+    doubled = np.zeros((code.N_full // Zc + 1, 2, Zc), dtype=np.uint8)
+    doubled[:bits.size // Zc] = bits.reshape(-1, 1, Zc)
+    windows = np.ndarray((doubled.size - Zc + 1, Zc), np.uint8, doubled, strides=(1, 1))
+    return doubled, windows
+
+
+@lru_cache(maxsize=None)
+def _check_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
+    """(max degree, rows) ``_doubled`` window offsets of every edge, row by row.
+
+    Rows shorter than the longest are padded with the zero block's offset.
+    """
+    code = build_code(bg, Zc)
+    n_blocks = code.N_full // Zc
+    starts = np.full((max(map(len, code.rows)), len(code.rows)), 2 * Zc * n_blocks,
+                     dtype=np.intp)
+    for r, row in enumerate(code.rows):
+        for e, (c, s) in enumerate(row):
+            starts[e, r] = 2 * Zc * c + s
+    starts.flags.writeable = False
+    return starts
 
 
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
-
-def _vec_to_poly(v: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(v, bitorder="little").tobytes(), "little")
-
-
-def _poly_to_vec(p: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(p.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=n)
-
-
-def _poly_mod_mul(a: int, b: int, n: int) -> int:
-    """Carry-less multiply of GF(2) polynomials, reduced mod x^n + 1."""
-    acc = 0
-    shift = 0
-    while b:
-        if b & 1:
-            acc ^= a << shift
-        b >>= 1
-        shift += 1
-    # fold degrees >= n back down (x^n == 1)
-    while acc >> n:
-        acc = (acc & ((1 << n) - 1)) ^ (acc >> n)
-    return acc
-
 
 def _poly_inv(a: int, n: int) -> int:
     """Inverse of a mod x^n + 1 over GF(2) via extended Euclid."""
@@ -328,21 +277,28 @@ def _poly_inv(a: int, n: int) -> int:
     return t0
 
 
-def _solve_rotation_sum(shifts: list[int], rhs: np.ndarray, Zc: int) -> np.ndarray:
-    """Solve sum_k rot(p, shifts[k]) = rhs for p, where rot(v, s)[t] = v[(t+s) % Zc]."""
-    # XOR-cancel repeated shifts; a single survivor is a plain rotation.
-    counts: dict[int, int] = {}
-    for s in shifts:
-        counts[s] = counts.get(s, 0) + 1
-    odd = [s for s, c in counts.items() if c % 2]
-    if len(odd) == 1:
-        return np.roll(rhs, odd[0])
-    # General case: multiply by the inverse circulant polynomial.
+@lru_cache(maxsize=None)
+def _p0_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
+    """``_doubled`` window offsets into p0's block that XOR to p0 from its syndrome.
+
+    The four core rows sum to sum_k rot(p0, s_k) = S, where S is their
+    information-part syndrome and rot(v, s)[t] = v[(t + s) % Zc]. As a
+    polynomial (bit t is the coefficient of x^t), rot(v, s) is x^(Zc-s) v
+    mod x^Zc + 1, so p0 = inv * S with inv the inverse of sum_k x^(Zc-s_k),
+    and each term x^a of inv is one window of S at shift (Zc - a) % Zc.
+    """
+    code = build_code(bg, Zc)
+    kb = code.systematic_cols
     m = 0
-    for s in odd:
-        m ^= 1 << ((Zc - s) % Zc)
+    for row in code.rows[:4]:
+        for c, s in row:
+            if c == kb:
+                m ^= 1 << ((Zc - s) % Zc)
     inv = _poly_inv(m, Zc)
-    return _poly_to_vec(_poly_mod_mul(inv, _vec_to_poly(rhs), Zc), Zc).astype(np.uint8)
+    starts = np.array([2 * Zc * kb + (Zc - a) % Zc for a in range(Zc) if inv >> a & 1],
+                      dtype=np.intp)
+    starts.flags.writeable = False
+    return starts
 
 
 def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
@@ -352,25 +308,22 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
         raise ValueError(f"info length {bits.shape} != K={code.K}")
     Zc = code.Zc
     kb = code.systematic_cols
-    core = (kb + 4) * Zc
-    ext_windows = _extension_windows(code.bg, Zc)
-    gather = _row_gather(code.bg, Zc)
-    x = np.zeros(code.N_full, dtype=np.uint8)
-    x[: code.K] = bits
+    checks = _check_windows(code.bg, Zc)
+    doubled, windows = _doubled(code, bits)
 
-    # Unsolved parity bits are still zero, so a row's XOR is its
-    # information-part syndrome. Summing the four core rows cancels every
-    # parity column except the first one, leaving a pure rotation (or, for
-    # some lifting sizes, a small circulant) in p0.
-    p0_shifts = [s for row in code.rows[:4] for c, s in row if c == kb]
-    core_syndrome = np.bitwise_xor.reduce(x[np.concatenate(gather[:4])], axis=0)
-    x[kb * Zc:(kb + 1) * Zc] = _solve_rotation_sum(p0_shifts, core_syndrome, Zc)
+    # Unsolved parity blocks are still zero, so a row's XOR is its syndrome
+    # over the solved blocks. Each solved block goes into both copies of
+    # its slot, so every later window reads it. Summing the four core rows
+    # cancels every parity block but p0, which is solved from that sum in
+    # its own slot.
+    doubled[kb] = np.bitwise_xor.reduce(windows[checks[:, :4]], axis=(0, 1))
+    doubled[kb] = np.bitwise_xor.reduce(windows[_p0_windows(code.bg, Zc)], axis=0)
     # Core rows 0-2 each end in the next core parity block, unrotated.
     for r in range(3):
-        x[(kb + r + 1) * Zc:(kb + r + 2) * Zc] = np.bitwise_xor.reduce(x[gather[r]], axis=0)
-    # Each extension block is the XOR of its row's edges into the core.
-    x[core:] = _window_xor(x[:core], Zc, ext_windows).reshape(-1)
-    return Codeword(bits=x, code=code)
+        doubled[kb + r + 1] = np.bitwise_xor.reduce(windows[checks[:, r]], axis=0)
+    # Each extension row reads the core and its own, still zero, block.
+    doubled[kb + 4:-1] = np.bitwise_xor.reduce(windows[checks[:, 4:]], axis=0)[:, None]
+    return Codeword(bits=doubled[:-1, 0].reshape(-1), code=code)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +335,8 @@ def parity_check(code: LiftedLdpcCode, bits: np.ndarray) -> bool:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} bits")
-    return not _window_xor(bits, code.Zc, _check_windows(code.bg, code.Zc)).any()
+    _, windows = _doubled(code, bits)
+    return not np.bitwise_xor.reduce(windows[_check_windows(code.bg, code.Zc)], axis=0).any()
 
 
 @dataclass(frozen=True)
@@ -418,7 +372,7 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
     moving a row past one it shares a column with would change the result.
     """
     code = build_code(bg, Zc)
-    gather = _row_gather(bg, Zc)
+    t = np.arange(Zc)
     groups: list[list[int]] = []
     seen: set[int] = set()
     for r, row in enumerate(code.rows):
@@ -431,11 +385,12 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
 
     layers = []
     for rows in groups:
-        degree = max(len(gather[r]) for r in rows)
+        degree = max(len(code.rows[r]) for r in rows)
         shape = (degree, len(rows) * Zc)
         idx = np.full(shape, code.N_full, dtype=np.intp)
         for j, r in enumerate(rows):
-            idx[: len(gather[r]), j * Zc:(j + 1) * Zc] = gather[r]
+            for e, (c, s) in enumerate(code.rows[r]):
+                idx[e, j * Zc:(j + 1) * Zc] = c * Zc + (t + s) % Zc
         edge = np.broadcast_to(np.arange(degree, dtype=np.int16)[:, None], shape).copy()
         rails = np.empty((2, *shape), dtype=np.int16)
         rails[0], rails[1] = DECODER_LLR_MAX, -DECODER_LLR_MAX

@@ -265,7 +265,7 @@ def unpack_llr_words(stream: PackedWordStream, count: int | None = None) -> np.n
 
 def pack_bit_words(bits: np.ndarray) -> PackedWordStream:
     """Bit i lands in bit (i mod 32) of word (i div 32), LSB-first."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
+    packed = np.packbits(as_bits(bits), bitorder="little").tobytes()
     return PackedWordStream.from_bytes(packed + bytes(-len(packed) % 4), KIND_RAW_BITS)
 
 

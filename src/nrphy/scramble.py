@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldpc import _poly_to_vec
+from .ldpc import as_bits
 
 WARMUP = 1600
 _REG_BITS = 31
@@ -49,7 +49,7 @@ def _lfsr_blocks(reg: int, n: int, taps: tuple[int, ...]) -> np.ndarray:
     Outputs 0..30 are the bits of ``reg``, LSB first.
     """
     out = np.zeros(max(n, _REG_BITS), dtype=np.uint8)
-    out[:_REG_BITS] = _poly_to_vec(reg, _REG_BITS)
+    out[:_REG_BITS] = (reg >> np.arange(_REG_BITS)) & 1
     # Squaring the feedback polynomial over GF(2) spreads its taps: the
     # sequence also obeys x[j] = XOR_t x[j - 31*2^k + t*2^k] for every
     # j >= 31*2^k. The newest input is then 28*2^k back, so each pass can
@@ -77,7 +77,7 @@ def sequence(identity: ScramblingIdentity, n: int) -> np.ndarray:
 
 def scramble_bits(bits: np.ndarray, identity: ScramblingIdentity) -> np.ndarray:
     """XOR the bit stream with the scrambling sequence (an involution)."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = as_bits(bits)
     return bits ^ sequence(identity, len(bits))
 
 

@@ -294,13 +294,23 @@ class TestBlerMonotonicity:
         assert blers[0] > blers[-1]
 
 
+def fastest_benches(cfg, *block_counts):
+    """Per block count, the fastest of three ``run_throughput_bench`` passes.
+
+    The passes alternate between the counts, so a host whose speed drifts
+    during the run slows every count alike, and one scheduling stall does
+    not decide a timing ratio.
+    """
+    passes = [[run_throughput_bench(cfg, n) for n in block_counts] for _ in range(3)]
+    return [min(reports, key=lambda r: r.wall_clock_s) for reports in zip(*passes)]
+
+
 class TestBenchmark:
     def test_steady_state_throughput_and_context(self, capsys):
         # measurement property: per-block rate roughly independent of the
         # batch size; jitter measured at up to ~12%, asserted at 25%
         cfg = ChainConfig()
-        r20 = run_throughput_bench(cfg, 20)
-        r40 = run_throughput_bench(cfg, 40)
+        r20, r40 = fastest_benches(cfg, 20, 40)
         assert r20.bler == 0 and r40.bler == 0
         ratio = r20.throughput_mbps / r40.throughput_mbps
         assert 0.75 < ratio < 1.33, ratio
@@ -313,8 +323,7 @@ class TestBenchmark:
 
     def test_elapsed_roughly_linear_in_blocks(self):
         cfg = ChainConfig()
-        r10 = run_throughput_bench(cfg, 10)
-        r40 = run_throughput_bench(cfg, 40)
+        r10, r40 = fastest_benches(cfg, 10, 40)
         assert 2.5 < r40.wall_clock_s / r10.wall_clock_s < 6.5
 
 

@@ -13,10 +13,7 @@ from nrphy.ldpc import (
     BaseGraphId,
     InfoBlock,
     TerminationReason,
-    _extension_windows,
     _layers,
-    _row_gather,
-    _solve_rotation_sum,
     build_code,
     check_node_update,
     choose_base_graph,
@@ -39,18 +36,34 @@ def random_codeword(code, rng, filler=0):
     return InfoBlock(bits, filler), ldpc_encode(code, InfoBlock(bits, filler))
 
 
+def solve_gf2(a, b):
+    """x with a @ x = b over GF(2), for an invertible square a (Gaussian elimination)."""
+    ab = np.column_stack([a, b]).astype(np.uint8)
+    for col in range(len(ab)):
+        pivot = col + np.flatnonzero(ab[col:, col])[0]
+        ab[[col, pivot]] = ab[[pivot, col]]
+        others = np.flatnonzero(ab[:, col])
+        ab[others[others != col]] ^= ab[col]
+    return ab[:, -1]
+
+
 def reference_encode(code, bits):
-    """Per-row loop encoder: p0 from the sum of the four core rows, then,
-    in base-graph order, each row's one unsolved column from the XOR of
-    the row's other bits."""
+    """Per-row loop encoder: p0 from the sum of the four core rows, solved
+    on the dense Zc x Zc circulant, then, in base-graph order, each row's
+    one unsolved column from the XOR of the row's other bits."""
     Zc, kb = code.Zc, code.systematic_cols
     t = np.arange(Zc)
     idx = [np.array([c * Zc + (t + s) % Zc for c, s in row]) for row in code.rows]
     x = np.zeros(code.N_full, dtype=np.uint8)
     x[: code.K] = bits
-    p0_shifts = [s for row in code.rows[:4] for c, s in row if c == kb]
+    # lifted row t of an edge (kb, s) reads p0[(t + s) % Zc]
+    circulant = np.zeros((Zc, Zc), dtype=np.uint8)
+    for row in code.rows[:4]:
+        for c, s in row:
+            if c == kb:
+                circulant[t, (t + s) % Zc] ^= 1
     syndrome = np.bitwise_xor.reduce(x[np.concatenate(idx[:4])], axis=0)
-    x[kb * Zc:(kb + 1) * Zc] = _solve_rotation_sum(p0_shifts, syndrome, Zc)
+    x[kb * Zc:(kb + 1) * Zc] = solve_gf2(circulant, syndrome)
     solved = set(range(kb + 1))
     for row, ix in zip(code.rows, idx):
         unsolved = [e for e, (c, _) in enumerate(row) if c not in solved]
@@ -228,14 +241,6 @@ class TestEncoder:
                     assert np.array_equal(cw.bits, reference_encode(code, info.bits)), \
                         f"{bg} Zc={Zc}"
 
-    @pytest.mark.parametrize("bg,max_degree", [(BaseGraphId.BG1, 9), (BaseGraphId.BG2, 5)])
-    def test_extension_windows_skip_own_column(self, bg, max_degree):
-        # each extension row reads its core edges; its own block is what it solves
-        code = build_code(bg, 8)
-        windows = _extension_windows(bg, 8)
-        assert windows.shape == (max_degree, len(code.rows) - 4)
-        assert not windows.flags.writeable
-
     def test_unsupported_parity_structure_rejected(self, bad_parity_tables):
         with pytest.raises(ConfigError):
             build_code(BaseGraphId.BG2, 8)
@@ -316,7 +321,7 @@ class TestLayers:
         # they are consecutive and share no column.
         for Zc in (2, 15, 20, 208, 384):
             code = build_code(bg, Zc)
-            gather = _row_gather(bg, Zc)
+            t = np.arange(Zc)
             layers = _layers(bg, Zc)
             assert len(layers) == merged
             assert [r for layer in layers for r in layer.rows] == list(range(len(code.rows)))
@@ -326,7 +331,8 @@ class TestLayers:
                 for j, r in enumerate(layer.rows):
                     block = layer.idx[:, j * Zc:(j + 1) * Zc]
                     deg = len(code.rows[r])
-                    assert np.array_equal(block[:deg], gather[r])
+                    for e, (c, s) in enumerate(code.rows[r]):
+                        assert np.array_equal(block[e], c * Zc + (t + s) % Zc)
                     assert (block[deg:] == code.N_full).all()  # padding reads the sentinel
                 assert np.array_equal(layer.real, layer.idx != code.N_full)
 
