@@ -244,8 +244,8 @@ def _check_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
     Rows shorter than the longest are padded with the zero block's offset.
     """
     code = build_code(bg, Zc)
-    n_blocks = code.N_full // Zc
-    starts = np.full((max(map(len, code.rows)), len(code.rows)), 2 * Zc * n_blocks,
+    # the zero block sits after N_full / Zc doubled blocks, at 2 * N_full
+    starts = np.full((max(map(len, code.rows)), len(code.rows)), 2 * code.N_full,
                      dtype=np.intp)
     for r, row in enumerate(code.rows):
         for e, (c, s) in enumerate(row):
