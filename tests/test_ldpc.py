@@ -382,6 +382,26 @@ class TestDecoder:
         assert (a.iterations_used, a.parity_ok, a.termination_reason) == \
                (b.iterations_used, b.parity_ok, b.termination_reason)
 
+    @pytest.mark.parametrize("llrs", [
+        np.full(104, 0.7),  # a float would truncate to zero LLRs
+        np.full(104, 40000, np.int32),  # would wrap in int16
+        np.full(104, 90, np.int16),
+        np.full(104, -32, np.int8),
+        np.ones(104, bool),
+    ], ids=["float", "int32-wraps", "int16-90", "int8-minus-32", "bool"])
+    def test_non_softllr_input_rejected(self, llrs):
+        with pytest.raises(ValueError):
+            ldpc_decode(build_code(BaseGraphId.BG2, 2), llrs)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint8])
+    def test_any_integer_dtype_in_range_decodes_as_int8(self, dtype):
+        rng = np.random.default_rng(14)
+        code = build_code(BaseGraphId.BG2, 8)
+        llr = rng.integers(0 if dtype == np.uint8 else -31, 32, code.N_full).astype(np.int8)
+        a, b = ldpc_decode(code, llr), ldpc_decode(code, llr.astype(dtype))
+        assert np.array_equal(a.hard_bits, b.hard_bits)
+        assert (a.iterations_used, a.termination_reason) == (b.iterations_used, b.termination_reason)
+
     def test_encode_decode_identity_all_sets(self):
         rng = np.random.default_rng(12)
         trials = 0
