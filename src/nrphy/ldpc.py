@@ -9,10 +9,15 @@ rotated by its shift, as on a circulant-shift datapath. The parity check
 is one such XOR. The encoder fills the buffer once: it solves the first
 core parity block from the sum of the four core rows through the inverse
 circulant's windows, the next three from core rows 0-2, then every
-extension parity block at once. The decoder is a row-layered offset
-min-sum with saturating 8-bit fixed-point messages (2 fractional bits, so
-the 0.5 offset is exactly two LSBs) that updates consecutive rows sharing
-no column as one block; its layers are the only table of element indices.
+extension parity block at once. The core rows are read at their full
+degree, the extension rows only up to theirs. The decoder is a
+row-layered offset min-sum with saturating 8-bit fixed-point messages (2
+fractional bits, so the 0.5 offset is exactly two LSBs) that updates
+consecutive rows sharing no column as one block; its layers are the only
+table of element indices. Extension rows whose own parity block arrives
+with zero LLRs, because rate matching never sent it, change no other bit;
+each run of them is one step that reads the core through the same
+windows, bit-exact with the row-by-row update.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from itertools import groupby
 
 import numpy as np
 
@@ -44,6 +50,8 @@ DATA_DIR_ENV = "NRPHY_DATA_DIR"
 MAX_ITERATIONS = 8
 OFFSET_RAW = 2  # the 0.5 min-sum offset in quarter-LLR units
 
+# Channel SoftLlr range: raw integers in quarter-LLR units.
+LLR_RAW_MAX = 31
 # Internal decoder precision: 8-bit signed, 2 fractional bits, symmetric.
 DECODER_LLR_MAX = 127
 
@@ -85,6 +93,11 @@ class LiftedLdpcCode:
     @property
     def systematic_cols(self) -> int:
         return self.K // self.Zc
+
+    @property
+    def extension_degree(self) -> int:
+        """Largest degree of the extension rows (4 on), below the core rows' degree."""
+        return max(map(len, self.rows[4:]))
 
 
 def as_bits(values) -> np.ndarray:
@@ -221,19 +234,23 @@ def build_code(bg: BaseGraphId, Zc: int) -> LiftedLdpcCode:
     )
 
 
-def _doubled(code: LiftedLdpcCode, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The code's column blocks, each laid out twice, then a zero block.
+def _doubled(code: LiftedLdpcCode, values: np.ndarray,
+             fill: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The code's column blocks, each laid out twice, then a padding block.
 
-    ``bits`` fills the first blocks and the rest are zero. Returns that
-    (blocks + 1, 2, Zc) buffer and its stride-1 view of every Zc-bit
-    window. The window at offset 2*Zc*c + s is block c rotated left by s,
-    which is what lifted row t of an edge (c, s) reads at position t, and
-    the window at 2*Zc*blocks reads zeros.
+    ``values`` fills the first blocks and the rest hold ``fill``. Returns
+    that (blocks + 1, 2, Zc) buffer, of the dtype of ``values``, and its
+    stride-1 view of every Zc-value window. The window at offset
+    2*Zc*c + s is block c rotated left by s, which is what lifted row t of
+    an edge (c, s) reads at position t, and the window at 2*Zc*blocks
+    reads the padding.
     """
     Zc = code.Zc
-    doubled = np.zeros((code.N_full // Zc + 1, 2, Zc), dtype=np.uint8)
-    doubled[:bits.size // Zc] = bits.reshape(-1, 1, Zc)
-    windows = np.ndarray((doubled.size - Zc + 1, Zc), np.uint8, doubled, strides=(1, 1))
+    doubled = np.full((code.N_full // Zc + 1, 2, Zc), fill, dtype=values.dtype)
+    doubled[:values.size // Zc] = values.reshape(-1, 1, Zc)
+    step = doubled.itemsize
+    windows = np.ndarray((doubled.size - Zc + 1, Zc), doubled.dtype, doubled,
+                         strides=(step, step))
     return doubled, windows
 
 
@@ -241,10 +258,10 @@ def _doubled(code: LiftedLdpcCode, bits: np.ndarray) -> tuple[np.ndarray, np.nda
 def _check_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
     """(max degree, rows) ``_doubled`` window offsets of every edge, row by row.
 
-    Rows shorter than the longest are padded with the zero block's offset.
+    Rows shorter than the longest are padded with the padding block's offset.
     """
     code = build_code(bg, Zc)
-    # the zero block sits after N_full / Zc doubled blocks, at 2 * N_full
+    # the padding block sits after N_full / Zc doubled blocks, at 2 * N_full
     starts = np.full((max(map(len, code.rows)), len(code.rows)), 2 * code.N_full,
                      dtype=np.intp)
     for r, row in enumerate(code.rows):
@@ -322,7 +339,8 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
     for r in range(3):
         doubled[kb + r + 1] = np.bitwise_xor.reduce(windows[checks[:, r]], axis=0)
     # Each extension row reads the core and its own, still zero, block.
-    doubled[kb + 4:-1] = np.bitwise_xor.reduce(windows[checks[:, 4:]], axis=0)[:, None]
+    ext = checks[:code.extension_degree, 4:]
+    doubled[kb + 4:-1] = np.bitwise_xor.reduce(windows[ext], axis=0)[:, None]
     return Codeword(bits=doubled[:-1, 0].reshape(-1), code=code)
 
 
@@ -336,7 +354,11 @@ def parity_check(code: LiftedLdpcCode, bits: np.ndarray) -> bool:
     if bits.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} bits")
     _, windows = _doubled(code, bits)
-    return not np.bitwise_xor.reduce(windows[_check_windows(code.bg, code.Zc)], axis=0).any()
+    checks = _check_windows(code.bg, code.Zc)
+    # the extension rows need not read the core rows' longer padding
+    return not (np.bitwise_xor.reduce(windows[checks[:, :4]], axis=0).any()
+                or np.bitwise_xor.reduce(windows[checks[:code.extension_degree, 4:]],
+                                         axis=0).any())
 
 
 @dataclass(frozen=True)
@@ -466,30 +488,91 @@ def check_node_update(llrs: np.ndarray) -> np.ndarray:
     return out[:, 0].astype(np.int8)
 
 
+def _dead_step(q: np.ndarray, out: np.ndarray) -> None:
+    """Write the posterior of a run of dead blocks from their rows' edges ``q``.
+
+    ``q`` is (degree, lanes) and reads +127, which is never below a real
+    |q| and is positive, on each row's own block and padding. ``out`` gets
+    each lane's sign product times max(min |q| - offset, 0).
+    """
+    sign = np.bitwise_xor.reduce(q, axis=0)
+    np.right_shift(sign, _SIGN_SHIFT, out=sign)
+    np.abs(q, out=q)
+    np.minimum.reduce(q, axis=0, out=out)
+    np.subtract(out, OFFSET_RAW, out=out)
+    np.maximum(out, 0, out=out)
+    np.bitwise_xor(out, sign, out=out)
+    np.subtract(out, sign, out=out)
+
+
 def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     """Row-layered offset min-sum decode of one codeword, at most MAX_ITERATIONS.
 
-    ``channel_llrs`` are raw SoftLlr values (positive favors bit 1). The
-    working messages are kept in the opposite orientation so the classic
-    sign-product rule applies; they saturate at +/-127 (8-bit signed, 2
-    fractional bits). A zero posterior is decided as bit 1, so an all-zero
-    input does not pass off as the all-zero codeword. Base rows are
-    updated in order, column-disjoint neighbours together (``_layers``).
+    ``channel_llrs`` are raw SoftLlr values: integers in [-31, 31], positive
+    favoring bit 1; anything else raises ValueError. The working messages
+    are kept in the opposite orientation so the classic sign-product rule
+    applies; they saturate at +/-127 (8-bit signed, 2 fractional bits). A
+    zero posterior is decided as bit 1, so an all-zero input does not pass
+    off as the all-zero codeword. Base rows are updated in order,
+    column-disjoint neighbours together (``_layers``).
+
+    An extension row r >= 4 is dead when the posterior of its own block
+    kb + r is all zero at entry, as when rate matching never sent that
+    block. Each maximal run of layers whose rows are all dead is one step
+    (``_dead_step``), which gives exactly what the row-by-row update gives:
+
+    1. ``build_code`` checks that block kb + r is read only by row r, at
+       shift 0.
+    2. That block's posterior starts at 0. At every visit its edge reads
+       q = post - msg = 0, because the last visit set post = clip(0 + m)
+       = m, as |m| <= 125.
+    3. With |q| = 0 on that edge, every other edge of row r gets the
+       message max(0 - offset, 0) = 0, so the row changes no other column.
+    4. A run of dead layers therefore reads one posterior state. At its
+       place in the schedule it reads each row's other edges through
+       ``_check_windows`` and writes post = sign product x
+       max(min |q| - offset, 0) to the dead blocks.
+
+    Live layers, including ones that merge a live and a dead row, run as
+    before; only they keep messages.
     """
     llr = np.asarray(channel_llrs)
     if llr.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} LLRs")
-    layers = _layers(code.bg, code.Zc)
+    if llr.dtype.kind not in "iu" or (llr.size and not (
+            -LLR_RAW_MAX <= llr.min() and llr.max() <= LLR_RAW_MAX)):
+        raise ValueError(f"channel LLRs must be integers in [-{LLR_RAW_MAX}, {LLR_RAW_MAX}]")
+    Zc = code.Zc
+    core = (code.systematic_cols + 4) * Zc
 
     # internal orientation: positive favors bit 0; the last entry is the sentinel
     post = np.empty(code.N_full + 1, dtype=np.int16)
     post[:-1] = llr
     np.negative(post, out=post)
     post[-1] = DECODER_LLR_MAX
-    msgs = [np.zeros(layer.idx.shape, dtype=np.int16) for layer in layers]
+    dead_post = post[core:-1]  # blocks kb + 4 on, one per extension row
+    live = {0, 1, 2, 3}.union(4 + np.flatnonzero(dead_post.reshape(-1, Zc).any(axis=1)))
+    steps: list = []  # live layers, and (window offsets, posterior) of each dead run
+    for dead, run in groupby(_layers(code.bg, Zc), key=lambda l: live.isdisjoint(l.rows)):
+        if not dead:
+            steps.extend(run)
+            continue
+        rows = [r for layer in run for r in layer.rows]
+        degree = max(len(code.rows[r]) for r in rows)
+        starts = _check_windows(code.bg, Zc)[:degree, rows[0]:rows[-1] + 1]
+        steps.append((starts, dead_post[(rows[0] - 4) * Zc:(rows[-1] - 3) * Zc]))
+    # dead runs read the core through windows; every block past it reads +127
+    doubled, windows = _doubled(code, post[:core], DECODER_LLR_MAX)
+    msgs = [np.zeros(s.idx.shape, dtype=np.int16) if isinstance(s, _Layer) else None
+            for s in steps]
     hard_prev = None
     for it in range(1, MAX_ITERATIONS + 1):
-        for i, layer in enumerate(layers):
+        for i, layer in enumerate(steps):
+            if msgs[i] is None:
+                starts, out = layer
+                doubled[:core // Zc] = post[:core].reshape(-1, 1, Zc)
+                _dead_step(windows[starts].reshape(len(starts), -1), out)
+                continue
             hi, lo = layer.rails
             q = post[layer.idx]
             np.subtract(q, msgs[i], out=q)

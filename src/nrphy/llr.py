@@ -24,9 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError
-from .ldpc import as_bits
+from .ldpc import LLR_RAW_MAX, as_bits
 
-LLR_RAW_MAX = 31
 LLR_SCALE = 4  # raw units per unit LLR (2 fractional bits)
 
 SYMBOL_FRAC_BITS = 12

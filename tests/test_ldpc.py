@@ -10,10 +10,12 @@ import pytest
 from nrphy.errors import ConfigError
 from nrphy.ldpc import (
     LIFTING_SETS,
+    MAX_ITERATIONS,
     BaseGraphId,
     InfoBlock,
     TerminationReason,
     _layers,
+    _min_sum_messages,
     build_code,
     check_node_update,
     choose_base_graph,
@@ -21,6 +23,14 @@ from nrphy.ldpc import (
     ldpc_encode,
     parity_check,
     select_lifting,
+)
+from nrphy.rate_adapt import (
+    HarqBufferPool,
+    RateMatchConfig,
+    buffer_filler_range,
+    materialize_decoder_input,
+    rate_match,
+    rate_unmatch_combine,
 )
 
 
@@ -416,6 +426,118 @@ class TestDecoder:
                         assert np.array_equal(res.hard_bits, info.bits)
                         trials += 1
         assert trials >= 100
+
+
+def reference_decode(code, llr):
+    """The in-order layered loop: every layer is updated in every iteration.
+
+    Returns (hard bits, iterations, termination reason). The syndrome is
+    taken from the layers' own element indices, not from ``parity_check``.
+    """
+    layers = _layers(code.bg, code.Zc)
+    post = np.empty(code.N_full + 1, dtype=np.int16)
+    post[:-1] = -np.asarray(llr, dtype=np.int16)
+    post[-1] = 127
+    msgs = [np.zeros(layer.idx.shape, dtype=np.int16) for layer in layers]
+    hard_prev = None
+    for it in range(1, MAX_ITERATIONS + 1):
+        for i, layer in enumerate(layers):
+            q = np.clip(post[layer.idx] - msgs[i], -127, 127)
+            msgs[i] = _min_sum_messages(q, layer.real, layer.edge, layer.lanes)
+            post[layer.idx] = np.clip(q + msgs[i], -127, 127)
+        hard = (post <= 0).astype(np.uint8)
+        hard[-1] = 0  # the sentinel reads as a zero bit
+        if not any(np.bitwise_xor.reduce(hard[layer.idx], axis=0).any() for layer in layers):
+            return hard[:code.K], it, TerminationReason.PARITY_SATISFIED
+        if hard_prev is not None and np.array_equal(hard, hard_prev):
+            return hard[:code.K], it, TerminationReason.DECISIONS_STABLE
+        hard_prev = hard
+    return hard[:code.K], MAX_ITERATIONS, TerminationReason.MAX_ITERATIONS
+
+
+def assert_decodes_like_reference(code, llr, label):
+    res = ldpc_decode(code, llr)
+    bits, iterations, reason = reference_decode(code, llr)
+    assert np.array_equal(res.hard_bits, bits), label
+    assert (res.iterations_used, res.termination_reason) == (iterations, reason), label
+
+
+def zero_extension_blocks(code, llr, rows):
+    """Zero the own block kb + r of each extension row r, as if never sent."""
+    Zc, kb = code.Zc, code.systematic_cols
+    for r in rows:
+        llr[(kb + r) * Zc:(kb + r + 1) * Zc] = 0
+    return llr
+
+
+class TestDeadExtensionRows:
+    """``ldpc_decode`` skips rows whose own block has zero LLRs; the
+    in-order layered loop (``reference_decode``) is the oracle."""
+
+    @pytest.mark.parametrize("bg", list(BaseGraphId), ids=lambda bg: bg.name)
+    def test_zeroed_extension_blocks_every_lifting_set(self, bg):
+        rng = np.random.default_rng(30 + bg.value)
+        n_rows = len(build_code(bg, 2).rows)
+        ext = np.arange(4, n_rows)
+        for zs in LIFTING_SETS:
+            for Zc in sorted({zs[0], zs[len(zs) // 2], zs[-1]}):
+                code = build_code(bg, Zc)
+                cut = int(rng.integers(5, n_rows))
+                patterns = {
+                    "tail": range(cut, n_rows),  # rv 0 at a high rate: one run
+                    "odd": ext[1::2],  # every merged layer mixes a live and a dead row
+                    "random": ext[rng.random(ext.size) < 0.5],  # interleaved runs
+                    "all": ext,
+                }
+                for name, rows in patterns.items():
+                    _, cw = random_codeword(code, rng)
+                    amp, sigma = GOLDEN_DECODE_POINTS[int(rng.integers(1, 6))]
+                    noisy = amp * (2.0 * cw.bits - 1.0) + sigma * rng.standard_normal(code.N_full)
+                    llr = np.clip(np.rint(noisy), -31, 31).astype(np.int8)
+                    if rng.random() < 0.5:
+                        llr[:2 * Zc] = 0  # punctured head
+                    zero_extension_blocks(code, llr, rows)
+                    assert_decodes_like_reference(code, llr, f"{bg.name} Zc={Zc} {name}")
+
+    @pytest.mark.parametrize("bg", list(BaseGraphId), ids=lambda bg: bg.name)
+    def test_ties_rails_and_all_zero_input(self, bg):
+        rng = np.random.default_rng(40 + bg.value)
+        n_rows = len(build_code(bg, 2).rows)
+        for Zc in (2, 15, 52, 384):
+            code = build_code(bg, Zc)
+            assert_decodes_like_reference(code, np.zeros(code.N_full, np.int8),
+                                          f"{bg.name} Zc={Zc} all-zero")
+            for values in ((-31, 31), (-1, 0, 1), (-31, -2, -1, 0, 1, 2, 31)):
+                llr = rng.choice(np.array(values, np.int8), code.N_full)
+                rows = np.arange(4, n_rows)[rng.random(n_rows - 4) < 0.5]
+                zero_extension_blocks(code, llr, rows)
+                assert_decodes_like_reference(code, llr, f"{bg.name} Zc={Zc} {values}")
+
+    @pytest.mark.parametrize("k_prime, rate, e_r", [
+        (8448, 2 / 3, 12672),  # the benchmark point, BG1 Zc=384
+        (192, 0.75, 256),  # the HARQ study point, BG2 Zc=24
+        (1000, 0.5, 2000),  # BG2 Zc=104 with filler bits
+    ])
+    def test_rate_matched_rv0_to_rv3_and_combined(self, k_prime, rate, e_r):
+        rng = np.random.default_rng(k_prime)
+        bg = choose_base_graph(k_prime, rate)
+        Zc, _, K, filler = select_lifting(bg, k_prime)
+        code = build_code(bg, Zc)
+        _, cw = random_codeword(code, rng, filler)
+        fillers = buffer_filler_range(code, filler)
+        pool = HarqBufferPool()
+        for n, rv in enumerate((0, 2, 3, 1)):
+            cfg = RateMatchConfig(E_r=e_r, rv=rv, Q_m=2)
+            sent = rate_match(cw, fillers, cfg)
+            noisy = 4.0 * (2.0 * sent - 1.0) + 8.0 * rng.standard_normal(sent.size)
+            llrs = np.clip(np.rint(noisy), -31, 31).astype(np.int8)
+            alone = pool.acquire(1, True, code, filler)
+            rate_unmatch_combine(alone, llrs, cfg)
+            assert_decodes_like_reference(code, materialize_decoder_input(alone), f"rv {rv}")
+            combined = pool.acquire(0, n == 0, code, filler)
+            rate_unmatch_combine(combined, llrs, cfg)
+            assert_decodes_like_reference(code, materialize_decoder_input(combined),
+                                          f"rounds up to rv {rv}")
 
 
 def golden_decode_lines():
