@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import groupby
 
@@ -94,7 +94,7 @@ class LiftedLdpcCode:
     def systematic_cols(self) -> int:
         return self.K // self.Zc
 
-    @property
+    @cached_property
     def extension_degree(self) -> int:
         """Largest degree of the extension rows (4 on), below the core rows' degree."""
         return max(map(len, self.rows[4:]))
@@ -246,8 +246,9 @@ def _doubled(code: LiftedLdpcCode, values: np.ndarray,
     reads the padding.
     """
     Zc = code.Zc
-    doubled = np.full((code.N_full // Zc + 1, 2, Zc), fill, dtype=values.dtype)
+    doubled = np.empty((code.N_full // Zc + 1, 2, Zc), dtype=values.dtype)
     doubled[:values.size // Zc] = values.reshape(-1, 1, Zc)
+    doubled[values.size // Zc:] = fill
     step = doubled.itemsize
     windows = np.ndarray((doubled.size - Zc + 1, Zc), doubled.dtype, doubled,
                          strides=(step, step))

@@ -467,7 +467,6 @@ def zero_extension_blocks(code, llr, rows):
     Zc, kb = code.Zc, code.systematic_cols
     for r in rows:
         llr[(kb + r) * Zc:(kb + r + 1) * Zc] = 0
-    return llr
 
 
 class TestDeadExtensionRows:
@@ -521,7 +520,7 @@ class TestDeadExtensionRows:
     def test_rate_matched_rv0_to_rv3_and_combined(self, k_prime, rate, e_r):
         rng = np.random.default_rng(k_prime)
         bg = choose_base_graph(k_prime, rate)
-        Zc, _, K, filler = select_lifting(bg, k_prime)
+        Zc, _, _, filler = select_lifting(bg, k_prime)
         code = build_code(bg, Zc)
         _, cw = random_codeword(code, rng, filler)
         fillers = buffer_filler_range(code, filler)
