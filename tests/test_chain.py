@@ -13,6 +13,7 @@ from nrphy.errors import ConfigError, PoolExhaustedError, UnknownProcessError
 from nrphy.harness import (
     ChainConfig,
     decode_chain,
+    decode_chain_from_llrs,
     encode_chain,
     run_bler_sweep,
     run_harq_link,
@@ -20,8 +21,10 @@ from nrphy.harness import (
     run_throughput_bench,
 )
 from nrphy.harness.config import load_config, parse_config_text
-from nrphy.llr import awgn
-from nrphy.rate_adapt import HarqBufferPool
+from nrphy.ldpc import ldpc_decode
+from nrphy.llr import awgn, pack_llr_words
+from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
+from nrphy.scramble import descramble_llrs
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_words.txt")
 HARQ_IR_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "harq_ir.cfg")
@@ -370,3 +373,42 @@ class TestConfigParsing:
 
     def test_default_name(self):
         assert load_config("default") == ChainConfig()
+
+
+def _softllr_readers():
+    """(input length, call) of every public function that takes SoftLlrs."""
+    cfg = ChainConfig(k_prime=100, e_r=256, target_rate=0.5)
+    code, filler = cfg.code()
+
+    def combine(llrs):
+        buf = HarqBufferPool().acquire(0, True, code, filler)
+        rate_unmatch_combine(buf, llrs, RateMatchConfig(E_r=cfg.e_r, rv=0, Q_m=cfg.q_m))
+
+    return {
+        "ldpc_decode": (code.N_full, lambda llrs: ldpc_decode(code, llrs)),
+        "descramble_llrs": (cfg.G, lambda llrs: descramble_llrs(llrs, cfg.identity)),
+        "rate_unmatch_combine": (cfg.e_r, combine),
+        "pack_llr_words": (7, pack_llr_words),
+        "decode_chain_from_llrs": (
+            cfg.G, lambda llrs: decode_chain_from_llrs(cfg, llrs, HarqBufferPool())),
+    }
+
+
+class TestSoftLlrInput:
+    """Every LLR input is a SoftLlr: integers in [-31, 31], or ValueError."""
+
+    @pytest.mark.parametrize("reader", list(_softllr_readers()))
+    @pytest.mark.parametrize("dtype,bad", [
+        (np.float64, 0.9),  # a cast would truncate it to 0
+        (np.int32, 65537),  # a cast would wrap it to 1
+        (np.int64, 261),  # a cast would wrap it to 5
+        (np.int16, 40),
+        (np.int8, -32),
+        (bool, True),
+    ], ids=["float-0.9", "int32-65537", "int64-261", "int16-40", "int8-minus-32", "bool"])
+    def test_non_softllr_rejected(self, reader, dtype, bad):
+        n, call = _softllr_readers()[reader]
+        llrs = np.zeros(n, dtype)
+        llrs[-1] = bad
+        with pytest.raises(ValueError):
+            call(llrs)
