@@ -15,7 +15,7 @@ import numpy as np
 from .. import llr as llr_mod
 from ..errors import ConfigError, PoolExhaustedError, UnknownProcessError
 from ..ldpc import DecodeResult, InfoBlock, ldpc_decode, ldpc_encode
-from ..llr import EqualizedSymbols, PackedWordStream, assert_softllr, pack_bit_words
+from ..llr import EqualizedSymbols, PackedWordStream, pack_bit_words
 from ..rate_adapt import (
     POOL_SLOTS,
     HarqBufferPool,
@@ -90,8 +90,7 @@ def decode_chain_from_llrs(
     With ``release`` false, every block's soft buffer stays bound for a
     later retransmission to combine into.
     """
-    raw = assert_softllr(np.asarray(llrs, dtype=np.int8))
-    if raw.shape != (cfg.G,):
+    if np.shape(llrs) != (cfg.G,):
         raise ValueError(f"expected G = {cfg.G} LLRs")
     if cfg.blocks > POOL_SLOTS and not (release and new_packet):
         # process ids wrap, so a later block would rebind an earlier block's buffer
@@ -101,7 +100,7 @@ def decode_chain_from_llrs(
     rv = cfg.rv_schedule[rv_round % len(cfg.rv_schedule)]
     rm_cfg = RateMatchConfig(E_r=cfg.e_r, rv=rv, Q_m=cfg.q_m)
 
-    descrambled = descramble_llrs(raw, cfg.identity)
+    descrambled = descramble_llrs(llrs, cfg.identity)
     results: list[DecodeResult] = []
     payload = np.empty(cfg.k_prime * cfg.blocks, dtype=np.uint8)
     for b in range(cfg.blocks):
@@ -113,8 +112,7 @@ def decode_chain_from_llrs(
         except (PoolExhaustedError, UnknownProcessError) as exc:
             raise type(exc)(f"block {b}: {exc}") from None
         rate_unmatch_combine(buf, soft, rm_cfg)
-        channel = assert_softllr(materialize_decoder_input(buf))
-        res = ldpc_decode(code, channel)
+        res = ldpc_decode(code, materialize_decoder_input(buf))
         results.append(res)
         payload[b * cfg.k_prime:(b + 1) * cfg.k_prime] = res.hard_bits[: cfg.k_prime]
         if release:

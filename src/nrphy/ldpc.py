@@ -110,6 +110,15 @@ def as_bits(values) -> np.ndarray:
     return bits
 
 
+def as_softllr(values) -> np.ndarray:
+    """``values`` as an int8 array; ValueError unless they are integers in [-31, 31]."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" or (values.size and not (
+            -LLR_RAW_MAX <= values.min() and values.max() <= LLR_RAW_MAX)):
+        raise ValueError(f"SoftLlrs must be integers in [-{LLR_RAW_MAX}, {LLR_RAW_MAX}]")
+    return values.astype(np.int8, copy=False)
+
+
 @dataclass(frozen=True)
 class InfoBlock:
     """K information bits whose trailing ``filler_count`` bits are zero pad."""
@@ -537,12 +546,9 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     Live layers, including ones that merge a live and a dead row, run as
     before; only they keep messages.
     """
-    llr = np.asarray(channel_llrs)
+    llr = as_softllr(channel_llrs)
     if llr.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} LLRs")
-    if llr.dtype.kind not in "iu" or (llr.size and not (
-            -LLR_RAW_MAX <= llr.min() and llr.max() <= LLR_RAW_MAX)):
-        raise ValueError(f"channel LLRs must be integers in [-{LLR_RAW_MAX}, {LLR_RAW_MAX}]")
     Zc = code.Zc
     core = (code.systematic_cols + 4) * Zc
 

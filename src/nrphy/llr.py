@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError
-from .ldpc import LLR_RAW_MAX, as_bits
+from .ldpc import LLR_RAW_MAX, as_bits, as_softllr
 
 LLR_SCALE = 4  # raw units per unit LLR (2 fractional bits)
 
@@ -41,14 +41,6 @@ MODULATION_ORDERS = (2, 4, 6, 8)
 _NORM = {2: math.sqrt(2.0), 4: math.sqrt(10.0), 6: math.sqrt(42.0), 8: math.sqrt(170.0)}
 # Decision-boundary offsets (B, C, D) in multiples of A.
 _OFFSETS = {2: (), 4: (1,), 6: (2, 1), 8: (4, 2, 1)}
-
-
-def assert_softllr(raw: np.ndarray) -> np.ndarray:
-    """Range instrumentation: raw SoftLlrs must stay within [-31, 31]."""
-    raw = np.asarray(raw)
-    if raw.size and int(np.abs(raw).max()) > LLR_RAW_MAX:
-        raise AssertionError("SoftLlr raw value out of [-31, 31]")
-    return raw
 
 
 def quantize(values) -> np.ndarray:
@@ -242,7 +234,7 @@ class PackedWordStream:
 
 def pack_llr_words(llrs: np.ndarray) -> PackedWordStream:
     """4 LLRs per word, lowest byte first, each sign-extended to 8 bits."""
-    raw = assert_softllr(np.asarray(llrs, dtype=np.int8)).tobytes()
+    raw = as_softllr(llrs).tobytes()
     return PackedWordStream.from_bytes(raw + bytes(-len(raw) % 4), KIND_LLRS)
 
 

@@ -19,8 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoolExhaustedError, UnknownProcessError
-from .ldpc import BaseGraphId, Codeword, LiftedLdpcCode
-from .llr import LLR_RAW_MAX
+from .ldpc import LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_softllr
 
 POOL_SLOTS = 16
 
@@ -151,7 +150,7 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchCon
     Positions hit more than once by one transmission (wrap-around
     repetition) accumulate every copy, in arrival order.
     """
-    raw = np.asarray(llrs, dtype=np.int16)
+    raw = as_softllr(llrs)
     if raw.shape != (cfg.E_r,):
         raise ValueError("LLR count must equal E_r")
     code = buffer.code
@@ -163,7 +162,7 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchCon
     # chunk is an exact element-wise saturating add in arrival order.
     for start in range(0, cfg.E_r, cycle):
         pos = idx[start:start + cycle]
-        acc = buf[pos] + raw[start:start + cycle]
+        acc = np.add(buf[pos], raw[start:start + cycle], dtype=np.int16)
         buf[pos] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
 
 

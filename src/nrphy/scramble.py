@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldpc import as_bits
+from .ldpc import as_bits, as_softllr
 
 WARMUP = 1600
 _REG_BITS = 31
@@ -83,6 +83,6 @@ def scramble_bits(bits: np.ndarray, identity: ScramblingIdentity) -> np.ndarray:
 
 def descramble_llrs(llrs: np.ndarray, identity: ScramblingIdentity) -> np.ndarray:
     """Negate LLRs wherever the scrambling bit is 1."""
-    raw = np.asarray(llrs, dtype=np.int8)
+    raw = as_softllr(llrs)
     c = sequence(identity, len(raw))
     return raw * (1 - 2 * c.view(np.int8))

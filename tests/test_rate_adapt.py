@@ -229,6 +229,17 @@ class TestRateUnmatchCombine:
         rate_unmatch_combine(buf, np.array([6, 0], np.int8), cfg)
         assert buf.llrs[0] == 31  # +7.75, clamped
 
+    @pytest.mark.parametrize("add", [-31, 31])
+    def test_saturates_for_every_int8_buffer_value(self, small_code, add):
+        # SoftBuffer.llrs is a public int8 field, so it may hold any int8 value
+        cfg = RateMatchConfig(E_r=small_code.N_cb, rv=0, Q_m=2)
+        for start in range(-128, 128, small_code.N_cb):
+            buf = HarqBufferPool().acquire(0, True, small_code, 0)
+            held = np.arange(start, start + small_code.N_cb).clip(-128, 127).astype(np.int8)
+            buf.llrs[:] = held
+            rate_unmatch_combine(buf, np.full(cfg.E_r, add, np.int8), cfg)
+            assert np.array_equal(buf.llrs, np.clip(held.astype(int) + add, -31, 31))
+
     def test_two_rv_combining_matches_scatter_oracle(self, small_codeword):
         code = small_codeword.code
         rng = np.random.default_rng(8)
