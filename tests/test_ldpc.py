@@ -323,6 +323,17 @@ class TestCheckNodeUpdate:
         with pytest.raises(ValueError):
             check_node_update(np.ones(deg, np.int8))
 
+    @pytest.mark.parametrize("llrs", [
+        np.array([0.7, 8.9, 12.2]),  # a cast would read the 0.7 as 0
+        np.array([40000, 10, -6], np.int32),  # a cast would wrap 40000
+        np.array([128, 10, -6], np.int16),
+        np.array([-129, 10, -6], np.int64),
+        np.array([True, False, True]),
+    ], ids=["float", "int32-40000", "int16-128", "int64-minus-129", "bool"])
+    def test_non_int8_input_rejected(self, llrs):
+        with pytest.raises(ValueError):
+            check_node_update(llrs)
+
 
 class TestLayers:
     @pytest.mark.parametrize("bg, merged", [(BaseGraphId.BG1, 32), (BaseGraphId.BG2, 28)])
