@@ -486,13 +486,16 @@ def check_node_update(llrs: np.ndarray) -> np.ndarray:
     """Extrinsic min-sum messages for one check node.
 
     Edge i gets magnitude max(0, min_{j != i} |llr_j| - 0.5) and the
-    product of the other edges' signs. Inputs and outputs are raw SoftLlr
-    integers (quarter-LLR units).
+    product of the other edges' signs. Inputs and outputs are raw integers
+    in quarter-LLR units; inputs may span the decoder's int8 messages, and
+    a non-integer or a value outside int8 raises ValueError.
     """
-    raw = np.asarray(llrs, dtype=np.int16)
+    raw = np.asarray(llrs)
     if not 2 <= raw.size <= 1 << _EDGE_BITS:
         raise ValueError(f"check node needs 2 to {1 << _EDGE_BITS} edges")
-    q = raw[:, None]
+    if raw.dtype.kind not in "iu" or not (-128 <= raw.min() and raw.max() <= 127):
+        raise ValueError("check node LLRs must be integers in [-128, 127]")
+    q = raw.astype(np.int16)[:, None]
     edge = np.arange(raw.size, dtype=np.int16)[:, None]
     out = _min_sum_messages(q, np.ones_like(q), edge, np.zeros(1, np.intp))
     return out[:, 0].astype(np.int8)
