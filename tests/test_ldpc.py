@@ -277,6 +277,17 @@ class TestParityCheck:
             mutated[i] ^= 1
             assert not parity_check(code, mutated), f"flip at {i} undetected"
 
+    @pytest.mark.parametrize("fill", [
+        0.7,  # a cast would read it as 0
+        256,  # a cast would wrap it to 0
+        np.uint8(2),
+        -1,
+    ], ids=["float-0.7", "int-256", "uint8-2", "int-minus-1"])
+    def test_non_binary_bits_rejected(self, fill):
+        code = build_code(BaseGraphId.BG2, 2)
+        with pytest.raises(ValueError):
+            parity_check(code, np.full(code.N_full, fill))
+
 
 def brute_force_check_node(raws, offset_raw=2):
     """Definition-level re-implementation used as the oracle."""
