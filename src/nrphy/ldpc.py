@@ -359,8 +359,8 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
 # ---------------------------------------------------------------------------
 
 def parity_check(code: LiftedLdpcCode, bits: np.ndarray) -> bool:
-    """True iff every lifted parity row XORs to zero."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    """True iff every lifted parity row XORs to zero; ValueError unless bits are 0 or 1."""
+    bits = as_bits(bits)
     if bits.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} bits")
     _, windows = _doubled(code, bits)
