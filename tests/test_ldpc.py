@@ -15,7 +15,6 @@ from nrphy.ldpc import (
     InfoBlock,
     TerminationReason,
     _layers,
-    _min_sum_messages,
     build_code,
     check_node_update,
     choose_base_graph,
@@ -450,6 +449,22 @@ class TestDecoder:
         assert trials >= 100
 
 
+def reference_min_sum(q, real, offset_raw=2):
+    """Offset min-sum messages of a (degree, lanes) block, from the definition.
+
+    The first minimum edge of a lane gets its second-smallest |q|, every
+    other edge the smallest, less the offset; an edge's sign is the parity
+    of the other edges' negative signs; padding edges (``real`` 0) get 0.
+    """
+    mag = np.abs(q)
+    min1, min2 = np.sort(mag, axis=0)[:2]
+    out = np.repeat(min1[None], len(q), axis=0)
+    out[np.argmin(mag, axis=0), np.arange(q.shape[1])] = min2
+    negative = q < 0
+    flip = (negative.sum(axis=0) - negative) % 2
+    return np.where(flip, -1, 1) * np.maximum(out - offset_raw, 0) * real
+
+
 def reference_decode(code, llr):
     """The in-order layered loop: every layer is updated in every iteration.
 
@@ -465,7 +480,7 @@ def reference_decode(code, llr):
     for it in range(1, MAX_ITERATIONS + 1):
         for i, layer in enumerate(layers):
             q = np.clip(post[layer.idx] - msgs[i], -127, 127)
-            msgs[i] = _min_sum_messages(q, layer.real, layer.edge, layer.lanes)
+            msgs[i] = reference_min_sum(q, layer.real)
             post[layer.idx] = np.clip(q + msgs[i], -127, 127)
         hard = (post <= 0).astype(np.uint8)
         hard[-1] = 0  # the sentinel reads as a zero bit
