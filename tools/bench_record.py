@@ -14,7 +14,8 @@ config). These settings are fixed so that every record compares with
 the earlier ones. ``--checkout`` measures another tree (say, a clone of
 the parent commit) with this script; the file is written here. Runs are
 sequential, one process at a time. ``--against`` prints each end-to-end
-median as a ratio to an earlier BENCH file.
+median as a ratio to an earlier BENCH file and marks every ratio that is
+worse than the metric's bound in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -115,14 +116,29 @@ def record(args) -> dict:
     }
 
 
+def end_to_end_bounds() -> dict:
+    """Metric name -> (``better``, ``bound``) from the end-to-end list of BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def worse_than_bound(ratio: float, better: str, bound: float) -> bool:
+    """True if new/old ``ratio`` is worse than the parent's value by more than ``bound``."""
+    return ratio < 1 - bound if better == "higher" else ratio > 1 + bound
+
+
 def print_ratios(new: dict, old: dict) -> None:
     print(f"ratios BENCH_{new['label']} / BENCH_{old['label']} (end-to-end medians)")
+    bounds = end_to_end_bounds()
     for workload, cur in new["end_to_end"].items():
         for name, metric in cur["metrics"].items():
             base = old["end_to_end"][workload]["metrics"][name]["median"]
             ratio = metric["median"] / base if base else float("nan")
+            mark = ""
+            if name in bounds and worse_than_bound(ratio, *bounds[name]):
+                mark = f"  WORSE than the {bounds[name][1]:g} bound"
             print(f"  {workload:10s} {name:12s} {base:12.6g} -> {metric['median']:12.6g}"
-                  f"  {ratio:6.3f}x")
+                  f"  {ratio:6.3f}x{mark}")
     for blocks, cur in new["nrphy_bench"].items():
         base = old["nrphy_bench"][blocks]["median_mbps"]
         print(f"  nrphy bench {blocks} blocks  {base:.4g} -> {cur['median_mbps']:.4g} Mbps"
