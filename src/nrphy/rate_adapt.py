@@ -159,7 +159,8 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchCon
     buf = buffer.llrs
     cycle = code.N_cb - len(buffer.filler_range)
     # Within one pass over the buffer every position is unique, so each
-    # chunk is an exact element-wise saturating add in arrival order.
+    # chunk is an exact element-wise saturating add in arrival order. The
+    # sum is int16, so any int8 the public buffer holds saturates too.
     for start in range(0, cfg.E_r, cycle):
         pos = idx[start:start + cycle]
         acc = np.add(buf[pos], raw[start:start + cycle], dtype=np.int16)

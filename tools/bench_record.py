@@ -123,7 +123,7 @@ def end_to_end_bounds() -> dict:
 
 
 def worse_than_bound(ratio: float, better: str, bound: float) -> bool:
-    """True if new/old ``ratio`` is worse than the parent's value by more than ``bound``."""
+    """True if the new/old ``ratio`` is worse than 1 by more than ``bound``."""
     return ratio < 1 - bound if better == "higher" else ratio > 1 + bound
 
 
