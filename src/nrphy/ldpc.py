@@ -17,11 +17,14 @@ consecutive rows sharing no column as one block; its layers are the only
 table of element indices. Extension rows whose own parity block arrives
 with zero LLRs, because rate matching never sent it, change no other bit;
 each run of them is one step that reads the core through the same
-windows, bit-exact with the row-by-row update.
+windows, bit-exact with the row-by-row update. Each live layer is one
+call into the compiled kernel of ``_native`` where it can be built, and
+the NumPy layer body, its oracle, otherwise.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +34,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigError
 
 # Table of valid lifting sizes, one tuple per lifting set index.
@@ -101,8 +105,10 @@ class LiftedLdpcCode:
 
 
 def as_bits(values) -> np.ndarray:
-    """``values`` as a uint8 array; ValueError if any value is not 0 or 1."""
+    """``values`` as a 1-D uint8 array; ValueError if any value is not 0 or 1."""
     values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"bits must be 1-D, not {values.ndim}-D")
     bits = values.astype(np.uint8, copy=False)
     cast_exactly = bits is values or np.array_equal(bits, values)
     if not cast_exactly or (bits.size and bits.max() > 1):
@@ -111,8 +117,10 @@ def as_bits(values) -> np.ndarray:
 
 
 def as_softllr(values) -> np.ndarray:
-    """``values`` as an int8 array; ValueError unless they are integers in [-31, 31]."""
+    """``values`` as a 1-D int8 array; ValueError unless they are integers in [-31, 31]."""
     values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"SoftLlrs must be 1-D, not {values.ndim}-D")
     if values.dtype.kind not in "iu" or (values.size and not (
             -LLR_RAW_MAX <= values.min() and values.max() <= LLR_RAW_MAX)):
         raise ValueError(f"SoftLlrs must be integers in [-{LLR_RAW_MAX}, {LLR_RAW_MAX}]")
@@ -392,6 +400,7 @@ class _Layer:
     # (2, degree, lanes) int16, +127 then -127: NumPy's minimum and maximum
     # run several times slower against a scalar than against an array
     rails: np.ndarray
+    pointers: tuple[ctypes.c_void_p, ctypes.c_void_p]  # idx and real, for the kernel
 
 
 @lru_cache(maxsize=None)
@@ -426,8 +435,11 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
         edge = np.broadcast_to(np.arange(degree, dtype=np.int16)[:, None], shape).copy()
         rails = np.empty((2, *shape), dtype=np.int16)
         rails[0], rails[1] = DECODER_LLR_MAX, -DECODER_LLR_MAX
-        layer = _Layer(rows=tuple(rows), idx=idx, real=(idx != code.N_full).astype(np.int16),
-                       edge=edge, lanes=np.arange(shape[1]), rails=rails)
+        real = (idx != code.N_full).astype(np.int16)
+        layer = _Layer(rows=tuple(rows), idx=idx, real=real, edge=edge,
+                       lanes=np.arange(shape[1]), rails=rails,
+                       pointers=(ctypes.c_void_p(idx.ctypes.data),
+                                 ctypes.c_void_p(real.ctypes.data)))
         for arr in (layer.idx, layer.real, layer.edge, layer.lanes, layer.rails):
             arr.flags.writeable = False
         layers.append(layer)
@@ -496,8 +508,15 @@ def check_node_update(llrs: np.ndarray) -> np.ndarray:
     if raw.dtype.kind not in "iu" or not (-128 <= raw.min() and raw.max() <= 127):
         raise ValueError("check node LLRs must be integers in [-128, 127]")
     q = raw.astype(np.int16)[:, None]
-    edge = np.arange(raw.size, dtype=np.int16)[:, None]
-    out = _min_sum_messages(q, np.ones_like(q), edge, np.zeros(1, np.intp))
+    real = np.ones_like(q)
+    lib = _native.library()
+    if lib is None:
+        edge = np.arange(raw.size, dtype=np.int16)[:, None]
+        out = _min_sum_messages(q, real, edge, np.zeros(1, np.intp))
+    else:
+        out = np.empty_like(q)
+        lib.check_node(q.ctypes.data, out.ctypes.data, real.ctypes.data,
+                       np.empty(4, np.int16).ctypes.data, raw.size, 1)
     return out[:, 0].astype(np.int8)
 
 
@@ -547,7 +566,8 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
        max(min |q| - offset, 0) to the dead blocks.
 
     Live layers, including ones that merge a live and a dead row, run as
-    before; only they keep messages.
+    before; only they keep messages. Each is one call into the compiled
+    kernel (``_native``) where it can be built, else the NumPy body.
     """
     llr = as_softllr(channel_llrs)
     if llr.shape != (code.N_full,):
@@ -575,6 +595,18 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     doubled, windows = _doubled(code, post[:core], DECODER_LLR_MAX)
     msgs = [np.zeros(s.idx.shape, dtype=np.int16) if isinstance(s, _Layer) else None
             for s in steps]
+    lib = _native.library()
+    if lib is not None:
+        # one kernel call per live layer, all sharing one q block and one work area
+        shapes = [m.shape for m in msgs if m is not None]
+        scratch = np.empty(max(d * n for d, n in shapes), dtype=np.int16)
+        work = np.empty(4 * max(n for _, n in shapes), dtype=np.int16)
+        post_p, scratch_p, work_p = (ctypes.c_void_p(a.ctypes.data)
+                                     for a in (post, scratch, work))
+        calls = [None if m is None else
+                 (post_p, s.pointers[0], scratch_p, ctypes.c_void_p(m.ctypes.data),
+                  s.pointers[1], work_p, *m.shape)
+                 for s, m in zip(steps, msgs)]
     hard_prev = None
     for it in range(1, MAX_ITERATIONS + 1):
         for i, layer in enumerate(steps):
@@ -582,6 +614,9 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
                 starts, out = layer
                 doubled[:core // Zc] = post[:core].reshape(-1, 1, Zc)
                 _dead_step(windows[starts].reshape(len(starts), -1), out)
+                continue
+            if lib is not None:
+                lib.layer(*calls[i])
                 continue
             hi, lo = layer.rails
             q = post[layer.idx]

@@ -2,11 +2,14 @@
 
 import hashlib
 import os
+import shlex
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from nrphy import _native
 from nrphy.errors import ConfigError
 from nrphy.ldpc import (
     LIFTING_SETS,
@@ -15,6 +18,8 @@ from nrphy.ldpc import (
     InfoBlock,
     TerminationReason,
     _layers,
+    as_bits,
+    as_softllr,
     build_code,
     check_node_update,
     choose_base_graph,
@@ -85,6 +90,25 @@ def reference_encode(code, bits):
 
 def max_conf_llrs(bits):
     return np.where(np.asarray(bits) == 1, 31, -31).astype(np.int8)
+
+
+class OnDecoderPath:
+    """Runs a class's tests with the decoder forced onto ``path``.
+
+    "native" is the compiled layer kernel, whose tests skip only on a host
+    with no C compiler at all (a compiler that fails the build fails them);
+    a subclass with ``path = "numpy"`` runs the same tests on the NumPy
+    layer body.
+    """
+
+    path = "native"
+
+    @pytest.fixture(autouse=True)
+    def _force_path(self, monkeypatch):
+        if self.path == "native" and shutil.which(
+                shlex.split(os.environ.get("CC") or "cc")[0]) is None:
+            pytest.skip("no C compiler on this host")
+        monkeypatch.setenv(_native.DECODER_ENV, self.path)
 
 
 class TestBaseGraphSelection:
@@ -262,6 +286,19 @@ class TestEncoder:
             InfoBlock(bits, 0)
 
 
+class TestInputShape:
+    @pytest.mark.parametrize("convert", [as_bits, as_softllr], ids=["bits", "softllrs"])
+    @pytest.mark.parametrize("values", [np.zeros((4, 1), np.int8), np.int8(0)],
+                             ids=["column", "scalar"])
+    def test_non_1d_rejected(self, convert, values):
+        with pytest.raises(ValueError, match="1-D"):
+            convert(values)
+
+    def test_2d_info_block_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            InfoBlock(np.zeros((2, 10), np.uint8), 0)
+
+
 class TestParityCheck:
     def test_all_zero_passes(self):
         code = build_code(BaseGraphId.BG2, 4)
@@ -303,7 +340,7 @@ def brute_force_check_node(raws, offset_raw=2):
     return np.array(out, dtype=np.int8)
 
 
-class TestCheckNodeUpdate:
+class TestCheckNodeUpdate(OnDecoderPath):
     def test_worked_example(self):
         # magnitudes 2.0, 0.75, 3.0 (raw 8, 3, 12), all positive
         out = check_node_update(np.array([8, 3, 12], np.int8))
@@ -343,6 +380,10 @@ class TestCheckNodeUpdate:
     def test_non_int8_input_rejected(self, llrs):
         with pytest.raises(ValueError):
             check_node_update(llrs)
+
+
+class TestCheckNodeUpdateNumpy(TestCheckNodeUpdate):
+    path = "numpy"
 
 
 class TestLayers:
@@ -506,7 +547,7 @@ def zero_extension_blocks(code, llr, rows):
         llr[(kb + r) * Zc:(kb + r + 1) * Zc] = 0
 
 
-class TestDeadExtensionRows:
+class TestDeadExtensionRows(OnDecoderPath):
     """``ldpc_decode`` skips rows whose own block has zero LLRs; the
     in-order layered loop (``reference_decode``) is the oracle."""
 
@@ -576,6 +617,10 @@ class TestDeadExtensionRows:
                                           f"rounds up to rv {rv}")
 
 
+class TestDeadExtensionRowsNumpy(TestDeadExtensionRows):
+    path = "numpy"
+
+
 def golden_decode_lines():
     """One line per seeded noisy decode: bg, Zc, iterations, reason, hard-bit hash.
 
@@ -598,13 +643,17 @@ def golden_decode_lines():
                            f"{res.termination_reason.value} {digest}\n")
 
 
-class TestGoldenDecodes:
+class TestGoldenDecodes(OnDecoderPath):
     def test_recorded_decodes_reproduce(self):
         with open(GOLDEN_DECODES_PATH) as fh:
             recorded = fh.readlines()
         reasons = Counter(line.split()[3] for line in recorded)
         assert all(reasons[r.value] >= 5 for r in TerminationReason), reasons
         assert list(golden_decode_lines()) == recorded
+
+
+class TestGoldenDecodesNumpy(TestGoldenDecodes):
+    path = "numpy"
 
 
 if __name__ == "__main__":

@@ -418,6 +418,15 @@ class TestPacking:
         with pytest.raises(ValueError):
             pack_bit_words(np.array(bits))
 
+    @pytest.mark.parametrize("pack, values", [
+        (pack_llr_words, np.ones((3, 3), np.int8)),  # would flatten into 3 words
+        (pack_llr_words, np.int8(5)),
+        (pack_bit_words, np.ones((4, 8), np.uint8)),
+    ], ids=["llr-2-D", "llr-scalar", "bit-2-D"])
+    def test_non_1d_input_rejected(self, pack, values):
+        with pytest.raises(ValueError, match="1-D"):
+            pack(values)
+
     def test_33rd_bit_starts_new_word(self):
         bits = np.zeros(33, np.uint8)
         bits[32] = 1

@@ -104,6 +104,11 @@ class TestScrambleBits:
             scramble_bits(np.array(bits), ScramblingIdentity(31, 1, 900))
 
 
+    def test_non_1d_bits_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            scramble_bits(np.zeros((4, 2), np.uint8), ScramblingIdentity(31, 1, 900))
+
+
 class TestDescrambleLlrs:
     def test_sign_flip_where_bit_set(self):
         ident = ScramblingIdentity(3, 0, 3)
@@ -134,6 +139,15 @@ class TestDescrambleLlrs:
         lhs = (descramble_llrs(raw, ident) > 0).astype(np.uint8)
         rhs = scramble_bits((raw > 0).astype(np.uint8), ident)[: len(raw)]
         assert np.array_equal(lhs, rhs)
+
+    @pytest.mark.parametrize("llrs", [
+        np.ones((5, 1), np.int8),  # would broadcast against 5 scrambling bits to (5, 5)
+        np.ones((2, 3), np.int8),
+        np.int8(5),
+    ], ids=["column", "2-D", "scalar"])
+    def test_non_1d_input_rejected(self, llrs):
+        with pytest.raises(ValueError, match="1-D"):
+            descramble_llrs(llrs, ScramblingIdentity(3, 0, 3))
 
     def test_roundtrip_restores_signs(self):
         rng = np.random.default_rng(3)

@@ -15,7 +15,10 @@ the earlier ones. ``--checkout`` measures another tree (say, a clone of
 the parent commit) with this script; the file is written here. Runs are
 sequential, one process at a time. ``--against`` prints each end-to-end
 median as a ratio to an earlier BENCH file and marks every ratio that is
-worse than the metric's bound in ``BENCHMARK.json``.
+worse than the metric's bound in ``BENCHMARK.json``. The ``host`` block
+names the decoder path the tree runs (``native`` for the compiled layer
+kernel, ``numpy`` otherwise; probing it builds the kernel before any run
+is timed) and the C compiler's ``--version`` line.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import csv
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -70,6 +74,23 @@ def nrphy_bench_mbps(checkout: Path, blocks: int) -> float:
             return float(next(csv.DictReader(fh))["mbps"])
 
 
+def decoder_path(checkout: Path) -> str:
+    """"native" or "numpy": the decoder path of ``checkout`` here; "numpy" if it has no kernel."""
+    probe = ("import nrphy.ldpc as l; n = getattr(l, '_native', None); "
+             "print('native' if n and n.library() else 'numpy')")
+    return _run([sys.executable, "-c", probe], checkout).strip()
+
+
+def cc_version() -> str | None:
+    """First line of ``$CC --version`` (``cc`` if CC is unset), or None without a compiler."""
+    try:
+        out = subprocess.run([*shlex.split(os.environ.get("CC") or "cc"), "--version"],
+                             check=True, capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.splitlines()[0] if out else None
+
+
 def git_commit(checkout: Path) -> str | None:
     try:
         return subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], check=True,
@@ -80,6 +101,7 @@ def git_commit(checkout: Path) -> str | None:
 
 def record(args) -> dict:
     checkout = args.checkout.resolve()
+    decoder = decoder_path(checkout)
     end_to_end = {}
     for workload in WORKLOADS:
         runs = [perfbench(checkout, workload, seed, 0) for seed in SEEDS]
@@ -109,7 +131,8 @@ def record(args) -> dict:
         "settings": {"seeds": list(SEEDS), "trace_seed": TRACE_SEED, "seconds": SECONDS,
                      "bench_repeats": BENCH_REPEATS},
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
-                 "python": platform.python_version()},
+                 "python": platform.python_version(), "decoder": decoder,
+                 "cc": cc_version()},
         "end_to_end": end_to_end,
         "per_layer": per_layer,
         "nrphy_bench": bench,
