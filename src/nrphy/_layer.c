@@ -87,11 +87,10 @@ static void edge_messages(const int16_t *restrict q, int16_t *restrict msg,
     }
 }
 
-/* Offset min-sum messages of a (degree, lanes) block q, unclipped, so any
- * int16 |q| up to 128 is ordered exactly. real is 1 on real edges and 0 on
- * padding, whose messages are 0. work holds 4 * lanes int16. */
-void check_node(const int16_t *q, int16_t *msg, const int16_t *real, int16_t *work,
-                int degree, int lanes)
+/* Offset min-sum messages of a (degree, lanes) block q. real is 1 on real
+ * edges and 0 on padding, whose messages are 0. work holds 4 * lanes int16. */
+static void check_node(const int16_t *q, int16_t *msg, const int16_t *real, int16_t *work,
+                       int degree, int lanes)
 {
     int16_t *min1 = work, *min2 = work + lanes, *arg = work + 2 * lanes,
             *sx = work + 3 * lanes;

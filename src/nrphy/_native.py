@@ -6,8 +6,7 @@ file is named by a hash of the source, the flags, the compiler's version
 and the host CPU, so a cache hit is one ``dlopen``, and it is written under
 a temporary name and renamed into place, so processes that build at once
 leave one file. Where it cannot be built, the decoder runs its NumPy layer
-body after one warning. ``NRPHY_DECODER=numpy`` forces that path, and
-``NRPHY_DECODER=native`` makes a failed build a ``ConfigError``.
+body after one warning.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ import warnings
 from functools import cache
 from pathlib import Path
 
-from .errors import ConfigError
-
 CACHE_DIR_ENV = "NRPHY_CACHE_DIR"
-DECODER_ENV = "NRPHY_DECODER"
 SOURCE = Path(__file__).with_name("_layer.c")
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 
@@ -74,13 +70,12 @@ def _build() -> ctypes.CDLL:
         if not target.exists():
             _compile(cc, target)
         lib = ctypes.CDLL(str(target))
-    except (OSError, subprocess.CalledProcessError) as exc:
+    except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
+        # RuntimeError: Path.home() with no HOME and no passwd entry
         raise _BuildError(str(exc)) from exc
     ptr, count = ctypes.c_void_p, ctypes.c_int
     lib.layer.argtypes = (ptr,) * 6 + (count, count)
     lib.layer.restype = None
-    lib.check_node.argtypes = (ptr,) * 4 + (count, count)
-    lib.check_node.restype = None
     return lib
 
 
@@ -101,14 +96,7 @@ def _warn_fallback(reason: str) -> None:
 
 def library() -> ctypes.CDLL | None:
     """The kernel library, or None where the decoder runs its NumPy layer body."""
-    mode = os.environ.get(DECODER_ENV, "")
-    if mode == "numpy":
-        return None
-    if mode not in ("", "native"):
-        raise ConfigError(f"{DECODER_ENV} must be 'numpy' or 'native', not {mode!r}")
     lib, reason = _load()
     if lib is None:
-        if mode == "native":
-            raise ConfigError(f"{DECODER_ENV}=native, but the kernel cannot be built: {reason}")
         _warn_fallback(reason)
     return lib

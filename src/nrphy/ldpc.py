@@ -508,15 +508,8 @@ def check_node_update(llrs: np.ndarray) -> np.ndarray:
     if raw.dtype.kind not in "iu" or not (-128 <= raw.min() and raw.max() <= 127):
         raise ValueError("check node LLRs must be integers in [-128, 127]")
     q = raw.astype(np.int16)[:, None]
-    real = np.ones_like(q)
-    lib = _native.library()
-    if lib is None:
-        edge = np.arange(raw.size, dtype=np.int16)[:, None]
-        out = _min_sum_messages(q, real, edge, np.zeros(1, np.intp))
-    else:
-        out = np.empty_like(q)
-        lib.check_node(q.ctypes.data, out.ctypes.data, real.ctypes.data,
-                       np.empty(4, np.int16).ctypes.data, raw.size, 1)
+    edge = np.arange(raw.size, dtype=np.int16)[:, None]
+    out = _min_sum_messages(q, np.ones_like(q), edge, np.zeros(1, np.intp))
     return out[:, 0].astype(np.int8)
 
 

@@ -93,22 +93,24 @@ def max_conf_llrs(bits):
 
 
 class OnDecoderPath:
-    """Runs a class's tests with the decoder forced onto ``path``.
+    """Runs a class's tests on the decoder path ``path``.
 
-    "native" is the compiled layer kernel, whose tests skip only on a host
-    with no C compiler at all (a compiler that fails the build fails them);
-    a subclass with ``path = "numpy"`` runs the same tests on the NumPy
-    layer body.
+    "native" is the compiled layer kernel: its tests skip only on a host
+    with no C compiler at all, and fail where a compiler fails the build.
+    A subclass with ``path = "numpy"`` runs the same tests on the NumPy
+    layer body, as a host without the kernel does.
     """
 
     path = "native"
 
     @pytest.fixture(autouse=True)
-    def _force_path(self, monkeypatch):
-        if self.path == "native" and shutil.which(
-                shlex.split(os.environ.get("CC") or "cc")[0]) is None:
+    def _on_path(self, monkeypatch):
+        if self.path == "numpy":
+            monkeypatch.setattr(_native, "library", lambda: None)
+        elif shutil.which(shlex.split(os.environ.get("CC") or "cc")[0]) is None:
             pytest.skip("no C compiler on this host")
-        monkeypatch.setenv(_native.DECODER_ENV, self.path)
+        else:
+            assert _native.library() is not None, "the layer kernel did not build"
 
 
 class TestBaseGraphSelection:
@@ -340,7 +342,7 @@ def brute_force_check_node(raws, offset_raw=2):
     return np.array(out, dtype=np.int8)
 
 
-class TestCheckNodeUpdate(OnDecoderPath):
+class TestCheckNodeUpdate:
     def test_worked_example(self):
         # magnitudes 2.0, 0.75, 3.0 (raw 8, 3, 12), all positive
         out = check_node_update(np.array([8, 3, 12], np.int8))
@@ -380,10 +382,6 @@ class TestCheckNodeUpdate(OnDecoderPath):
     def test_non_int8_input_rejected(self, llrs):
         with pytest.raises(ValueError):
             check_node_update(llrs)
-
-
-class TestCheckNodeUpdateNumpy(TestCheckNodeUpdate):
-    path = "numpy"
 
 
 class TestLayers:

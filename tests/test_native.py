@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from nrphy import _native
-from nrphy.errors import ConfigError
 from nrphy.ldpc import LIFTING_SETS, BaseGraphId, TerminationReason, build_code, ldpc_decode
 from test_ldpc import OnDecoderPath, random_codeword, zero_extension_blocks
 
@@ -56,11 +55,12 @@ def equality_inputs():
 
 class TestNativeEqualsNumpy(OnDecoderPath):
     def test_576_decodes_bit_exact(self, monkeypatch):
+        kernel = _native.library
         reasons = Counter()
         for label, code, llr in equality_inputs():
-            monkeypatch.setenv(_native.DECODER_ENV, "native")
+            monkeypatch.setattr(_native, "library", kernel)
             native = ldpc_decode(code, llr)
-            monkeypatch.setenv(_native.DECODER_ENV, "numpy")
+            monkeypatch.setattr(_native, "library", lambda: None)
             numpy = ldpc_decode(code, llr)
             assert np.array_equal(native.hard_bits, numpy.hard_bits), label
             assert (native.iterations_used, native.termination_reason) == \
@@ -68,12 +68,6 @@ class TestNativeEqualsNumpy(OnDecoderPath):
             reasons[native.termination_reason] += 1
         assert sum(reasons.values()) == 576
         assert all(reasons[r] >= 20 for r in TerminationReason), reasons
-
-
-def test_unknown_decoder_path_rejected(monkeypatch):
-    monkeypatch.setenv(_native.DECODER_ENV, "fpga")
-    with pytest.raises(ConfigError, match="'numpy' or 'native'"):
-        ldpc_decode(build_code(BaseGraphId.BG2, 2), np.zeros(104, np.int8))
 
 
 # Decodes one fixed input twice and prints the results and every warning.
@@ -95,20 +89,37 @@ print(json.dumps({
 
 
 def decode_env(cache_dir, src=SRC, **overrides):
-    env = {k: v for k, v in os.environ.items() if k not in ("CC", _native.DECODER_ENV)}
+    env = {k: v for k, v in os.environ.items() if k != "CC"}
     env.update(PYTHONPATH=str(src), **{_native.CACHE_DIR_ENV: str(cache_dir)}, **overrides)
     return env
 
 
-def run_decode(env):
-    done = subprocess.run([sys.executable, "-c", DECODE_SCRIPT], env=env, capture_output=True,
-                          text=True, timeout=120)
+def run_decode(env, preamble=""):
+    done = subprocess.run([sys.executable, "-c", preamble + DECODE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 
 def decoded(stdout):
     out = json.loads(stdout)
     return out["warnings"], out["results"]
+
+
+def assert_native(env, preamble=""):
+    """Run the decode script in ``env`` and check that it ran the kernel, without warning."""
+    code, stdout, stderr = run_decode(env, preamble)
+    assert code == 0, stderr
+    assert decoded(stdout)[0] == []
+
+
+def assert_numpy_fallback(env, reference_results, preamble=""):
+    """Run the decode script in ``env``: one warning, then the kernel's results."""
+    code, stdout, stderr = run_decode(env, preamble)
+    assert code == 0, stderr
+    warned, results = decoded(stdout)
+    assert len(warned) == 1 and "decoding with NumPy" in warned[0], warned
+    assert results == reference_results
+    return warned[0]
 
 
 @pytest.fixture
@@ -118,6 +129,15 @@ def reference_results():
     llr = np.random.default_rng(5).integers(-31, 32, code.N_full).astype(np.int8)
     r = ldpc_decode(code, llr)
     return [[r.hard_bits.tolist(), r.iterations_used, r.termination_reason.value]] * 2
+
+
+# Makes the home directory unknowable: no HOME, and no passwd entry for the uid.
+NO_HOME = """
+import pwd
+def no_entry(uid):
+    raise KeyError(uid)
+pwd.getpwuid = no_entry
+"""
 
 
 class TestBuild(OnDecoderPath):
@@ -130,29 +150,28 @@ class TestBuild(OnDecoderPath):
         else:
             (tmp_path / "empty").mkdir()
             env = decode_env(cache, PATH=str(tmp_path / "empty"))
-        code, stdout, stderr = run_decode(env)
-        assert code == 0, stderr
-        warned, results = decoded(stdout)
-        assert len(warned) == 1 and "decoding with NumPy" in warned[0], warned
-        assert results == reference_results
+        assert_numpy_fallback(env, reference_results)
         assert not cache.exists() or not any(cache.iterdir())
 
-    def test_forced_native_with_failing_build_raises(self, tmp_path):
+    def test_failing_build_warns_once_and_leaves_no_file(self, tmp_path, reference_results):
         cc = tmp_path / "broken-cc"
         cc.write_text('#!/bin/sh\n[ "$1" = --version ] && { echo broken-cc 1.0; exit 0; }\n'
                       'echo "broken-cc: cannot compile" >&2; exit 1\n')
         cc.chmod(0o755)
         cache = tmp_path / "cache"
-        code, stdout, stderr = run_decode(decode_env(cache, CC=str(cc),
-                                                     **{_native.DECODER_ENV: "native"}))
-        assert code != 0
-        assert "ConfigError" in stderr and "broken-cc: cannot compile" in stderr, stderr
+        warned = assert_numpy_fallback(decode_env(cache, CC=str(cc)), reference_results)
+        assert "broken-cc: cannot compile" in warned
         assert not any(cache.iterdir())  # the temporary output is removed
+
+    def test_unknown_home_warns_once_and_decodes_the_same(self, tmp_path, reference_results):
+        env = decode_env(tmp_path)
+        del env[_native.CACHE_DIR_ENV], env["HOME"]
+        warned = assert_numpy_fallback(env, reference_results, preamble=NO_HOME)
+        assert "home directory" in warned
 
     def test_two_processes_share_one_cold_cache(self, tmp_path, reference_results):
         cache = tmp_path / "cache"
-        env = decode_env(cache, **{_native.DECODER_ENV: "native"})
-        procs = [subprocess.Popen([sys.executable, "-c", DECODE_SCRIPT], env=env,
+        procs = [subprocess.Popen([sys.executable, "-c", DECODE_SCRIPT], env=decode_env(cache),
                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
                  for _ in range(2)]
         for proc in procs:
@@ -166,18 +185,17 @@ class TestBuild(OnDecoderPath):
         shutil.copytree(SRC / "nrphy", src / "nrphy",
                         ignore=shutil.ignore_patterns("__pycache__"))
         cache = tmp_path / "cache"
-        env = decode_env(cache, src=src, **{_native.DECODER_ENV: "native"})
-        assert run_decode(env)[0] == 0
+        env = decode_env(cache, src=src)
+        assert_native(env)
         first = {p.name for p in cache.iterdir()}
         with open(src / "nrphy" / "_layer.c", "a") as fh:
             fh.write("/* edited */\n")
-        assert run_decode(env)[0] == 0
+        assert_native(env)
         files = {p.name for p in cache.iterdir()}
         assert len(first) == 1 and len(files) == 2 and first < files
 
     def test_default_cache_is_under_home(self, tmp_path):
-        env = decode_env(tmp_path, HOME=str(tmp_path), **{_native.DECODER_ENV: "native"})
+        env = decode_env(tmp_path, HOME=str(tmp_path))
         del env[_native.CACHE_DIR_ENV]
-        code, _, stderr = run_decode(env)
-        assert code == 0, stderr
+        assert_native(env)
         assert len(list((tmp_path / ".cache" / "nrphy").glob("_layer-*.so"))) == 1

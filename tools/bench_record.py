@@ -92,9 +92,11 @@ def cc_version() -> str | None:
 
 
 def git_commit(checkout: Path) -> str | None:
+    """HEAD's hash, with ``-dirty`` appended when the tree has uncommitted changes."""
     try:
-        return subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], check=True,
-                              capture_output=True, text=True).stdout.strip()
+        return subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
+                               "--abbrev=40"], check=True, capture_output=True,
+                              text=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
 
