@@ -5,18 +5,17 @@ for the host CPU, into ``NRPHY_CACHE_DIR`` (else ``~/.cache/nrphy``). The
 file is named by a hash of the source, the flags, the compiler's version
 and the host CPU, so a cache hit is one ``dlopen``, and it is written under
 a temporary name and renamed into place, so processes that build at once
-leave one file. Where it cannot be built, the decoder runs its NumPy layer
-body after one warning.
+leave one file. Where it cannot be built, the decoder runs its NumPy
+min-sum after one warning. ``hashlib`` and ``subprocess`` are imported only
+to build, so a process that never decodes does not load them.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import platform
 import shlex
-import subprocess
 import tempfile
 import warnings
 from functools import cache
@@ -42,6 +41,8 @@ def _cpu_flags() -> str:
 
 def _compile(cc: list[str], target: Path) -> None:
     """Compile the source to ``target`` through a temporary file in its directory."""
+    import subprocess
+
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
     os.close(fd)
@@ -58,6 +59,9 @@ def _compile(cc: list[str], target: Path) -> None:
 
 
 def _build() -> ctypes.CDLL:
+    import hashlib
+    import subprocess
+
     cc = shlex.split(os.environ.get("CC") or "cc")
     try:
         version = subprocess.run([*cc, "--version"], capture_output=True, text=True,
@@ -95,7 +99,7 @@ def _warn_fallback(reason: str) -> None:
 
 
 def library() -> ctypes.CDLL | None:
-    """The kernel library, or None where the decoder runs its NumPy layer body."""
+    """The kernel library, or None where the decoder runs its NumPy min-sum."""
     lib, reason = _load()
     if lib is None:
         _warn_fallback(reason)

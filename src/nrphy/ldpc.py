@@ -18,8 +18,9 @@ table of element indices. Extension rows whose own parity block arrives
 with zero LLRs, because rate matching never sent it, change no other bit;
 each run of them is one step that reads the core through the same
 windows, bit-exact with the row-by-row update. Each live layer is one
-call into the compiled kernel of ``_native`` where it can be built, and
-the NumPy layer body, its oracle, otherwise.
+call into the compiled kernel of ``_native`` where it can be built;
+otherwise it runs the min-sum as defined (``_min_sum``), which is also
+the kernel's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -386,20 +387,16 @@ class _Layer:
     Lane ``j * Zc + t`` is lifted row t of the layer's j-th base row, and
     ``idx[e, lane]`` is the bit its e-th edge reads. A row shorter than the
     layer's degree is padded after its real edges with edges that read the
-    +127 sentinel at index N_full. No real |q| exceeds 127 and ties go to
-    the lower edge number, so padding is never min1 or min2 and, being
-    positive, never flips a sign. ``real`` is 0 on padding, so its messages
-    stay 0 and the sentinel never changes.
+    +127 sentinel at index N_full. No real |q| exceeds 127 and every row
+    has at least two real edges, so padding can tie the two smallest |q|
+    of a lane but never lower them, and being positive it never flips a
+    sign. ``real`` is 0 on padding, so its messages stay 0 and the sentinel
+    never changes.
     """
 
     rows: tuple[int, ...]
     idx: np.ndarray  # (degree, lanes) intp
     real: np.ndarray  # (degree, lanes) int16, 1 on real edges
-    edge: np.ndarray  # (degree, lanes) int16, the edge number e
-    lanes: np.ndarray  # (lanes,) intp, 0 .. lanes - 1
-    # (2, degree, lanes) int16, +127 then -127: NumPy's minimum and maximum
-    # run several times slower against a scalar than against an array
-    rails: np.ndarray
     pointers: tuple[ctypes.c_void_p, ctypes.c_void_p]  # idx and real, for the kernel
 
 
@@ -427,71 +424,32 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
     layers = []
     for rows in groups:
         degree = max(len(code.rows[r]) for r in rows)
-        shape = (degree, len(rows) * Zc)
-        idx = np.full(shape, code.N_full, dtype=np.intp)
+        idx = np.full((degree, len(rows) * Zc), code.N_full, dtype=np.intp)
         for j, r in enumerate(rows):
             for e, (c, s) in enumerate(code.rows[r]):
                 idx[e, j * Zc:(j + 1) * Zc] = c * Zc + (t + s) % Zc
-        edge = np.broadcast_to(np.arange(degree, dtype=np.int16)[:, None], shape).copy()
-        rails = np.empty((2, *shape), dtype=np.int16)
-        rails[0], rails[1] = DECODER_LLR_MAX, -DECODER_LLR_MAX
         real = (idx != code.N_full).astype(np.int16)
-        layer = _Layer(rows=tuple(rows), idx=idx, real=real, edge=edge,
-                       lanes=np.arange(shape[1]), rails=rails,
-                       pointers=(ctypes.c_void_p(idx.ctypes.data),
-                                 ctypes.c_void_p(real.ctypes.data)))
-        for arr in (layer.idx, layer.real, layer.edge, layer.lanes, layer.rails):
-            arr.flags.writeable = False
-        layers.append(layer)
+        idx.flags.writeable = real.flags.writeable = False
+        layers.append(_Layer(rows=tuple(rows), idx=idx, real=real,
+                             pointers=(ctypes.c_void_p(idx.ctypes.data),
+                                       ctypes.c_void_p(real.ctypes.data))))
     return tuple(layers)
 
 
-# Check-node keys pack |q| above the edge number, so one minimum over a
-# lane gives both min1 and its edge, and ties go to the lowest edge.
-_EDGE_BITS = 5  # edge numbers up to 31; base-graph rows have at most 19 edges
-_EDGE_SCALE = np.int16(1 << _EDGE_BITS)
-_EDGE_MASK = np.int16((1 << _EDGE_BITS) - 1)
-_KEY_BUMP = np.int16(np.iinfo(np.int16).max)  # above every key
-_SIGN_SHIFT = np.int16(15)
-# key -> max(|q| - offset, 0); int8 input reaches |q| = 128
-_KEY_TO_MAG = np.maximum((np.arange(129 << _EDGE_BITS) >> _EDGE_BITS) - OFFSET_RAW,
-                         0).astype(np.int16)
-_KEY_TO_MAG.flags.writeable = False
+def _min_sum(q: np.ndarray, real: np.ndarray | int) -> np.ndarray:
+    """Offset min-sum messages of a (degree, lanes) int16 block, from the definition.
 
-
-def _min_sum_messages(q: np.ndarray, real: np.ndarray, edge: np.ndarray,
-                      lanes: np.ndarray) -> np.ndarray:
-    """Offset min-sum check update on a (degree, lanes) int16 block.
-
-    Each lane is one check node and ``edge`` numbers its edges 0, 1, ...
-    Every edge but the lane's minimum one gets min1 less the offset; the
-    minimum edge gets min2, which equals min1 when the minimum is tied.
-    Edges where ``real`` is 0 get 0. The sign is the product of the other
-    edges' signs.
+    Each lane is one check node. An edge whose |q| is the lane's smallest
+    gets the second smallest, every other edge the smallest; both are less
+    the offset and floored at 0. Under a tie the two are equal, so every
+    tied edge gets the same message. Edges where ``real`` is 0 get 0. The
+    sign bit of q ^ (XOR of the lane) is the parity of the other edges'
+    signs.
     """
-    n = q.shape[1]
-    key = np.abs(q)
-    np.multiply(key, _EDGE_SCALE, out=key)
-    np.bitwise_or(key, edge, out=key)
-    best = np.empty((2, n), dtype=np.int16)
-    np.minimum.reduce(key, axis=0, out=best[0])
-    # flat position of each lane's minimum edge; bumping it leaves min2 lowest
-    at = np.bitwise_and(best[0], _EDGE_MASK).astype(np.intp)
-    at *= n
-    at += lanes
-    flat = key.reshape(-1)
-    flat[at] = _KEY_BUMP
-    np.minimum.reduce(key, axis=0, out=best[1])
-    mag = _KEY_TO_MAG[best]
-    out = np.multiply(real, mag[0], out=key)
-    flat[at] = mag[1]
-    # sign bit of q ^ (XOR of the lane) is the XOR of the other edges' signs;
-    # as 0 / -1 it negates by (m ^ s) - s
-    sign = np.bitwise_xor(q, np.bitwise_xor.reduce(q, axis=0))
-    np.right_shift(sign, _SIGN_SHIFT, out=sign)
-    np.bitwise_xor(out, sign, out=out)
-    np.subtract(out, sign, out=out)
-    return out
+    mag = np.abs(q)
+    min1, min2 = np.sort(mag, axis=0)[:2]
+    out = np.maximum(np.where(mag == min1, min2, min1) - OFFSET_RAW, 0) * real
+    return np.where((q ^ np.bitwise_xor.reduce(q, axis=0)) < 0, -out, out)
 
 
 def check_node_update(llrs: np.ndarray) -> np.ndarray:
@@ -499,18 +457,16 @@ def check_node_update(llrs: np.ndarray) -> np.ndarray:
 
     Edge i gets magnitude max(0, min_{j != i} |llr_j| - 0.5) and the
     product of the other edges' signs. Inputs and outputs are raw integers
-    in quarter-LLR units; inputs may span the decoder's int8 messages, and
-    a non-integer or a value outside int8 raises ValueError.
+    in quarter-LLR units; inputs may span the decoder's int8 messages. A
+    check node has 2 to 32 edges (base-graph rows have at most 19), and
+    another count, a non-integer or a value outside int8 raises ValueError.
     """
     raw = np.asarray(llrs)
-    if not 2 <= raw.size <= 1 << _EDGE_BITS:
-        raise ValueError(f"check node needs 2 to {1 << _EDGE_BITS} edges")
+    if not 2 <= raw.size <= 32:
+        raise ValueError("check node needs 2 to 32 edges")
     if raw.dtype.kind not in "iu" or not (-128 <= raw.min() and raw.max() <= 127):
         raise ValueError("check node LLRs must be integers in [-128, 127]")
-    q = raw.astype(np.int16)[:, None]
-    edge = np.arange(raw.size, dtype=np.int16)[:, None]
-    out = _min_sum_messages(q, np.ones_like(q), edge, np.zeros(1, np.intp))
-    return out[:, 0].astype(np.int8)
+    return _min_sum(raw.astype(np.int16)[:, None], 1)[:, 0].astype(np.int8)
 
 
 def _dead_step(q: np.ndarray, out: np.ndarray) -> None:
@@ -521,7 +477,7 @@ def _dead_step(q: np.ndarray, out: np.ndarray) -> None:
     each lane's sign product times max(min |q| - offset, 0).
     """
     sign = np.bitwise_xor.reduce(q, axis=0)
-    np.right_shift(sign, _SIGN_SHIFT, out=sign)
+    np.right_shift(sign, 15, out=sign)  # the int16 sign bit, as 0 or -1
     np.abs(q, out=q)
     np.minimum.reduce(q, axis=0, out=out)
     np.subtract(out, OFFSET_RAW, out=out)
@@ -560,7 +516,8 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
 
     Live layers, including ones that merge a live and a dead row, run as
     before; only they keep messages. Each is one call into the compiled
-    kernel (``_native``) where it can be built, else the NumPy body.
+    kernel (``_native``) where it can be built, else the definition-level
+    min-sum in NumPy (``_min_sum``).
     """
     llr = as_softllr(channel_llrs)
     if llr.shape != (code.N_full,):
@@ -611,16 +568,9 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
             if lib is not None:
                 lib.layer(*calls[i])
                 continue
-            hi, lo = layer.rails
-            q = post[layer.idx]
-            np.subtract(q, msgs[i], out=q)
-            np.minimum(q, hi, out=q)
-            np.maximum(q, lo, out=q)
-            msgs[i] = _min_sum_messages(q, layer.real, layer.edge, layer.lanes)
-            np.add(q, msgs[i], out=q)
-            np.minimum(q, hi, out=q)
-            np.maximum(q, lo, out=q)
-            post[layer.idx] = q
+            q = np.clip(post[layer.idx] - msgs[i], -DECODER_LLR_MAX, DECODER_LLR_MAX)
+            msgs[i] = _min_sum(q, layer.real)
+            post[layer.idx] = np.clip(q + msgs[i], -DECODER_LLR_MAX, DECODER_LLR_MAX)
         hard = (post[:-1] <= 0).astype(np.uint8)
         if parity_check(code, hard):
             reason = TerminationReason.PARITY_SATISFIED
