@@ -197,6 +197,19 @@ class TestHarqCombining:
         assert all(dec.block_ok)
         assert np.array_equal(dec.payload, payload)
 
+    @pytest.mark.parametrize("foreign", [(), (9,)])
+    def test_failed_round_leaves_pool_as_it_was(self, foreign):
+        # three blocks need three soft buffers; block 2 finds none free
+        cfg = ChainConfig(**{**HARQ_POINT, "blocks": 3})
+        pool = HarqBufferPool(num_slots=2 + len(foreign))
+        for pid in foreign:  # bound by another caller before the call
+            pool.acquire(pid, True, *cfg.code())
+        before = dict(pool.bindings)
+        with pytest.raises(PoolExhaustedError, match="block 2"):
+            run_harq_link(cfg, pool, random_payload(cfg, 3), seed_key=(3,))
+        assert pool.bindings.keys() == before.keys()
+        assert all(pool.bindings[pid] is buf for pid, buf in before.items())
+
     def test_retransmission_may_change_er_and_qm(self):
         # positions are derived per transmission, so a later round may use
         # a different rate-matched length and modulation order
@@ -235,6 +248,47 @@ class TestSweepDeterminism:
         assert rep.config["k_prime"] == 96
         assert rep.config["rv_schedule"] == "0,2,3,1"
         assert rep.config["G"] == 256
+
+
+class TestPinnedOutputs:
+    """Recorded outcomes at fixed seeds: a rewrite of a simulator must
+    reproduce every payload, noise draw and decode, not only run twice alike."""
+
+    def test_multi_block_bler_csv_and_histogram(self):
+        cfg = ChainConfig(k_prime=96, target_rate=0.5, e_r=224, q_m=2, blocks=3, seed=41)
+        rep = run_bler_sweep(cfg, [0.0, 2.0, 4.0], 8)
+        assert rep.to_csv() == (
+            "snr_db,blocks,block_errors,bler,avg_iterations\n"
+            "0,24,24,1,4.542\n"
+            "2,24,2,0.0833333,4.958\n"
+            "4,24,0,0,2.417\n")
+        assert rep.iterations_histogram == {2: 19, 3: 16, 4: 15, 5: 8, 6: 6, 8: 8}
+
+    def test_harq_link_outcomes(self):
+        F, T = False, True
+        expected = [
+            (T, 4, [F, F, F, T]), (T, 4, [F, F, F, T]), (T, 2, [F, T]),
+            (T, 4, [F, F, F, T]), (T, 4, [F, F, F, T]), (T, 2, [F, T]),
+            (T, 4, [F, F, F, T]), (T, 4, [F, F, F, T]), (T, 2, [F, T]),
+            (T, 4, [F, F, F, T]), (T, 3, [F, F, T]), (T, 2, [F, T]),
+            (T, 4, [F, F, F, T]), (T, 4, [F, F, F, T]), (T, 2, [F, T]),
+            (T, 4, [F, F, F, T]), (T, 4, [F, F, F, T]), (T, 2, [F, T]),
+            (F, 4, [F, F, F, F]), (T, 3, [F, F, T]), (T, 2, [F, T]),
+            (T, 4, [F, F, F, T]), (T, 3, [F, F, T]), (T, 2, [F, T]),
+        ]
+        pool = HarqBufferPool()
+        for key, outcome in enumerate(expected):
+            cfg = ChainConfig(**{**HARQ_POINT, "blocks": 2, "harq_process": key % 16,
+                                 "snr_db": (-2.0, -1.0, 1.0)[key % 3]})
+            res = run_harq_link(cfg, pool, random_payload(cfg, key), seed_key=(key, 5))
+            assert (res.delivered, res.rounds_used, res.parity_history) == outcome, key
+        assert not pool.bindings
+
+    def test_bench_errors_and_histogram(self):
+        cfg = ChainConfig(k_prime=96, target_rate=0.5, e_r=224, q_m=2, snr_db=2.0, seed=17)
+        rep = run_throughput_bench(cfg, 30)
+        assert rep.rows[0]["block_errors"] == 3
+        assert rep.iterations_histogram == {3: 4, 4: 8, 5: 9, 6: 2, 7: 1, 8: 6}
 
 
 class TestHarqSimulator:

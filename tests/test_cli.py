@@ -91,6 +91,24 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bler", "--snrs", "a,b"],
+        ["bler", "--snrs", ","],
+        ["bler", "--snrs", ""],
+        ["harq-sim", "--pool-sizes", "x"],
+        ["harq-sim", "--pool-sizes", "1.5"],
+        ["harq-sim", "--pool-sizes", ","],
+    ])
+    def test_malformed_list_exits_2(self, small_config, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", small_config])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+    def test_out_of_range_pool_size_exits_1(self, small_config, capsys):
+        assert main(["harq-sim", "--config", small_config, "--pool-sizes", "0"]) == 1
+        assert "pool_size" in capsys.readouterr().err
+
 
 class TestEncodeDecodePipeline:
     def test_word_dump_then_decode(self, small_config, tmp_path, capsys):
