@@ -33,6 +33,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the CSV report here")
 
 
+def _comma_list(convert):
+    """argparse ``type=``: a non-empty comma-separated list of ``convert`` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(s) for s in text.split(",") if s]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}")
+        return values
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrphy",
@@ -59,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bler", help="block error rate sweep over SNR points")
     _add_common(p)
-    p.add_argument("--snrs", default="0,2,4,6,8,10",
+    p.add_argument("--snrs", type=_comma_list(float), default="0,2,4,6,8,10",
                    help="comma-separated Es/N0 points in dB")
     p.add_argument("--blocks", type=int, default=100, help="blocks per SNR point")
 
     p = sub.add_parser("harq-sim", help="throughput vs. soft-buffer pool size")
     _add_common(p)
-    p.add_argument("--pool-sizes", default="1,2,4,8,16")
+    p.add_argument("--pool-sizes", type=_comma_list(int), default="1,2,4,8,16")
     p.add_argument("--processes", type=int, default=8)
     p.add_argument("--rounds", type=int, default=4, help="max rounds per packet")
     p.add_argument("--packets", type=int, default=8, help="packets per process")
@@ -154,17 +168,15 @@ def _cmd_roundtrip(cfg, args) -> int:
 
 
 def _cmd_bler(cfg, args) -> int:
-    snrs = [float(s) for s in args.snrs.split(",") if s]
-    report = run_bler_sweep(cfg, snrs, args.blocks)
+    report = run_bler_sweep(cfg, args.snrs, args.blocks)
     _emit(report, args.out)
     return EXIT_OK
 
 
 def _cmd_harq_sim(cfg, args) -> int:
-    sizes = [int(s) for s in args.pool_sizes.split(",") if s]
     merged = RunReport(kind="harq-sim", config=cfg.echo(),
                        columns=HARQ_COLUMNS)
-    for size in sizes:
+    for size in args.pool_sizes:
         rep = run_harq_sim(cfg, size, args.processes, args.rounds, args.packets)
         merged.rows.extend(rep.rows)
         merged.notes.extend(rep.notes)
