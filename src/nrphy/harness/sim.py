@@ -86,18 +86,23 @@ def run_harq_link(
     history: list[bool] = []
     delivered = False
     used = 0
-    for r in range(rounds):
-        enc = encode_chain(cfg, payload, rv_round=r)
-        noisy = awgn(enc.symbols, cfg.sigma2, np.random.SeedSequence([*seed_key, r]))
-        dec = decode_chain(cfg, noisy, pool, rv_round=r,
-                           new_packet=(r == 0), release=False)
-        used = r + 1
-        history.append(all(dec.block_ok))
-        if all(dec.block_ok) and np.array_equal(dec.payload, payload):
-            delivered = True
-            break
-    for b in range(cfg.blocks):
-        pool.release(_block_process_id(cfg, b))
+    before = dict(pool.bindings)
+    try:
+        for r in range(rounds):
+            enc = encode_chain(cfg, payload, rv_round=r)
+            noisy = awgn(enc.symbols, cfg.sigma2, np.random.SeedSequence([*seed_key, r]))
+            dec = decode_chain(cfg, noisy, pool, rv_round=r,
+                               new_packet=(r == 0), release=False)
+            used = r + 1
+            history.append(all(dec.block_ok))
+            if all(dec.block_ok) and np.array_equal(dec.payload, payload):
+                delivered = True
+                break
+    finally:  # release what this call bound, even when a round raised
+        for b in range(cfg.blocks):
+            pid = _block_process_id(cfg, b)
+            if pool.bindings.get(pid) is not before.get(pid):
+                pool.release(pid)
     return HarqLinkResult(delivered=delivered, rounds_used=used, parity_history=history)
 
 
