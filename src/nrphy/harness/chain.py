@@ -46,6 +46,12 @@ class DecodeOutput:
     def block_ok(self) -> list[bool]:
         return [res.parity_ok for res in self.results]
 
+    def block_delivered(self, payload: np.ndarray) -> list[bool]:
+        """Per block: parity holds and its K' bits equal the payload's."""
+        n = len(self.results)
+        return [res.parity_ok and np.array_equal(rx, tx) for res, rx, tx in
+                zip(self.results, np.split(self.payload, n), np.split(np.asarray(payload), n))]
+
 
 def _block_process_id(cfg: ChainConfig, block: int) -> int:
     return (cfg.harq_process + block) % POOL_SLOTS

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
-from ..errors import PoolExhaustedError
 from ..llr import awgn
 from ..rate_adapt import POOL_SLOTS, HarqBufferPool
-from .chain import _block_process_id, decode_chain, encode_chain
+from .chain import DecodeOutput, decode_chain, encode_chain
 from .config import ChainConfig
 from .report import RunReport
 
@@ -23,35 +23,38 @@ def _rng_for(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
+def transmit(cfg: ChainConfig, payload: np.ndarray, noise_key: tuple[int, ...],
+             pool: HarqBufferPool, rv_round: int = 0, new_packet: bool = True,
+             release: bool = True) -> DecodeOutput:
+    """One simulated round: encode, add AWGN seeded by ``noise_key``, decode.
+
+    ``encode_chain``, ``awgn`` and ``decode_chain`` are looked up in this
+    module on every call, so a wrapper set on them sees every round.
+    """
+    enc = encode_chain(cfg, payload, rv_round)
+    noisy = awgn(enc.symbols, cfg.sigma2, np.random.SeedSequence(noise_key))
+    return decode_chain(cfg, noisy, pool, rv_round, new_packet, release)
+
+
 def run_bler_sweep(cfg: ChainConfig, snr_list, blocks_per_point: int) -> RunReport:
     """Measure block error rate per SNR point; deterministic under seed."""
     if blocks_per_point < 1:
         raise ValueError("blocks_per_point must be >= 1")
     report = RunReport(kind="bler", config=cfg.echo(), columns=BLER_COLUMNS)
+    n_blocks = blocks_per_point * cfg.blocks
+    pool = HarqBufferPool()
     t0 = time.perf_counter()
-    info_bits = 0
     for i_snr, snr_db in enumerate(snr_list):
         point = replace(cfg, snr_db=float(snr_db))
-        pool = HarqBufferPool()
-        errors = 0
-        iter_sum = 0
-        n_blocks = 0
+        errors = iter_sum = 0
         for trial in range(blocks_per_point):
             rng = _rng_for(cfg.seed, i_snr, trial)
             payload = rng.integers(0, 2, cfg.k_prime * cfg.blocks, dtype=np.uint8)
-            enc = encode_chain(point, payload)
-            noisy = awgn(enc.symbols, point.sigma2,
-                         np.random.SeedSequence([cfg.seed, i_snr, trial, 1]))
-            dec = decode_chain(point, noisy, pool)
-            for b, res in enumerate(dec.results):
-                rx = dec.payload[b * cfg.k_prime:(b + 1) * cfg.k_prime]
-                tx = payload[b * cfg.k_prime:(b + 1) * cfg.k_prime]
-                if not (res.parity_ok and np.array_equal(rx, tx)):
-                    errors += 1
+            dec = transmit(point, payload, (cfg.seed, i_snr, trial, 1), pool)
+            errors += dec.block_delivered(payload).count(False)
+            for res in dec.results:
                 iter_sum += res.iterations_used
                 report.count_iterations(res.iterations_used)
-                n_blocks += 1
-            info_bits += cfg.k_prime * cfg.blocks
         report.add_row(
             snr_db=f"{float(snr_db):g}",
             blocks=n_blocks,
@@ -63,6 +66,7 @@ def run_bler_sweep(cfg: ChainConfig, snr_list, blocks_per_point: int) -> RunRepo
     if report.rows:
         report.bler = float(report.rows[-1]["bler"])
     if report.wall_clock_s > 0:
+        info_bits = len(report.rows) * n_blocks * cfg.k_prime
         report.throughput_mbps = info_bits / report.wall_clock_s / 1e6
     return report
 
@@ -70,8 +74,11 @@ def run_bler_sweep(cfg: ChainConfig, snr_list, blocks_per_point: int) -> RunRepo
 @dataclass
 class HarqLinkResult:
     delivered: bool
-    rounds_used: int
     parity_history: list[bool]
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.parity_history)
 
 
 def run_harq_link(
@@ -85,25 +92,19 @@ def run_harq_link(
     rounds = max_rounds if max_rounds is not None else len(cfg.rv_schedule)
     history: list[bool] = []
     delivered = False
-    used = 0
     before = dict(pool.bindings)
     try:
         for r in range(rounds):
-            enc = encode_chain(cfg, payload, rv_round=r)
-            noisy = awgn(enc.symbols, cfg.sigma2, np.random.SeedSequence([*seed_key, r]))
-            dec = decode_chain(cfg, noisy, pool, rv_round=r,
-                               new_packet=(r == 0), release=False)
-            used = r + 1
+            dec = transmit(cfg, payload, (*seed_key, r), pool, r,
+                           new_packet=(r == 0), release=False)
             history.append(all(dec.block_ok))
-            if all(dec.block_ok) and np.array_equal(dec.payload, payload):
-                delivered = True
+            delivered = all(dec.block_delivered(payload))
+            if delivered:
                 break
-    finally:  # release what this call bound, even when a round raised
-        for b in range(cfg.blocks):
-            pid = _block_process_id(cfg, b)
-            if pool.bindings.get(pid) is not before.get(pid):
-                pool.release(pid)
-    return HarqLinkResult(delivered=delivered, rounds_used=used, parity_history=history)
+    finally:  # release every buffer this call bound, even when a round raised
+        for pid in [pid for pid, buf in pool.bindings.items() if buf is not before.get(pid)]:
+            pool.release(pid)
+    return HarqLinkResult(delivered=delivered, parity_history=history)
 
 
 def run_harq_sim(
@@ -115,10 +116,10 @@ def run_harq_sim(
 ) -> RunReport:
     """Interleaved HARQ processes contending for a limited buffer pool.
 
-    Processes take turns transmitting one round each. A packet whose
-    process could not obtain a buffer is decoded round by round without
-    combining, which at the simulated operating point almost never
-    succeeds. Reports delivered information per transmission.
+    Processes take turns transmitting one round each. A packet that finds
+    every buffer bound at its first round is decoded round by round
+    without combining, which at the simulated operating point almost
+    never succeeds. Reports delivered information per transmission.
     """
     if not 1 <= pool_size <= POOL_SLOTS:
         raise ValueError(f"pool_size must be in [1, {POOL_SLOTS}]")
@@ -127,51 +128,35 @@ def run_harq_sim(
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     cfg = replace(cfg, blocks=1)
-    code, filler = cfg.code()
     pool = HarqBufferPool(num_slots=pool_size)
-    scratch = HarqBufferPool(num_slots=1)
     report = RunReport(kind="harq-sim", config=cfg.echo(), columns=HARQ_COLUMNS)
     t0 = time.perf_counter()
-    transmissions = 0
-    delivered_bits = 0
 
     def process(pid: int):
-        """Send one process's packets, yielding after each transmission."""
-        nonlocal transmissions, delivered_bits
+        """Send one process's packets, yielding whether each round delivered."""
         run_cfg = replace(cfg, harq_process=pid)
         for packet in range(packets_per_process):
             payload = _rng_for(cfg.seed, pid, packet).integers(0, 2, cfg.k_prime, dtype=np.uint8)
-            try:
-                pool.acquire(pid, True, code, filler)
-                bound = True
-            except PoolExhaustedError:
-                bound = False
+            # round 0 binds a free buffer; without one, each round is decoded on its own
+            bound = len(pool.bindings) < pool_size
             for r in range(max_rounds):
-                enc = encode_chain(run_cfg, payload, rv_round=r)
-                noise_key = np.random.SeedSequence([cfg.seed, pid, packet, r, 7])
-                noisy = awgn(enc.symbols, cfg.sigma2, noise_key)
-                if bound:
-                    dec = decode_chain(run_cfg, noisy, pool, rv_round=r,
-                                       new_packet=False, release=False)
-                else:  # no soft buffer: this round is decoded on its own
-                    dec = decode_chain(run_cfg, noisy, scratch, rv_round=r)
-                transmissions += 1
-                for res in dec.results:
-                    report.count_iterations(res.iterations_used)
-                ok = all(dec.block_ok) and np.array_equal(dec.payload, payload)
-                if ok:
-                    delivered_bits += cfg.k_prime
+                dec = transmit(run_cfg, payload, (cfg.seed, pid, packet, r, 7),
+                               pool if bound else HarqBufferPool(), r,
+                               new_packet=(r == 0 or not bound), release=False)
+                ok = all(dec.block_delivered(payload))
                 if bound and (ok or r + 1 == max_rounds):
                     pool.release(pid)  # free before the next process's turn
-                yield True
+                report.count_iterations(dec.results[0].iterations_used)
+                yield ok
                 if ok:
                     break
 
-    turns = [process(pid) for pid in range(n_processes)]
-    while turns:  # round robin, one transmission per turn, until all are done
-        turns = [proc for proc in turns if next(proc, False)]
-
+    # round robin, one transmission per process per turn, until all are done
+    turns = zip_longest(*map(process, range(n_processes)))
+    sent = [ok for turn in turns for ok in turn if ok is not None]
     report.wall_clock_s = time.perf_counter() - t0
+    transmissions = len(sent)
+    delivered_bits = cfg.k_prime * sum(sent)
     per_tx = delivered_bits / transmissions if transmissions else 0.0
     report.add_row(
         pool_size=pool_size,

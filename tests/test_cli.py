@@ -95,6 +95,7 @@ class TestUsageErrors:
         ["bler", "--snrs", "a,b"],
         ["bler", "--snrs", ","],
         ["bler", "--snrs", ""],
+        ["bler", "--snrs", "0,2,"],
         ["harq-sim", "--pool-sizes", "x"],
         ["harq-sim", "--pool-sizes", "1.5"],
         ["harq-sim", "--pool-sizes", ","],
