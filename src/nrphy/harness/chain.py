@@ -48,9 +48,10 @@ class DecodeOutput:
 
     def block_delivered(self, payload: np.ndarray) -> list[bool]:
         """Per block: parity holds and its K' bits equal the payload's."""
-        n = len(self.results)
-        return [res.parity_ok and np.array_equal(rx, tx) for res, rx, tx in
-                zip(self.results, np.split(self.payload, n), np.split(np.asarray(payload), n))]
+        k = len(self.payload) // len(self.results)  # K'
+        return [res.parity_ok and np.array_equal(self.payload[b * k:(b + 1) * k],
+                                                 payload[b * k:(b + 1) * k])
+                for b, res in enumerate(self.results)]
 
 
 def _block_process_id(cfg: ChainConfig, block: int) -> int:

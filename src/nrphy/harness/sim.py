@@ -116,10 +116,10 @@ def run_harq_sim(
 ) -> RunReport:
     """Interleaved HARQ processes contending for a limited buffer pool.
 
-    Processes take turns transmitting one round each. A packet that finds
-    every buffer bound at its first round is decoded round by round
-    without combining, which at the simulated operating point almost
-    never succeeds. Reports delivered information per transmission.
+    Processes take turns transmitting one round each. A packet whose
+    process could not obtain a buffer is decoded round by round without
+    combining, which at the simulated operating point almost never
+    succeeds. Reports delivered information per transmission.
     """
     if not 1 <= pool_size <= POOL_SLOTS:
         raise ValueError(f"pool_size must be in [1, {POOL_SLOTS}]")
