@@ -4,11 +4,15 @@
  *
  * A block is (degree, lanes) int16, row-major: row e holds edge e of every
  * lane, and each lane is one check node, as on a circulant-shift datapath.
- * Each lane loop is its own function with restrict parameters, so that the
- * compiler vectorizes it without run-time alias checks.
+ * Lanes come in runs of Zc, one run per base row of the layer, and edge e
+ * of a run is one column block of the posteriors rotated by its shift,
+ * copied in and out whole. Each lane loop is its own function with
+ * restrict parameters, so that the compiler vectorizes it without run-time
+ * alias checks.
  */
 
 #include <stdint.h>
+#include <string.h>
 
 #define OFFSET 2    /* the 0.5 min-sum offset in quarter-LLR units */
 #define LLR_MAX 127 /* the decoder's messages and posteriors saturate here */
@@ -18,18 +22,36 @@ static inline int16_t clip(int v)
     return (int16_t)(v > LLR_MAX ? LLR_MAX : v < -LLR_MAX ? -LLR_MAX : v);
 }
 
+/* Copy each edge's block of post into q, rotated left by its shift: lane t
+ * of an edge (start, s) reads post[start + (t + s) % Zc]. edges holds one
+ * (start, s) pair per Zc lanes; a negative start marks padding, which reads
+ * +127. */
 static void gather(int16_t *restrict q, const int16_t *restrict post,
-                   const intptr_t *restrict idx, int n)
+                   const int32_t *restrict edges, int blocks, int Zc)
 {
-    for (int i = 0; i < n; i++)
-        q[i] = post[idx[i]];
+    for (int b = 0; b < blocks; b++, q += Zc) {
+        int start = edges[2 * b], s = edges[2 * b + 1];
+        if (start < 0) {
+            for (int t = 0; t < Zc; t++)
+                q[t] = LLR_MAX;
+            continue;
+        }
+        memcpy(q, post + start + s, (size_t)(Zc - s) * sizeof *q);
+        memcpy(q + Zc - s, post + start, (size_t)s * sizeof *q);
+    }
 }
 
-static void scatter(int16_t *restrict post, const intptr_t *restrict idx,
-                    const int16_t *restrict q, int n)
+/* The inverse of gather; padding is not written back. */
+static void scatter(int16_t *restrict post, const int32_t *restrict edges,
+                    const int16_t *restrict q, int blocks, int Zc)
 {
-    for (int i = 0; i < n; i++)
-        post[idx[i]] = q[i];
+    for (int b = 0; b < blocks; b++, q += Zc) {
+        int start = edges[2 * b], s = edges[2 * b + 1];
+        if (start < 0)
+            continue;
+        memcpy(post + start + s, q, (size_t)(Zc - s) * sizeof *q);
+        memcpy(post + start, q + Zc - s, (size_t)s * sizeof *q);
+    }
 }
 
 static void sub_clip(int16_t *restrict q, const int16_t *restrict msg, int n)
@@ -102,17 +124,18 @@ static void check_node(const int16_t *q, int16_t *msg, const int16_t *real, int1
                       sx, (int16_t)e, lanes);
 }
 
-/* One layer update: read each edge's posterior through idx less its old
- * message, replace msg with the new messages and write the posteriors
- * back, saturating at +/-127 on the way in and out. q is a scratch block
+/* One layer update: copy each edge's rotated block of post in, less its old
+ * message, replace msg with the new messages and copy the posteriors back,
+ * saturating at +/-127 on the way in and out. edges is the layer's
+ * (degree, lanes / Zc) table of (start, shift) pairs, and q a scratch block
  * of degree * lanes int16. */
-void layer(int16_t *post, const intptr_t *idx, int16_t *q, int16_t *msg,
-           const int16_t *real, int16_t *work, int degree, int lanes)
+void layer(int16_t *post, const int32_t *edges, int16_t *q, int16_t *msg,
+           const int16_t *real, int16_t *work, int degree, int lanes, int Zc)
 {
     int n = degree * lanes;
-    gather(q, post, idx, n);
+    gather(q, post, edges, n / Zc, Zc);
     sub_clip(q, msg, n);
     check_node(q, msg, real, work, degree, lanes);
     add_clip(q, msg, n);
-    scatter(post, idx, q, n);
+    scatter(post, edges, q, n / Zc, Zc);
 }

@@ -78,7 +78,7 @@ def _build() -> ctypes.CDLL:
         # RuntimeError: Path.home() with no HOME and no passwd entry
         raise _BuildError(str(exc)) from exc
     ptr, count = ctypes.c_void_p, ctypes.c_int
-    lib.layer.argtypes = (ptr,) * 6 + (count, count)
+    lib.layer.argtypes = (ptr,) * 6 + (count,) * 3
     lib.layer.restype = None
     return lib
 

@@ -13,14 +13,12 @@ extension parity block at once. The core rows are read at their full
 degree, the extension rows only up to theirs. The decoder is a
 row-layered offset min-sum with saturating 8-bit fixed-point messages (2
 fractional bits, so the 0.5 offset is exactly two LSBs) that updates
-consecutive rows sharing no column as one block; its layers are the only
-table of element indices. Extension rows whose own parity block arrives
-with zero LLRs, because rate matching never sent it, change no other bit;
-each run of them is one step that reads the core through the same
-windows, bit-exact with the row-by-row update. Each live layer is one
-call into the compiled kernel of ``_native`` where it can be built;
-otherwise it runs the min-sum as defined (``_min_sum``), which is also
-the kernel's oracle in the tests.
+consecutive rows sharing no column as one block, every layer the same
+step in every iteration. Each layer is one call into the compiled kernel
+of ``_native`` where it can be built, which copies each edge's rotated
+column block in and out whole; otherwise it gathers through the layer's
+element indices, the only such table, and runs the min-sum as defined
+(``_min_sum``), which is also the kernel's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
-from itertools import groupby
 
 import numpy as np
 
@@ -252,11 +249,10 @@ def build_code(bg: BaseGraphId, Zc: int) -> LiftedLdpcCode:
     )
 
 
-def _doubled(code: LiftedLdpcCode, values: np.ndarray,
-             fill: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _doubled(code: LiftedLdpcCode, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The code's column blocks, each laid out twice, then a padding block.
 
-    ``values`` fills the first blocks and the rest hold ``fill``. Returns
+    ``values`` fills the first blocks and the rest hold zeros. Returns
     that (blocks + 1, 2, Zc) buffer, of the dtype of ``values``, and its
     stride-1 view of every Zc-value window. The window at offset
     2*Zc*c + s is block c rotated left by s, which is what lifted row t of
@@ -266,7 +262,7 @@ def _doubled(code: LiftedLdpcCode, values: np.ndarray,
     Zc = code.Zc
     doubled = np.empty((code.N_full // Zc + 1, 2, Zc), dtype=values.dtype)
     doubled[:values.size // Zc] = values.reshape(-1, 1, Zc)
-    doubled[values.size // Zc:] = fill
+    doubled[values.size // Zc:] = 0
     step = doubled.itemsize
     windows = np.ndarray((doubled.size - Zc + 1, Zc), doubled.dtype, doubled,
                          strides=(step, step))
@@ -391,13 +387,17 @@ class _Layer:
     has at least two real edges, so padding can tie the two smallest |q|
     of a lane but never lower them, and being positive it never flips a
     sign. ``real`` is 0 on padding, so its messages stay 0 and the sentinel
-    never changes.
+    never changes. ``edges[e, j]`` is the (c * Zc, shift) pair of the j-th
+    row's e-th edge, from which the kernel copies the same lanes as whole
+    rotated blocks; on padding it is (-1, -1).
     """
 
     rows: tuple[int, ...]
     idx: np.ndarray  # (degree, lanes) intp
     real: np.ndarray  # (degree, lanes) int16, 1 on real edges
-    pointers: tuple[ctypes.c_void_p, ctypes.c_void_p]  # idx and real, for the kernel
+    edges: np.ndarray  # (degree, rows, 2) int32
+    msg: slice  # the layer's messages in the decoder's one buffer, row-major
+    pointers: tuple[ctypes.c_void_p, ctypes.c_void_p]  # edges and real, for the kernel
 
 
 @lru_cache(maxsize=None)
@@ -422,17 +422,22 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
         seen |= cols
 
     layers = []
+    start = 0
     for rows in groups:
         degree = max(len(code.rows[r]) for r in rows)
         idx = np.full((degree, len(rows) * Zc), code.N_full, dtype=np.intp)
+        edges = np.full((degree, len(rows), 2), -1, dtype=np.int32)
         for j, r in enumerate(rows):
             for e, (c, s) in enumerate(code.rows[r]):
                 idx[e, j * Zc:(j + 1) * Zc] = c * Zc + (t + s) % Zc
+                edges[e, j] = c * Zc, s
         real = (idx != code.N_full).astype(np.int16)
-        idx.flags.writeable = real.flags.writeable = False
-        layers.append(_Layer(rows=tuple(rows), idx=idx, real=real,
-                             pointers=(ctypes.c_void_p(idx.ctypes.data),
+        idx.flags.writeable = real.flags.writeable = edges.flags.writeable = False
+        layers.append(_Layer(rows=tuple(rows), idx=idx, real=real, edges=edges,
+                             msg=slice(start, start + idx.size),
+                             pointers=(ctypes.c_void_p(edges.ctypes.data),
                                        ctypes.c_void_p(real.ctypes.data))))
+        start += idx.size
     return tuple(layers)
 
 
@@ -469,23 +474,6 @@ def check_node_update(llrs: np.ndarray) -> np.ndarray:
     return _min_sum(raw.astype(np.int16)[:, None], 1)[:, 0].astype(np.int8)
 
 
-def _dead_step(q: np.ndarray, out: np.ndarray) -> None:
-    """Write the posterior of a run of dead blocks from their rows' edges ``q``.
-
-    ``q`` is (degree, lanes) and reads +127, which is never below a real
-    |q| and is positive, on each row's own block and padding. ``out`` gets
-    each lane's sign product times max(min |q| - offset, 0).
-    """
-    sign = np.bitwise_xor.reduce(q, axis=0)
-    np.right_shift(sign, 15, out=sign)  # the int16 sign bit, as 0 or -1
-    np.abs(q, out=q)
-    np.minimum.reduce(q, axis=0, out=out)
-    np.subtract(out, OFFSET_RAW, out=out)
-    np.maximum(out, 0, out=out)
-    np.bitwise_xor(out, sign, out=out)
-    np.subtract(out, sign, out=out)
-
-
 def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     """Row-layered offset min-sum decode of one codeword, at most MAX_ITERATIONS.
 
@@ -495,82 +483,45 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     applies; they saturate at +/-127 (8-bit signed, 2 fractional bits). A
     zero posterior is decided as bit 1, so an all-zero input does not pass
     off as the all-zero codeword. Base rows are updated in order,
-    column-disjoint neighbours together (``_layers``).
-
-    An extension row r >= 4 is dead when the posterior of its own block
-    kb + r is all zero at entry, as when rate matching never sent that
-    block. Each maximal run of layers whose rows are all dead is one step
-    (``_dead_step``), which gives exactly what the row-by-row update gives:
-
-    1. ``build_code`` checks that block kb + r is read only by row r, at
-       shift 0.
-    2. That block's posterior starts at 0. At every visit its edge reads
-       q = post - msg = 0, because the last visit set post = clip(0 + m)
-       = m, as |m| <= 125.
-    3. With |q| = 0 on that edge, every other edge of row r gets the
-       message max(0 - offset, 0) = 0, so the row changes no other column.
-    4. A run of dead layers therefore reads one posterior state. At its
-       place in the schedule it reads each row's other edges through
-       ``_check_windows`` and writes post = sign product x
-       max(min |q| - offset, 0) to the dead blocks.
-
-    Live layers, including ones that merge a live and a dead row, run as
-    before; only they keep messages. Each is one call into the compiled
-    kernel (``_native``) where it can be built, else the definition-level
-    min-sum in NumPy (``_min_sum``).
+    column-disjoint neighbours together (``_layers``), every layer in every
+    iteration. Each layer is one call into the compiled kernel
+    (``_native``) where it can be built, else the definition-level min-sum
+    in NumPy (``_min_sum``).
     """
     llr = as_softllr(channel_llrs)
     if llr.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} LLRs")
-    Zc = code.Zc
-    core = (code.systematic_cols + 4) * Zc
+    layers = _layers(code.bg, code.Zc)
 
     # internal orientation: positive favors bit 0; the last entry is the sentinel
     post = np.empty(code.N_full + 1, dtype=np.int16)
     post[:-1] = llr
     np.negative(post, out=post)
     post[-1] = DECODER_LLR_MAX
-    dead_post = post[core:-1]  # blocks kb + 4 on, one per extension row
-    live = {0, 1, 2, 3}.union(4 + np.flatnonzero(dead_post.reshape(-1, Zc).any(axis=1)))
-    steps: list = []  # live layers, and (window offsets, posterior) of each dead run
-    for dead, run in groupby(_layers(code.bg, Zc), key=lambda l: live.isdisjoint(l.rows)):
-        if not dead:
-            steps.extend(run)
-            continue
-        rows = [r for layer in run for r in layer.rows]
-        degree = max(len(code.rows[r]) for r in rows)
-        starts = _check_windows(code.bg, Zc)[:degree, rows[0]:rows[-1] + 1]
-        steps.append((starts, dead_post[(rows[0] - 4) * Zc:(rows[-1] - 3) * Zc]))
-    # dead runs read the core through windows; every block past it reads +127
-    doubled, windows = _doubled(code, post[:core], DECODER_LLR_MAX)
-    msgs = [np.zeros(s.idx.shape, dtype=np.int16) if isinstance(s, _Layer) else None
-            for s in steps]
+    msg = np.zeros(layers[-1].msg.stop, dtype=np.int16)  # every layer's messages
     lib = _native.library()
     if lib is not None:
-        # one kernel call per live layer, all sharing one q block and one work area
-        shapes = [m.shape for m in msgs if m is not None]
-        scratch = np.empty(max(d * n for d, n in shapes), dtype=np.int16)
-        work = np.empty(4 * max(n for _, n in shapes), dtype=np.int16)
+        # one kernel call per layer, all sharing one q block and one work area
+        scratch = np.empty(max(l.idx.size for l in layers), dtype=np.int16)
+        work = np.empty(4 * max(l.idx.shape[1] for l in layers), dtype=np.int16)
         post_p, scratch_p, work_p = (ctypes.c_void_p(a.ctypes.data)
                                      for a in (post, scratch, work))
-        calls = [None if m is None else
-                 (post_p, s.pointers[0], scratch_p, ctypes.c_void_p(m.ctypes.data),
-                  s.pointers[1], work_p, *m.shape)
-                 for s, m in zip(steps, msgs)]
+        msg_at = msg.ctypes.data
+        calls = [(post_p, l.pointers[0], scratch_p,
+                  ctypes.c_void_p(msg_at + msg.itemsize * l.msg.start), l.pointers[1],
+                  work_p, *l.idx.shape, code.Zc) for l in layers]
+    else:
+        msgs = [msg[l.msg].reshape(l.idx.shape) for l in layers]
     hard_prev = None
     for it in range(1, MAX_ITERATIONS + 1):
-        for i, layer in enumerate(steps):
-            if msgs[i] is None:
-                starts, out = layer
-                doubled[:core // Zc] = post[:core].reshape(-1, 1, Zc)
-                _dead_step(windows[starts].reshape(len(starts), -1), out)
-                continue
-            if lib is not None:
-                lib.layer(*calls[i])
-                continue
-            q = np.clip(post[layer.idx] - msgs[i], -DECODER_LLR_MAX, DECODER_LLR_MAX)
-            msgs[i] = _min_sum(q, layer.real)
-            post[layer.idx] = np.clip(q + msgs[i], -DECODER_LLR_MAX, DECODER_LLR_MAX)
+        if lib is not None:
+            for call in calls:
+                lib.layer(*call)
+        else:
+            for layer, m in zip(layers, msgs):
+                q = np.clip(post[layer.idx] - m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
+                m[...] = _min_sum(q, layer.real)
+                post[layer.idx] = np.clip(q + m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
         hard = (post[:-1] <= 0).astype(np.uint8)
         if parity_check(code, hard):
             reason = TerminationReason.PARITY_SATISFIED

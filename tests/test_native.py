@@ -69,6 +69,29 @@ class TestNativeEqualsNumpy(OnDecoderPath):
         assert sum(reasons.values()) == 576
         assert all(reasons[r] >= 20 for r in TerminationReason), reasons
 
+    def test_every_lifting_size_bit_exact(self, monkeypatch):
+        # The kernel copies each edge as a rotated block of Zc lanes, so every
+        # Zc and shift splits its copies differently.
+        kernel = _native.library
+        rng = np.random.default_rng(20261019)
+        for bg in BaseGraphId:
+            n_rows = len(build_code(bg, 2).rows)
+            for Zc in sorted(z for zs in LIFTING_SETS for z in zs):
+                code = build_code(bg, Zc)
+                _, cw = random_codeword(code, rng)
+                noise = 8 * rng.standard_normal(code.N_full)
+                llr = np.clip(np.rint(8 * (2.0 * cw.bits - 1.0) + noise), -31, 31)
+                llr = llr.astype(np.int8)
+                zero_extension_blocks(code, llr, range(int(rng.integers(5, n_rows)), n_rows))
+                monkeypatch.setattr(_native, "library", kernel)
+                native = ldpc_decode(code, llr)
+                monkeypatch.setattr(_native, "library", lambda: None)
+                numpy = ldpc_decode(code, llr)
+                label = f"{bg.name} Zc={Zc}"
+                assert np.array_equal(native.hard_bits, numpy.hard_bits), label
+                assert (native.iterations_used, native.termination_reason) == \
+                       (numpy.iterations_used, numpy.termination_reason), label
+
 
 # Decodes one fixed input twice and prints the results and every warning.
 DECODE_SCRIPT = """
