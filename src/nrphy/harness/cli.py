@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -167,13 +168,17 @@ def _cmd_bler(cfg, args) -> int:
 
 
 def _cmd_harq_sim(cfg, args) -> int:
-    merged = RunReport(kind="harq-sim", config=cfg.echo(),
-                       columns=HARQ_COLUMNS)
-    for size in args.pool_sizes:
-        rep = run_harq_sim(cfg, size, args.processes, args.rounds, args.packets)
-        merged.rows.extend(rep.rows)
-        merged.notes.extend(rep.notes)
-        merged.wall_clock_s += rep.wall_clock_s
+    reps = [run_harq_sim(cfg, size, args.processes, args.rounds, args.packets)
+            for size in args.pool_sizes]
+    merged = RunReport(kind="harq-sim", config=cfg.echo(), columns=HARQ_COLUMNS,
+                       rows=[row for rep in reps for row in rep.rows],
+                       iterations_histogram=dict(sum(
+                           (Counter(rep.iterations_histogram) for rep in reps), Counter())),
+                       wall_clock_s=sum(rep.wall_clock_s for rep in reps),
+                       notes=[note for rep in reps for note in rep.notes])
+    delivered_bits = sum(row["delivered_bits"] for row in merged.rows)
+    if delivered_bits and merged.wall_clock_s > 0:
+        merged.throughput_mbps = delivered_bits / merged.wall_clock_s / 1e6
     _emit(merged, args.out)
     return EXIT_OK
 

@@ -1,9 +1,13 @@
 """CLI contract tests: subcommands, exit codes, file formats."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nrphy.harness.cli import main
+from nrphy.harness.config import load_config
+from nrphy.harness.sim import run_harq_sim
 from nrphy.llr import KIND_LLRS, PackedWordStream, unpack_llr_words
 
 SMALL_CONFIG = """
@@ -237,3 +241,19 @@ class TestReports:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("pool_size,processes,transmissions")
         assert len(lines) == 3
+
+    def test_harq_sim_summary_merges_histograms_and_throughput(self, tmp_path, capsys):
+        cfg = tmp_path / "harq.cfg"
+        cfg.write_text("k_prime = 192\ntarget_rate = 0.75\ne_r = 256\n"
+                       "q_m = 2\nsnr_db = 4\nseed = 3\n")
+        rc = main(["harq-sim", "--config", str(cfg), "--pool-sizes", "1,2",
+                   "--processes", "2", "--packets", "2", "--rounds", "3"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = Counter()
+        for size in (1, 2):
+            expected.update(run_harq_sim(load_config(str(cfg)), size, 2, 3, 2)
+                            .iterations_histogram)
+        hist = " ".join(f"{k}:{v}" for k, v in sorted(expected.items()))
+        assert f"[harq-sim] iterations histogram: {hist}" in lines
+        assert any(line.startswith("[harq-sim] throughput=") for line in lines), lines
