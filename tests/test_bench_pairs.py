@@ -1,0 +1,66 @@
+"""tools/bench_pairs.py: the run order of its pairs and the summary it prints."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402
+
+
+def run(tree, workload, seed, **metrics):
+    return {"tree": tree, "workload": workload, "seed": seed, "correct": True,
+            "attempted": 10, "failed": 0, "metrics": metrics}
+
+
+def synthetic_runs():
+    """Four pairs on one workload: the change decodes 2x faster, with a 1.5x op p50."""
+    runs = []
+    for seed in range(1, 5):
+        base = {name: float(seed) for name in bench_pairs.end_to_end_bounds()}
+        changed = dict(base, decode_mbps=2.0 * seed, op_ms_p50=1.5 * seed)
+        changed["info_mbps"] = seed * (1.1 if seed < 4 else 0.9)  # wins 3 of 4
+        runs += [run("parent", "w", seed, **base), run("change", "w", seed, **changed)]
+    return runs
+
+
+class TestSummarize:
+    def test_quartiles_ratios_wins_and_bounds(self):
+        rows = {row["metric"]: row for row in bench_pairs.summarize(synthetic_runs())}
+        assert set(rows) == set(bench_pairs.end_to_end_bounds())
+        decode = rows["decode_mbps"]
+        assert decode["parent"] == pytest.approx([1.75, 2.5, 3.25])
+        assert decode["change"] == pytest.approx([3.5, 5.0, 6.5])
+        assert (decode["ratio"], decode["wins"], decode["pairs"], decode["worse"]) == \
+               (pytest.approx(2.0), 4, 4, False)
+        p50 = rows["op_ms_p50"]  # lower is better: 1.5x is past the 0.25 bound
+        assert (p50["ratio"], p50["wins"], p50["worse"]) == (pytest.approx(1.5), 0, True)
+        info = rows["info_mbps"]
+        assert (info["ratio"], info["wins"], info["worse"]) == (pytest.approx(1.1), 3, False)
+        assert (rows["setup_s"]["ratio"], rows["setup_s"]["wins"]) == (1.0, 0)
+
+    def test_summary_marks_only_ratios_past_their_bound(self, capsys):
+        bench_pairs.print_summary(bench_pairs.summarize(synthetic_runs()))
+        lines = capsys.readouterr().out.splitlines()
+        marked = [line.split()[1] for line in lines if "WORSE" in line]
+        assert marked == ["op_ms_p50"]
+        assert any("decode_mbps" in line and "2.000x  4/4" in line for line in lines)
+
+
+class TestPairRuns:
+    def test_parent_first_at_odd_seeds_change_first_at_even(self, monkeypatch):
+        order = []
+
+        def fake_perfbench(checkout, workload, seed, trace):
+            order.append((checkout.name, workload, seed))
+            return {"correct": True, "attempted": 1, "failed": 0,
+                    "metrics": {"decode_mbps": {"value": 1.0, "unit": "Mbps"}}}
+
+        monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+        runs = bench_pairs.pair_runs({"parent": Path("p"), "change": Path("c")}, 2)
+        expected = [(tree, w, seed) for seed in (1, 2) for w in bench_pairs.WORKLOADS
+                    for tree in (("p", "c") if seed == 1 else ("c", "p"))]
+        assert order == expected
+        assert [(r["tree"][0], r["workload"], r["seed"]) for r in runs] == expected
+        assert runs[0]["metrics"] == {"decode_mbps": 1.0}
