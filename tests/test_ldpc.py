@@ -546,7 +546,7 @@ def zero_extension_blocks(code, llr, rows):
 
 
 class TestDeadExtensionRows(OnDecoderPath):
-    """``ldpc_decode`` skips rows whose own block has zero LLRs; the
+    """``ldpc_decode`` on rows whose own block has zero LLRs; the
     in-order layered loop (``reference_decode``) is the oracle."""
 
     @pytest.mark.parametrize("bg", list(BaseGraphId), ids=lambda bg: bg.name)
@@ -590,7 +590,7 @@ class TestDeadExtensionRows(OnDecoderPath):
 
     @pytest.mark.parametrize("k_prime, rate, e_r", [
         (8448, 2 / 3, 12672),  # the benchmark point, BG1 Zc=384
-        (192, 0.75, 256),  # the HARQ study point, BG2 Zc=24
+        (192, 0.75, 256),  # the HARQ study point, BG2 Zc=20
         (1000, 0.5, 2000),  # BG2 Zc=104 with filler bits
     ])
     def test_rate_matched_rv0_to_rv3_and_combined(self, k_prime, rate, e_r):
