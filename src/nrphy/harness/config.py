@@ -90,7 +90,7 @@ _PARSERS = {
                      "harq_process", "blocks", "seed"), int),
     "target_rate": float,
     "snr_db": float,
-    "rv_schedule": lambda val: tuple(int(v) for v in val.split(",") if v),
+    "rv_schedule": lambda val: tuple(int(v) for v in val.split(",")),
 }
 
 

@@ -411,7 +411,8 @@ class TestConfigParsing:
         "q_m = 3", "q_m = 0", "rv_schedule = 0,5", "rv_schedule = -1",
         "harq_process = 16", "harq_process = -1",
         "k_prime = 0", "k_prime = 3", "k_prime = 8449",
-        "k_prime = abc", "rv_schedule = 0,x", "e_r = 0", "e_r = -2",
+        "k_prime = abc", "rv_schedule = 0,x", "rv_schedule = 0,,2", "rv_schedule = 0,2,",
+        "e_r = 0", "e_r = -2",
         "rnti = 65536", "q = 2", "cell_id = 1008", "snr_db = nan", "snr_db = -inf",
         "target_rate = nan", "target_rate = 5", "target_rate = 0", "seed = -1",
     ])

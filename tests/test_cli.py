@@ -83,6 +83,14 @@ class TestRoundtrip:
         assert main(["roundtrip", "--config", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0,,2", "0,2,", ",0", ","])
+    def test_empty_rv_schedule_item_exits_2(self, tmp_path, value, capsys):
+        # the file format rejects empty items, as the CLI's comma lists do
+        bad = tmp_path / "rv.cfg"
+        bad.write_text(f"rv_schedule = {value}")
+        assert main(["roundtrip", "--config", str(bad)]) == 2
+        assert "rv_schedule" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, small_config):
