@@ -1,12 +1,12 @@
 /*
- * The layer body of nrphy's layered offset min-sum decoder (ldpc.py),
- * bit-exact with its NumPy form.
+ * nrphy's layered offset min-sum decoder (ldpc.py), bit-exact with its
+ * NumPy form: one call decodes one code block, termination included.
  *
- * A block is (degree, lanes) int16, row-major: row e holds edge e of every
- * lane, and each lane is one check node, as on a circulant-shift datapath.
- * Lanes come in runs of Zc, one run per base row of the layer, and edge e
- * of a run is one column block of the posteriors rotated by its shift,
- * copied in and out whole. Each lane loop is its own function with
+ * A layer's block is (degree, lanes) int16, row-major: row e holds edge e
+ * of every lane, and each lane is one check node, as on a circulant-shift
+ * datapath. Lanes come in runs of Zc, one run per base row of the layer,
+ * and edge e of a run is one column block of the posteriors rotated by its
+ * shift, copied in and out whole. Each lane loop is its own function with
  * restrict parameters, so that the compiler vectorizes it without run-time
  * alias checks.
  */
@@ -16,6 +16,10 @@
 
 #define OFFSET 2    /* the 0.5 min-sum offset in quarter-LLR units */
 #define LLR_MAX 127 /* the decoder's messages and posteriors saturate here */
+#define ZC_MAX 384  /* the largest lifting size */
+
+/* decode's termination reasons, in ldpc.py's _REASONS order */
+enum { PARITY_SATISFIED, DECISIONS_STABLE, MAX_ITERATIONS };
 
 static inline int16_t clip(int v)
 {
@@ -129,8 +133,8 @@ static void check_node(const int16_t *q, int16_t *msg, const int16_t *real, int1
  * saturating at +/-127 on the way in and out. edges is the layer's
  * (degree, lanes / Zc) table of (start, shift) pairs, and q a scratch block
  * of degree * lanes int16. */
-void layer(int16_t *post, const int32_t *edges, int16_t *q, int16_t *msg,
-           const int16_t *real, int16_t *work, int degree, int lanes, int Zc)
+static void layer(int16_t *post, const int32_t *edges, int16_t *q, int16_t *msg,
+                  const int16_t *real, int16_t *work, int degree, int lanes, int Zc)
 {
     int n = degree * lanes;
     gather(q, post, edges, n / Zc, Zc);
@@ -138,4 +142,89 @@ void layer(int16_t *post, const int32_t *edges, int16_t *q, int16_t *msg,
     check_node(q, msg, real, work, degree, lanes);
     add_clip(q, msg, n);
     scatter(post, edges, q, n / Zc, Zc);
+}
+
+/* Write the hard decisions of post (bit 1 where post <= 0) over hard, which
+ * holds the previous ones; return whether any changed. */
+static int decide(uint8_t *restrict hard, const int16_t *restrict post, int n)
+{
+    uint8_t changed = 0;
+    for (int i = 0; i < n; i++) {
+        uint8_t h = post[i] <= 0;
+        changed |= h ^ hard[i];
+        hard[i] = h;
+    }
+    return changed;
+}
+
+/* Whether every lifted row of the layers' base rows XORs to zero: base row j
+ * of a layer XORs edge e's block of hard rotated by its shift, for every
+ * real edge, as the layer copies read it. */
+static int parity_holds(const uint8_t *restrict hard, const int32_t *edges,
+                        const int32_t *shape, int layers, int Zc)
+{
+    uint8_t acc[ZC_MAX];
+    for (int i = 0; i < layers; i++) {
+        int degree = shape[2 * i], rows = shape[2 * i + 1] / Zc;
+        for (int j = 0; j < rows; j++) {
+            memset(acc, 0, (size_t)Zc);
+            for (int e = 0; e < degree; e++) {
+                const int32_t *edge = edges + 2 * (e * rows + j);
+                int start = edge[0], s = edge[1];
+                if (start < 0)
+                    continue;
+                for (int t = 0; t < Zc - s; t++)
+                    acc[t] ^= hard[start + s + t];
+                for (int t = 0; t < s; t++)
+                    acc[Zc - s + t] ^= hard[start + t];
+            }
+            for (int t = 0; t < Zc; t++)
+                if (acc[t])
+                    return 0;
+        }
+        edges += 2 * degree * rows;
+    }
+    return 1;
+}
+
+/* Decode one code block of n posteriors, in the decoder's orientation
+ * (positive favours bit 0), for at most max_iterations iterations. Each
+ * iteration runs every layer in order, writes the hard decisions to hard,
+ * then stops if every parity row holds, or else if no decision changed
+ * since the previous iteration. The layers are given by shape, one
+ * (degree, lanes) pair per layer; edges holds each layer's (degree,
+ * lanes / Zc) table of (start, shift) pairs and real its (degree, lanes)
+ * mask, one layer after the other, and msg, zeroed, its messages in the
+ * same layout as real. scratch holds the largest degree * lanes plus four
+ * times the largest lanes int16. Returns the termination reason and sets
+ * *iterations to the number run. */
+int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
+           const int32_t *edges, const int16_t *real, const int32_t *shape, int layers,
+           int n, int Zc, int max_iterations, int *iterations)
+{
+    int size = 0;
+    for (int i = 0; i < layers; i++) {
+        int block = shape[2 * i] * shape[2 * i + 1];
+        size = block > size ? block : size;
+    }
+    int16_t *q = scratch, *work = scratch + size;
+    for (int it = 1; it <= max_iterations; it++) {
+        const int32_t *e = edges;
+        int16_t *m = msg;
+        const int16_t *r = real;
+        for (int i = 0; i < layers; i++) {
+            int degree = shape[2 * i], lanes = shape[2 * i + 1];
+            layer(post, e, q, m, r, work, degree, lanes, Zc);
+            e += 2 * degree * (lanes / Zc);
+            m += degree * lanes;
+            r += degree * lanes;
+        }
+        int changed = decide(hard, post, n);
+        *iterations = it;
+        if (parity_holds(hard, edges, shape, layers, Zc))
+            return PARITY_SATISFIED;
+        if (it > 1 && !changed)
+            return DECISIONS_STABLE;
+    }
+    return MAX_ITERATIONS;
 }

@@ -1,4 +1,8 @@
-"""The decoder's compiled layer kernel (``_layer.c``): built at first use, then loaded.
+"""The decoder's compiled kernel (``_layer.c``): built at first use, then loaded.
+
+The kernel exports one function, ``decode``, which runs a code block's
+whole layered decode, termination included, in one call; ``ctypes``
+releases the GIL for its length.
 
 The source is compiled with the C compiler named by ``CC`` (else ``cc``),
 for the host CPU, into ``NRPHY_CACHE_DIR`` (else ``~/.cache/nrphy``). The
@@ -78,8 +82,8 @@ def _build() -> ctypes.CDLL:
         # RuntimeError: Path.home() with no HOME and no passwd entry
         raise _BuildError(str(exc)) from exc
     ptr, count = ctypes.c_void_p, ctypes.c_int
-    lib.layer.argtypes = (ptr,) * 6 + (count,) * 3
-    lib.layer.restype = None
+    lib.decode.argtypes = (ptr,) * 7 + (count,) * 4 + (ctypes.POINTER(count),)
+    lib.decode.restype = count
     return lib
 
 
@@ -99,7 +103,7 @@ def _warn_fallback(reason: str) -> None:
 
 
 def library() -> ctypes.CDLL | None:
-    """The kernel library, or None where the decoder runs its NumPy min-sum."""
+    """The kernel library, or None where the decoder runs in NumPy."""
     lib, reason = _load()
     if lib is None:
         _warn_fallback(reason)

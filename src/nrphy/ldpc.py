@@ -14,11 +14,13 @@ degree, the extension rows only up to theirs. The decoder is a
 row-layered offset min-sum with saturating 8-bit fixed-point messages (2
 fractional bits, so the 0.5 offset is exactly two LSBs) that updates
 consecutive rows sharing no column as one block, every layer the same
-step in every iteration. Each layer is one call into the compiled kernel
-of ``_native`` where it can be built, which copies each edge's rotated
-column block in and out whole; otherwise it gathers through the layer's
-element indices, the only such table, and runs the min-sum as defined
-(``_min_sum``), which is also the kernel's oracle in the tests.
+step in every iteration. Where the compiled kernel of ``_native`` can be
+built, a code block's whole decode is one call into it: every iteration's
+layers, which copy each edge's rotated column block in and out whole, its
+hard decisions, and the parity and stability checks that end it.
+Otherwise each layer gathers through its element indices, the only such
+table, and runs the min-sum as defined (``_min_sum``), and ``parity_check``
+ends the decode; that path is also the kernel's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -389,7 +391,8 @@ class _Layer:
     sign. ``real`` is 0 on padding, so its messages stay 0 and the sentinel
     never changes. ``edges[e, j]`` is the (c * Zc, shift) pair of the j-th
     row's e-th edge, from which the kernel copies the same lanes as whole
-    rotated blocks; on padding it is (-1, -1).
+    rotated blocks and XORs the same rows' hard decisions for its parity
+    check; on padding it is (-1, -1).
     """
 
     rows: tuple[int, ...]
@@ -397,7 +400,6 @@ class _Layer:
     real: np.ndarray  # (degree, lanes) int16, 1 on real edges
     edges: np.ndarray  # (degree, rows, 2) int32
     msg: slice  # the layer's messages in the decoder's one buffer, row-major
-    pointers: tuple[ctypes.c_void_p, ctypes.c_void_p]  # edges and real, for the kernel
 
 
 @lru_cache(maxsize=None)
@@ -434,11 +436,43 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
         real = (idx != code.N_full).astype(np.int16)
         idx.flags.writeable = real.flags.writeable = edges.flags.writeable = False
         layers.append(_Layer(rows=tuple(rows), idx=idx, real=real, edges=edges,
-                             msg=slice(start, start + idx.size),
-                             pointers=(ctypes.c_void_p(edges.ctypes.data),
-                                       ctypes.c_void_p(real.ctypes.data))))
+                             msg=slice(start, start + idx.size)))
         start += idx.size
     return tuple(layers)
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """Every layer's kernel tables, concatenated in layer order, for one decode call.
+
+    ``real`` lays the layers out as the decoder's message buffer does.
+    """
+
+    edges: np.ndarray  # every layer's (degree, rows, 2) int32 table
+    real: np.ndarray  # every layer's (degree, lanes) int16 mask
+    shape: np.ndarray  # (layers, 2) int32: each layer's (degree, lanes)
+    scratch: int  # the kernel's q block and work area, in int16
+
+    @cached_property
+    def tables(self) -> tuple[int, int, int, int]:
+        """The decode call's edges, real and shape addresses and layer count."""
+        return (self.edges.ctypes.data, self.real.ctypes.data, self.shape.ctypes.data,
+                len(self.shape))
+
+
+@lru_cache(maxsize=None)
+def _kernel(bg: BaseGraphId, Zc: int) -> _Kernel:
+    """The kernel tables of ``_layers(bg, Zc)``."""
+    layers = _layers(bg, Zc)
+    shape = np.array([l.idx.shape for l in layers], dtype=np.int32)
+    return _Kernel(edges=np.concatenate([l.edges.ravel() for l in layers]),
+                   real=np.concatenate([l.real.ravel() for l in layers]), shape=shape,
+                   scratch=int(shape.prod(axis=1).max() + 4 * shape[:, 1].max()))
+
+
+# the reason of each of the kernel's return codes
+_REASONS = (TerminationReason.PARITY_SATISFIED, TerminationReason.DECISIONS_STABLE,
+            TerminationReason.MAX_ITERATIONS)
 
 
 def _min_sum(q: np.ndarray, real: np.ndarray | int) -> np.ndarray:
@@ -484,9 +518,9 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     zero posterior is decided as bit 1, so an all-zero input does not pass
     off as the all-zero codeword. Base rows are updated in order,
     column-disjoint neighbours together (``_layers``), every layer in every
-    iteration. Each layer is one call into the compiled kernel
-    (``_native``) where it can be built, else the definition-level min-sum
-    in NumPy (``_min_sum``).
+    iteration. The decode is one call into the compiled kernel
+    (``_native``) where it can be built, else it runs the definition-level
+    min-sum in NumPy (``_min_sum``) and ``parity_check``.
     """
     llr = as_softllr(channel_llrs)
     if llr.shape != (code.N_full,):
@@ -501,27 +535,24 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     msg = np.zeros(layers[-1].msg.stop, dtype=np.int16)  # every layer's messages
     lib = _native.library()
     if lib is not None:
-        # one kernel call per layer, all sharing one q block and one work area
-        scratch = np.empty(max(l.idx.size for l in layers), dtype=np.int16)
-        work = np.empty(4 * max(l.idx.shape[1] for l in layers), dtype=np.int16)
-        post_p, scratch_p, work_p = (ctypes.c_void_p(a.ctypes.data)
-                                     for a in (post, scratch, work))
-        msg_at = msg.ctypes.data
-        calls = [(post_p, l.pointers[0], scratch_p,
-                  ctypes.c_void_p(msg_at + msg.itemsize * l.msg.start), l.pointers[1],
-                  work_p, *l.idx.shape, code.Zc) for l in layers]
-    else:
-        msgs = [msg[l.msg].reshape(l.idx.shape) for l in layers]
+        # the whole decode, termination included, is one call
+        kernel = _kernel(code.bg, code.Zc)
+        hard = np.empty(code.N_full, dtype=np.uint8)
+        scratch = np.empty(kernel.scratch, dtype=np.int16)
+        iterations = ctypes.c_int()
+        reason = lib.decode(post.ctypes.data, msg.ctypes.data, hard.ctypes.data,
+                            scratch.ctypes.data, *kernel.tables, code.N_full, code.Zc,
+                            MAX_ITERATIONS, ctypes.byref(iterations))
+        return DecodeResult(hard_bits=hard[: code.K], iterations_used=iterations.value,
+                            termination_reason=_REASONS[reason])
+
+    msgs = [msg[l.msg].reshape(l.idx.shape) for l in layers]
     hard_prev = None
     for it in range(1, MAX_ITERATIONS + 1):
-        if lib is not None:
-            for call in calls:
-                lib.layer(*call)
-        else:
-            for layer, m in zip(layers, msgs):
-                q = np.clip(post[layer.idx] - m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
-                m[...] = _min_sum(q, layer.real)
-                post[layer.idx] = np.clip(q + m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
+        for layer, m in zip(layers, msgs):
+            q = np.clip(post[layer.idx] - m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
+            m[...] = _min_sum(q, layer.real)
+            post[layer.idx] = np.clip(q + m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
         hard = (post[:-1] <= 0).astype(np.uint8)
         if parity_check(code, hard):
             reason = TerminationReason.PARITY_SATISFIED

@@ -47,6 +47,26 @@ class TestSummarize:
         assert marked == ["op_ms_p50"]
         assert any("decode_mbps" in line and "2.000x  4/4" in line for line in lines)
 
+    def test_summary_shows_each_trees_median_ops_per_workload(self, capsys):
+        runs = []
+        for seed, (parent_ops, change_ops) in enumerate([(100, 150), (90, 210), (120, 180)], 1):
+            for workload in ("a", "b"):
+                scale = 1 if workload == "a" else 10
+                runs += [dict(run("parent", workload, seed, **dict.fromkeys(
+                                  bench_pairs.end_to_end_bounds(), 1.0)),
+                              attempted=parent_ops * scale),
+                         dict(run("change", workload, seed, **dict.fromkeys(
+                                  bench_pairs.end_to_end_bounds(), 1.0)),
+                              attempted=change_ops * scale)]
+        rows = bench_pairs.summarize(runs)
+        assert {row["workload"]: row["ops"] for row in rows} == {"a": [100, 180],
+                                                                 "b": [1000, 1800]}
+        bench_pairs.print_summary(rows)
+        ops = [line.split() for line in capsys.readouterr().out.splitlines()
+               if line.split()[1:2] == ["ops"]]
+        assert [line[:5] for line in ops] == [["a", "ops", "100", "->", "180"],
+                                              ["b", "ops", "1000", "->", "1800"]]
+
 
 class TestPairRuns:
     def test_parent_first_at_odd_seeds_change_first_at_even(self, monkeypatch):

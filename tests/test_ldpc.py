@@ -619,6 +619,37 @@ class TestDeadExtensionRowsNumpy(TestDeadExtensionRows):
     path = "numpy"
 
 
+class TestEveryRowIsChecked(OnDecoderPath):
+    """A decode stops on parity only when every lifted row holds.
+
+    Every LLR is -1 (a weak bit 0) but one zero, which decides bit 1, in
+    the own block of extension row r. Every row has at least two edges, so
+    every min-sum message is 0 and the posteriors stay at the input: only
+    row r fails, in every iteration, and the decisions are stable at the
+    second.
+    """
+
+    @pytest.mark.parametrize("bg", list(BaseGraphId), ids=lambda bg: bg.name)
+    def test_one_failing_extension_row_stops_the_decode_as_stable(self, bg):
+        code = build_code(bg, 3)
+        kb = code.systematic_cols
+        weak = np.full(code.N_full, -1, np.int8)
+        res = ldpc_decode(code, weak)
+        assert (res.iterations_used, res.termination_reason) == \
+               (1, TerminationReason.PARITY_SATISFIED)
+        for r in range(4, len(code.rows)):
+            llr = weak.copy()
+            llr[(kb + r) * code.Zc + 1] = 0
+            res = ldpc_decode(code, llr)
+            assert (res.iterations_used, res.termination_reason) == \
+                   (2, TerminationReason.DECISIONS_STABLE), f"row {r}"
+            assert not res.hard_bits.any()
+
+
+class TestEveryRowIsCheckedNumpy(TestEveryRowIsChecked):
+    path = "numpy"
+
+
 def golden_decode_lines():
     """One line per seeded noisy decode: bg, Zc, iterations, reason, hard-bit hash.
 

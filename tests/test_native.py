@@ -1,4 +1,4 @@
-"""The compiled layer kernel: equal to the NumPy layer body, and its build.
+"""The compiled decoder kernel: equal to the NumPy decoder, and its build.
 
 The build tests run a fresh interpreter each, with its own empty cache
 directory, because the kernel is built and loaded once per process.
@@ -91,6 +91,18 @@ class TestNativeEqualsNumpy(OnDecoderPath):
                 assert np.array_equal(native.hard_bits, numpy.hard_bits), label
                 assert (native.iterations_used, native.termination_reason) == \
                        (numpy.iterations_used, numpy.termination_reason), label
+
+    def test_consecutive_decodes_return_independent_hard_bits(self):
+        # a later decode must not write into an earlier result's hard bits
+        code = build_code(BaseGraphId.BG2, 20)
+        rng = np.random.default_rng(7)
+        first_llr, second_llr = (rng.integers(-31, 32, code.N_full).astype(np.int8)
+                                 for _ in range(2))
+        first = ldpc_decode(code, first_llr)
+        kept = first.hard_bits.copy()
+        second = ldpc_decode(code, second_llr)
+        assert not np.array_equal(second.hard_bits, kept)
+        assert np.array_equal(first.hard_bits, kept)
 
 
 # Decodes one fixed input twice and prints the results and every warning.

@@ -13,7 +13,8 @@ S, so that a drift of the host over the session does not favour one tree.
 run. Then, per workload and end-to-end metric of ``BENCHMARK.json``, the
 script prints both trees' medians with their quartiles, the median of the
 per-pair change/parent ratios, how many pairs the change won, and a mark
-where that ratio is worse than the metric's bound. It exits 1 if any run
+where that ratio is worse than the metric's bound; above each workload's
+metrics, both trees' median ops attempted. It exits 1 if any run
 was not ``correct`` or failed an op.
 """
 
@@ -60,12 +61,19 @@ def pair_runs(checkouts: dict[str, Path], pairs: int) -> list[dict]:
 
 
 def summarize(runs: list[dict]) -> list[dict]:
-    """Per workload and end-to-end metric: quartiles of each tree, median ratio, wins."""
+    """Per workload and end-to-end metric: quartiles of each tree, median ratio, wins.
+
+    Each row also carries both trees' median ops attempted on its workload,
+    against which ``peak_rss_mb`` is read: perfbench keeps about 2 KB per op.
+    """
     rows = []
     for workload in dict.fromkeys(run["workload"] for run in runs):
         values = {(run["tree"], run["seed"]): run["metrics"]
                   for run in runs if run["workload"] == workload}
         seeds = sorted({seed for _, seed in values})
+        ops = [statistics.median(run["attempted"] for run in runs
+                                 if run["workload"] == workload and run["tree"] == tree)
+               for tree in TREES]
         for name, (better, bound) in end_to_end_bounds().items():
             parent, change = ([values[tree, seed][name] for seed in seeds] for tree in TREES)
             ratios = [c / p for c, p in zip(change, parent)]
@@ -79,13 +87,20 @@ def summarize(runs: list[dict]) -> list[dict]:
                 "pairs": len(seeds),
                 "worse": worse_than_bound(ratio, better, bound),
                 "bound": bound,
+                "ops": ops,
             })
     return rows
 
 
 def print_summary(rows: list[dict]) -> None:
     print("change/parent, median [quartiles] of each tree, median pair ratio, wins")
+    workload = None
     for row in rows:
+        if row["workload"] != workload:
+            workload = row["workload"]
+            parent, change = row["ops"]
+            print(f"  {workload:10s} {'ops':12s} {parent:10.5g} -> {change:10.5g}"
+                  "  median attempted")
         (p1, p2, p3), (c1, c2, c3) = row["parent"], row["change"]
         mark = f"  WORSE than the {row['bound']:g} bound" if row["worse"] else ""
         print(f"  {row['workload']:10s} {row['metric']:12s}"
