@@ -1,6 +1,9 @@
 /*
- * nrphy's layered offset min-sum decoder (ldpc.py), bit-exact with its
- * NumPy form: one call decodes one code block, termination included.
+ * nrphy's receive kernel, bit-exact with its NumPy forms, which define it:
+ * demap (llr.py's llr_estimate), combine (rate_adapt.py's
+ * rate_unmatch_combine) and decode, the layered offset min-sum decoder
+ * (ldpc.py), of which one call decodes one code block, termination
+ * included.
  *
  * A layer's block is (degree, lanes) int16, row-major: row e holds edge e
  * of every lane, and each lane is one check node, as on a circulant-shift
@@ -9,6 +12,9 @@
  * shift, copied in and out whole. Each lane loop is its own function with
  * restrict parameters, so that the compiler vectorizes it without run-time
  * alias checks.
+ *
+ * Right shifts of negative values are arithmetic, as in NumPy: C leaves
+ * them to the compiler, and GCC and Clang both shift arithmetically.
  */
 
 #include <stdint.h>
@@ -17,6 +23,7 @@
 #define OFFSET 2    /* the 0.5 min-sum offset in quarter-LLR units */
 #define LLR_MAX 127 /* the decoder's messages and posteriors saturate here */
 #define ZC_MAX 384  /* the largest lifting size */
+#define SOFT_MAX 31 /* channel LLRs (SoftLlr) saturate here */
 
 /* decode's termination reasons, in ldpc.py's _REASONS order */
 enum { PARITY_SATISFIED, DECISIONS_STABLE, MAX_ITERATIONS };
@@ -227,4 +234,94 @@ int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
             return DECISIONS_STABLE;
     }
     return MAX_ITERATIONS;
+}
+
+/* Demapping: llr_estimate's fixed-point arithmetic, one symbol at a time */
+
+static inline int sat16(int v)
+{
+    return v > INT16_MAX ? INT16_MAX : v < INT16_MIN ? INT16_MIN : v;
+}
+
+/* One bit's LLR from its stage value: scaled by a (Q3.12) and inv_noise
+ * (Q8.8), each product saturated to 16 bits, then rounded half away from
+ * zero to quarter-LLR units and saturated to +/-31. With |stage| <= 32768,
+ * a <= 32767 and inv_noise <= 65535 neither product reaches 2^31. */
+static inline int8_t stage_llr(int stage, int a, int inv_noise)
+{
+    int s = sat16((stage * a) >> 12);
+    s = sat16((s * inv_noise) >> 8);
+    int mag = ((s < 0 ? -s : s) + 512) >> 10;
+    mag = mag > SOFT_MAX ? SOFT_MAX : mag;
+    return (int8_t)(s < 0 ? -mag : mag);
+}
+
+/* demap's loop for one modulation order, which every call site passes as a
+ * constant, so that the compiler unrolls the stages and vectorizes across
+ * symbols. Bit 2k (2k + 1) of a symbol is stage k of its in-phase
+ * (quadrature) component t: stage 0 is -t, and stage k + 1 is
+ * t_k+1 = sat16(|t_k| - off[k]), with t_0 = t. */
+static inline __attribute__((always_inline)) void
+demap_order(int8_t *restrict out, const int16_t *restrict re, const int16_t *restrict im,
+            int n, int q_m, int a, const int off[3], int inv_noise)
+{
+    for (int i = 0; i < n; i++, out += q_m) {
+        int t[2] = {re[i], im[i]};
+        int stage[2] = {-t[0], -t[1]};
+        for (int k = 0; k < q_m / 2; k++) {
+            for (int c = 0; c < 2; c++) {
+                out[2 * k + c] = stage_llr(stage[c], a, inv_noise);
+                if (k < q_m / 2 - 1) {
+                    t[c] = sat16((t[c] < 0 ? -t[c] : t[c]) - off[k]);
+                    stage[c] = t[c];
+                }
+            }
+        }
+    }
+}
+
+/* Write the q_m LLRs of each of n symbols (re[i], im[i]) to out, symbol by
+ * symbol, from the demapper constants a, b, c, d (Q3.12) and inv_noise.
+ * q_m is 2, 4, 6 or 8, a in [1, 32767], b, c and d in [0, 32767] and
+ * inv_noise in [0, 65535], as DemapperParams checks. */
+void demap(int8_t *out, const int16_t *re, const int16_t *im, int n, int q_m, int a, int b,
+           int c, int d, int inv_noise)
+{
+    const int off[3] = {b, c, d};
+    switch (q_m) {
+    case 2: demap_order(out, re, im, n, 2, a, off, inv_noise); break;
+    case 4: demap_order(out, re, im, n, 4, a, off, inv_noise); break;
+    case 6: demap_order(out, re, im, n, 6, a, off, inv_noise); break;
+    case 8: demap_order(out, re, im, n, 8, a, off, inv_noise); break;
+    }
+}
+
+/* Combining: rate_unmatch_combine's saturating scatter-add */
+
+#define COMBINE_CHUNK 4096 /* positions gathered at a time */
+
+/* Add count LLRs to buf at positions idx, in arrival order, saturating each
+ * sum at +/-31; buf may hold any int8. No position repeats within a cycle
+ * of idx, so each piece of a cycle is gathered, added and scattered back
+ * whole, and a position a later cycle reads again holds the earlier sum.
+ * Separate loops let the add vectorize; the gather and scatter cannot. */
+void combine(int8_t *buf, const int8_t *llrs, const int64_t *idx, int count, int cycle)
+{
+    int8_t acc[COMBINE_CHUNK];
+    for (int start = 0; start < count; start += cycle) {
+        int end = count - start < cycle ? count : start + cycle;
+        for (int lo = start; lo < end; lo += COMBINE_CHUNK) {
+            int len = end - lo < COMBINE_CHUNK ? end - lo : COMBINE_CHUNK;
+            const int64_t *pos = idx + lo;
+            for (int j = 0; j < len; j++)
+                acc[j] = buf[pos[j]];
+            const int8_t *x = llrs + lo;
+            for (int j = 0; j < len; j++) {
+                int v = acc[j] + x[j];
+                acc[j] = (int8_t)(v > SOFT_MAX ? SOFT_MAX : v < -SOFT_MAX ? -SOFT_MAX : v);
+            }
+            for (int j = 0; j < len; j++)
+                buf[pos[j]] = acc[j];
+        }
+    }
 }

@@ -1,17 +1,26 @@
-"""The decoder's compiled kernel (``_layer.c``): built at first use, then loaded.
+"""The receive chain's compiled kernel (``_layer.c``): built at first use, then loaded.
 
-The kernel exports one function, ``decode``, which runs a code block's
-whole layered decode, termination included, in one call; ``ctypes``
-releases the GIL for its length.
+The kernel exports three functions, each bit-exact with the NumPy body it
+replaces, which stays the fallback and the oracle in the tests:
+
+- ``demap``: every symbol's LLRs (``llr.llr_estimate``);
+- ``combine``: the saturating scatter-add of one transmission's LLRs into
+  a soft buffer (``rate_adapt.rate_unmatch_combine``);
+- ``decode``: a code block's whole layered decode, termination included
+  (``ldpc.ldpc_decode``).
+
+Each stage calls its function where ``library()`` returns the library, and
+runs NumPy otherwise; no setting picks the path. ``ctypes`` releases the
+GIL for each call's length.
 
 The source is compiled with the C compiler named by ``CC`` (else ``cc``),
 for the host CPU, into ``NRPHY_CACHE_DIR`` (else ``~/.cache/nrphy``). The
 file is named by a hash of the source, the flags, the compiler's version
 and the host CPU, so a cache hit is one ``dlopen``, and it is written under
 a temporary name and renamed into place, so processes that build at once
-leave one file. Where it cannot be built, the decoder runs its NumPy
-min-sum after one warning. ``hashlib`` and ``subprocess`` are imported only
-to build, so a process that never decodes does not load them.
+leave one file. Where it cannot be built, every stage runs NumPy after one
+warning. ``hashlib`` and ``subprocess`` are imported only to build, so a
+process that never demaps, combines or decodes does not load them.
 """
 
 from __future__ import annotations
@@ -84,6 +93,10 @@ def _build() -> ctypes.CDLL:
     ptr, count = ctypes.c_void_p, ctypes.c_int
     lib.decode.argtypes = (ptr,) * 7 + (count,) * 4 + (ctypes.POINTER(count),)
     lib.decode.restype = count
+    lib.demap.argtypes = (ptr,) * 3 + (count,) * 7
+    lib.demap.restype = None
+    lib.combine.argtypes = (ptr,) * 3 + (count,) * 2
+    lib.combine.restype = None
     return lib
 
 
@@ -98,12 +111,12 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
 
 @cache
 def _warn_fallback(reason: str) -> None:
-    warnings.warn(f"nrphy: native decoder kernel unavailable ({reason}); "
-                  "decoding with NumPy", RuntimeWarning, stacklevel=4)
+    warnings.warn(f"nrphy: native receive kernel unavailable ({reason}); demapping, "
+                  "combining and decoding with NumPy", RuntimeWarning, stacklevel=4)
 
 
 def library() -> ctypes.CDLL | None:
-    """The kernel library, or None where the decoder runs in NumPy."""
+    """The kernel library, or None where every stage runs in NumPy."""
     lib, reason = _load()
     if lib is None:
         _warn_fallback(reason)

@@ -9,7 +9,9 @@ Modulation reads each symbol from a table of the 2^Q_m Q3.12 points,
 built once per order by the Gray arithmetic. The demapper evaluates the
 per-bit piecewise-linear max-log approximation (nested absolute
 differences against the constellation's A/B/C/D offsets) in int32 with
-every intermediate saturated to 16 bits, then quantizes to SoftLlr.
+every intermediate saturated to 16 bits, then quantizes to SoftLlr: in
+one call into the compiled kernel of ``_native`` where it can be built,
+else in NumPy, which defines it.
 
 ``PackedWordStream.to_bytes``/``from_bytes`` alone define the 32-bit word
 layout; the packers only fill bytes, so words and dump files cannot disagree.
@@ -23,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _native
 from .errors import FormatError
 from .ldpc import LLR_RAW_MAX, as_bits, as_softllr
 
@@ -52,10 +55,24 @@ def quantize(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EqualizedSymbols:
-    """Batch of equalized constellation symbols, Q3.12 per component."""
+    """Batch of equalized constellation symbols, Q3.12 per component.
+
+    ``re`` and ``im`` are 1-D int16 arrays of one length, else ValueError;
+    a strided view is copied to a contiguous array, never cast.
+    """
 
     re: np.ndarray
     im: np.ndarray
+
+    def __post_init__(self):
+        for name in ("re", "im"):
+            comp = getattr(self, name)
+            if not (isinstance(comp, np.ndarray) and comp.dtype == np.int16
+                    and comp.ndim == 1):
+                raise ValueError(f"symbol component {name} must be a 1-D int16 array")
+            object.__setattr__(self, name, np.ascontiguousarray(comp))
+        if len(self.re) != len(self.im):
+            raise ValueError("symbol components differ in length")
 
     def __len__(self) -> int:
         return len(self.re)
@@ -92,6 +109,16 @@ class DemapperParams:
     C: int
     D: int
     inv_noise: int
+
+    def __post_init__(self):
+        # these bounds keep every demapper product below 2^31
+        if not (isinstance(self.Q_m, (int, np.integer)) and self.Q_m in MODULATION_ORDERS):
+            raise ValueError(f"unsupported modulation order {self.Q_m}")
+        for name, low, high in (("A", 1, _I16_MAX), ("B", 0, _I16_MAX), ("C", 0, _I16_MAX),
+                                ("D", 0, _I16_MAX), ("inv_noise", 0, _INV_NOISE_MAX)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and low <= value <= high):
+                raise ValueError(f"{name} must be an integer in [{low}, {high}]")
 
     @classmethod
     def for_noise(cls, q_m: int, sigma2: float) -> "DemapperParams":
@@ -176,10 +203,17 @@ def llr_estimate(symbols: EqualizedSymbols, params: DemapperParams) -> np.ndarra
     Bit k of each symbol comes from the k//2-th nested absolute-difference
     stage of the in-phase (even k) or quadrature (odd k) component; stage
     values and both multiplies saturate to 16 bits. Every product is below
-    32768 * 65535 < 2^31 in magnitude, so int32 holds it exactly.
+    32768 * 65535 < 2^31 in magnitude, so int32 holds it exactly. The
+    compiled kernel computes the same in one pass where it can be built.
     """
     q_m = params.Q_m
     n = len(symbols)
+    lib = _native.library()
+    if lib is not None:
+        out = np.empty(n * q_m, dtype=np.int8)
+        lib.demap(out.ctypes.data, symbols.re.ctypes.data, symbols.im.ctypes.data, n, q_m,
+                  params.A, params.B, params.C, params.D, params.inv_noise)
+        return out
     out = np.empty((n, q_m), dtype=np.int8)
     offsets = (params.B, params.C, params.D)
     for comp, base in ((symbols.re, 0), (symbols.im, 1)):

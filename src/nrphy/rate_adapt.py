@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _native
 from .errors import PoolExhaustedError, UnknownProcessError
 from .ldpc import LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_softllr
 
@@ -148,16 +149,27 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchCon
     """Scatter-add received LLRs into their buffer positions (saturating).
 
     Positions hit more than once by one transmission (wrap-around
-    repetition) accumulate every copy, in arrival order.
+    repetition) accumulate every copy, in arrival order. The buffer's
+    ``llrs`` must be a writable, C-contiguous int8 array of N_cb values,
+    else ValueError. The compiled kernel does the same in one call where
+    it can be built.
     """
-    raw = as_softllr(llrs)
+    raw = np.ascontiguousarray(as_softllr(llrs))
     if raw.shape != (cfg.E_r,):
         raise ValueError("LLR count must equal E_r")
     code = buffer.code
+    buf = buffer.llrs
+    if not (isinstance(buf, np.ndarray) and buf.dtype == np.int8 and buf.shape == (code.N_cb,)
+            and buf.flags.c_contiguous and buf.flags.writeable):
+        raise ValueError(f"soft buffer must be a writable, contiguous int8 array of "
+                         f"N_cb = {code.N_cb} LLRs")
     idx = _selection_indices(code.N_cb, k0_start(code, cfg.rv),
                              buffer.filler_range, cfg.E_r)
-    buf = buffer.llrs
     cycle = code.N_cb - len(buffer.filler_range)
+    lib = _native.library()
+    if lib is not None:
+        lib.combine(buf.ctypes.data, raw.ctypes.data, idx.ctypes.data, cfg.E_r, cycle)
+        return
     # Within one pass over the buffer every position is unique, so each
     # chunk is an exact element-wise saturating add in arrival order. The
     # sum is int16, so any int8 the public buffer holds saturates too.

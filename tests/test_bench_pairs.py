@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: the run order of its pairs and the summary it prints."""
+"""tools/bench_pairs.py: the run order of its pairs, the summary it prints and its record."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -84,3 +85,30 @@ class TestPairRuns:
         assert order == expected
         assert [(r["tree"][0], r["workload"], r["seed"]) for r in runs] == expected
         assert runs[0]["metrics"] == {"decode_mbps": 1.0}
+
+
+class TestMain:
+    def test_records_each_trees_decoder_path_probed_before_any_run(self, monkeypatch,
+                                                                   tmp_path, capsys):
+        events = []
+
+        def fake_decoder_path(checkout):
+            events.append(("probe", checkout.name))
+            return {"p": "numpy", "c": "native"}[checkout.name]
+
+        def fake_perfbench(checkout, workload, seed, trace):
+            events.append(("run", checkout.name))
+            return {"correct": True, "attempted": 1, "failed": 0,
+                    "metrics": {name: {"value": 1.0, "unit": ""}
+                                for name in bench_pairs.end_to_end_bounds()}}
+
+        monkeypatch.setattr(bench_pairs, "decoder_path", fake_decoder_path)
+        monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        assert bench_pairs.main(["--label", "t", "--parent", str(tmp_path / "p"),
+                                 "--change", str(tmp_path / "c"), "--pairs", "2"]) == 0
+        assert sorted(events[:2]) == [("probe", "c"), ("probe", "p")]
+        assert {kind for kind, _ in events[2:]} == {"run"}
+        record = json.loads((tmp_path / "BENCH_t_pairs.json").read_text())
+        assert record["host"]["decoder"] == {"parent": "numpy", "change": "native"}
+        assert "decoder path: parent numpy, change native" in capsys.readouterr().out

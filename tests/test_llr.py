@@ -202,6 +202,44 @@ class TestDemapperParams:
         with pytest.raises(ValueError):
             DemapperParams.for_noise(3, 1.0)
 
+    # Each of these once demapped to wrong LLRs: Q_m=3 read uninitialized
+    # memory, and A=10**6 wrapped int32 to the wrong sign.
+    @pytest.mark.parametrize("fields", [
+        (3, 5793, 0, 0, 0, 2560), (0, 5793, 0, 0, 0, 256), (2.0, 5793, 0, 0, 0, 256),
+        (2, 10 ** 6, 0, 0, 0, 2560), (2, 0, 0, 0, 0, 256), (2, 32768, 0, 0, 0, 256),
+        (4, 2591, -1, 0, 0, 256), (6, 1264, 2528, 32768, 0, 256),
+        (8, 628, 2513, 1257, -628, 256), (2, 5793, 0, 0, 0, 0x10000),
+        (2, 5793, 0, 0, 0, -1), (2, 5793.0, 0, 0, 0, 256), (2, 5793, 0, 0, 0, 25.6),
+    ])
+    def test_rejects_fields_outside_their_range(self, fields):
+        with pytest.raises(ValueError):
+            DemapperParams(*fields)
+
+    def test_accepts_the_bounds(self):
+        for fields in ((2, 1, 0, 0, 0, 0), (8, 32767, 32767, 32767, 32767, 0xFFFF)):
+            assert DemapperParams(*fields).A == fields[1]
+
+
+class TestEqualizedSymbols:
+    @pytest.mark.parametrize("re,im", [
+        (np.array([0.7, -3000.9]), np.array([0.0, 0.0])),
+        (np.array([1, 2], np.int32), np.array([1, 2], np.int16)),
+        (np.array([1, 2], np.int16), np.array([1, 2], np.uint16)),
+        ([1, 2], np.array([1, 2], np.int16)),
+        (np.zeros((2, 2), np.int16), np.zeros((2, 2), np.int16)),
+        (np.array([1, 2], np.int16), np.array([1, 2, 3], np.int16)),
+    ])
+    def test_rejects_components_other_than_equal_1d_int16(self, re, im):
+        with pytest.raises(ValueError, match="symbol component"):
+            EqualizedSymbols(re, im)
+
+    def test_strided_view_is_copied_contiguous_not_cast(self):
+        comps = np.arange(-8, 8, dtype=np.int16).reshape(4, 4)
+        sym = EqualizedSymbols(comps[:, 0], comps[:, 1])
+        assert sym.re.flags.c_contiguous and sym.im.flags.c_contiguous
+        assert sym.re.dtype == sym.im.dtype == np.int16
+        assert sym.re.tolist() == [-8, -4, 0, 4] and sym.im.tolist() == [-7, -3, 1, 5]
+
 
 class TestLlrEstimate:
     def test_qpsk_worked_example(self):

@@ -1,4 +1,4 @@
-"""The compiled decoder kernel: equal to the NumPy decoder, and its build.
+"""The compiled receive kernel: each stage equal to its NumPy body, and its build.
 
 The build tests run a fresh interpreter each, with its own empty cache
 directory, because the kernel is built and loaded once per process.
@@ -17,6 +17,9 @@ import pytest
 
 from nrphy import _native
 from nrphy.ldpc import LIFTING_SETS, BaseGraphId, TerminationReason, build_code, ldpc_decode
+from nrphy.llr import (MODULATION_ORDERS, DemapperParams, EqualizedSymbols, llr_estimate,
+                       modulate)
+from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
 from test_ldpc import OnDecoderPath, random_codeword, zero_extension_blocks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,21 +108,108 @@ class TestNativeEqualsNumpy(OnDecoderPath):
         assert np.array_equal(first.hard_bits, kept)
 
 
-# Decodes one fixed input twice and prints the results and every warning.
-DECODE_SCRIPT = """
-import json, warnings
+def on_both_paths(monkeypatch, stage):
+    """``stage()`` run on the kernel, then on the NumPy body."""
+    kernel = _native.library
+    native = stage()
+    monkeypatch.setattr(_native, "library", lambda: None)
+    numpy = stage()
+    monkeypatch.setattr(_native, "library", kernel)
+    return native, numpy
+
+
+def demap_inputs(q_m, rng):
+    """Noisy constellation points, the int16 rails and uniform values, as strided views."""
+    clean = modulate(rng.integers(0, 2, 600 * q_m, dtype=np.uint8), q_m)
+    noisy = np.stack([clean.re, clean.im]) + rng.integers(-3000, 3001, (2, 600))
+    rails = rng.choice(np.array([-32768, -32767, -1, 0, 1, 32766, 32767]), (2, 200))
+    uniform = rng.integers(-32768, 32768, (2, 800))
+    comps = np.concatenate([np.clip(noisy, -32768, 32767), rails, uniform], axis=1)
+    # every other column of an interleaved (re, im, pad) layout: strided views
+    layout = np.zeros((comps.shape[1], 3), np.int16)
+    layout[:, :2] = comps.T
+    return EqualizedSymbols(layout[:, 0], layout[:, 1])
+
+
+class TestStagesEqualNumpy(OnDecoderPath):
+    @pytest.mark.parametrize("q_m", MODULATION_ORDERS)
+    def test_demap_bit_exact(self, monkeypatch, q_m):
+        rng = np.random.default_rng(300 + q_m)
+        # sigma2 0 and 1e-4 saturate both multiplies. Then the largest
+        # products, and zero offsets, under which a later stage at the -32768
+        # rail saturates to 32767, which A=1 and this inv_noise round apart.
+        for params in [*(DemapperParams.for_noise(q_m, sigma2) for sigma2 in (0, 1e-4, 0.1, 4)),
+                       DemapperParams(q_m, 32767, 0, 0, 0, 0xFFFF),
+                       DemapperParams(q_m, 1, 0, 0, 0, 0xC000)]:
+            sym = demap_inputs(q_m, rng)
+            native, numpy = on_both_paths(monkeypatch, lambda: llr_estimate(sym, params))
+            assert native.dtype == numpy.dtype == np.int8
+            assert np.array_equal(native, numpy), params
+            if params.inv_noise == 0xFFFF:
+                assert {-31, 0, 31} <= set(native.tolist())
+
+    def test_demap_of_no_symbols(self, monkeypatch):
+        sym = EqualizedSymbols(np.zeros(0, np.int16), np.zeros(0, np.int16))
+        native, numpy = on_both_paths(
+            monkeypatch, lambda: llr_estimate(sym, DemapperParams.for_noise(4, 1.0)))
+        assert native.shape == numpy.shape == (0,)
+
+    @pytest.mark.parametrize("bg,Zc,fillers", [(BaseGraphId.BG1, 384, 0),
+                                               (BaseGraphId.BG1, 13, 40),
+                                               (BaseGraphId.BG2, 20, 0),
+                                               (BaseGraphId.BG2, 208, 96)])
+    def test_combine_bit_exact(self, monkeypatch, bg, Zc, fillers):
+        # rv 0-3 into one buffer held across the full int8 range, at E_r
+        # below a cycle, and above N_cb, where positions wrap and repeat
+        code = build_code(bg, Zc)
+        rng = np.random.default_rng(Zc)
+        held = rng.integers(-128, 128, code.N_cb).astype(np.int8)
+        for e_r in (2 * (code.N_cb // 5), 2 * code.N_cb + 6):
+            buffers = []
+            for _ in range(2):
+                buf = HarqBufferPool().acquire(0, True, code, fillers)
+                buf.llrs[:] = held
+                buffers.append(buf)
+            for rv in (0, 1, 2, 3):
+                llrs = rng.integers(-31, 32, e_r).astype(np.int8)
+                cfg = RateMatchConfig(E_r=e_r, rv=rv, Q_m=2)
+                stages = iter(buffers)
+                on_both_paths(monkeypatch, lambda: rate_unmatch_combine(next(stages), llrs, cfg))
+                assert np.array_equal(buffers[0].llrs, buffers[1].llrs), (e_r, rv)
+            assert {-31, 31} <= set(buffers[0].llrs.tolist())
+
+
+# Runs every kernel stage on fixed inputs (the decode twice) into ``outputs``.
+STAGES = """
 import numpy as np
 from nrphy.ldpc import BaseGraphId, build_code, ldpc_decode
+from nrphy.llr import DemapperParams, EqualizedSymbols, llr_estimate
+from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
 code = build_code(BaseGraphId.BG2, 20)
-llr = np.random.default_rng(5).integers(-31, 32, code.N_full).astype(np.int8)
+rng = np.random.default_rng(5)
+llr = rng.integers(-31, 32, code.N_full).astype(np.int8)
+symbols = EqualizedSymbols(*rng.integers(-32768, 32768, (2, 300)).astype(np.int16))
+received = rng.integers(-31, 32, 2 * code.N_cb).astype(np.int8)
+
+def run_stages():
+    results = [ldpc_decode(code, llr) for _ in range(2)]
+    buf = HarqBufferPool().acquire(0, True, code, 24)
+    rate_unmatch_combine(buf, received, RateMatchConfig(E_r=received.size, rv=2, Q_m=2))
+    return {
+        "results": [[r.hard_bits.tolist(), r.iterations_used, r.termination_reason.value]
+                    for r in results],
+        "demapped": llr_estimate(symbols, DemapperParams.for_noise(8, 0.01)).tolist(),
+        "combined": buf.llrs.tolist(),
+    }
+"""
+
+# Runs the stages and prints their outputs and every warning.
+DECODE_SCRIPT = STAGES + """
+import json, warnings
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    results = [ldpc_decode(code, llr) for _ in range(2)]
-print(json.dumps({
-    "warnings": [str(w.message) for w in caught],
-    "results": [[r.hard_bits.tolist(), r.iterations_used, r.termination_reason.value]
-                for r in results],
-}))
+    outputs = run_stages()
+print(json.dumps({"warnings": [str(w.message) for w in caught], **outputs}))
 """
 
 
@@ -137,18 +227,18 @@ def run_decode(env, preamble=""):
 
 def decoded(stdout):
     out = json.loads(stdout)
-    return out["warnings"], out["results"]
+    return out.pop("warnings"), out
 
 
 def assert_native(env, preamble=""):
-    """Run the decode script in ``env`` and check that it ran the kernel, without warning."""
+    """Run the stages script in ``env`` and check that it ran the kernel, without warning."""
     code, stdout, stderr = run_decode(env, preamble)
     assert code == 0, stderr
     assert decoded(stdout)[0] == []
 
 
 def assert_numpy_fallback(env, reference_results, preamble=""):
-    """Run the decode script in ``env``: one warning, then the kernel's results."""
+    """Run the stages script in ``env``: one warning, then the kernel's outputs."""
     code, stdout, stderr = run_decode(env, preamble)
     assert code == 0, stderr
     warned, results = decoded(stdout)
@@ -159,11 +249,10 @@ def assert_numpy_fallback(env, reference_results, preamble=""):
 
 @pytest.fixture
 def reference_results():
-    """The decode script's results on the compiled kernel, in this process."""
-    code = build_code(BaseGraphId.BG2, 20)
-    llr = np.random.default_rng(5).integers(-31, 32, code.N_full).astype(np.int8)
-    r = ldpc_decode(code, llr)
-    return [[r.hard_bits.tolist(), r.iterations_used, r.termination_reason.value]] * 2
+    """The stages script's outputs on the compiled kernel, in this process."""
+    namespace = {}
+    exec(STAGES, namespace)
+    return namespace["run_stages"]()
 
 
 # Makes the home directory unknowable: no HOME, and no passwd entry for the uid.

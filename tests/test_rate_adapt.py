@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrphy import _native
 from nrphy.errors import PoolExhaustedError, UnknownProcessError
 from nrphy.ldpc import BaseGraphId, InfoBlock, build_code, ldpc_encode, select_lifting
 from nrphy.rate_adapt import (
@@ -239,6 +240,25 @@ class TestRateUnmatchCombine:
             buf.llrs[:] = held
             rate_unmatch_combine(buf, np.full(cfg.E_r, add, np.int8), cfg)
             assert np.array_equal(buf.llrs, np.clip(held.astype(int) + add, -31, 31))
+
+    @pytest.mark.parametrize("path", ["native", "numpy"])
+    @pytest.mark.parametrize("make", [
+        lambda n: np.zeros(n, np.int16),
+        lambda n: np.zeros(n - 1, np.int8),
+        lambda n: np.zeros(n + 1, np.int8),
+        lambda n: np.zeros(2 * n, np.int8)[::2],
+        lambda n: np.zeros((1, n), np.int8),
+        lambda n: np.broadcast_to(np.int8(0), n),
+    ], ids=["int16", "short", "long", "strided", "2-D", "read-only"])
+    def test_rejects_a_buffer_it_cannot_write_in_place(self, small_code, monkeypatch,
+                                                       path, make):
+        # the kernel writes through the buffer's address, so no cast or copy may stand in
+        if path == "numpy":
+            monkeypatch.setattr(_native, "library", lambda: None)
+        buf = HarqBufferPool().acquire(0, True, small_code, 0)
+        buf.llrs = make(small_code.N_cb)
+        with pytest.raises(ValueError, match="soft buffer"):
+            rate_unmatch_combine(buf, np.ones(40, np.int8), RateMatchConfig(40, 0, 2))
 
     def test_two_rv_combining_matches_scatter_oracle(self, small_codeword):
         code = small_codeword.code

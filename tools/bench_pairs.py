@@ -9,9 +9,12 @@ For seed S in 1..``--pairs`` (default 10) and each workload, both trees
 run ``perfbench/run.py --workload W --seed S --seconds 25 --trace 0``, one
 process at a time: the parent first at odd S and the change first at even
 S, so that a drift of the host over the session does not favour one tree.
-``--change`` defaults to this checkout. The file, written here, holds every
-run. Then, per workload and end-to-end metric of ``BENCHMARK.json``, the
-script prints both trees' medians with their quartiles, the median of the
+``--change`` defaults to this checkout. Before the first run, each tree's
+decoder path is probed (``native`` for the compiled kernel, ``numpy``
+otherwise), which also builds the kernel, so that no timed run includes a
+compile. The file, written here, holds both paths and every run. Then the
+script prints both paths and, per workload and end-to-end metric of
+``BENCHMARK.json``, both trees' medians with their quartiles, the median of the
 per-pair change/parent ratios, how many pairs the change won, and a mark
 where that ratio is worse than the metric's bound; above each workload's
 metrics, both trees' median ops attempted. It exits 1 if any run
@@ -28,8 +31,8 @@ import statistics
 import sys
 from pathlib import Path
 
-from bench_record import (ROOT, SECONDS, WORKLOADS, cc_version, end_to_end_bounds, git_commit,
-                          perfbench, worse_than_bound)
+from bench_record import (ROOT, SECONDS, WORKLOADS, cc_version, decoder_path, end_to_end_bounds,
+                          git_commit, perfbench, worse_than_bound)
 
 TREES = ("parent", "change")
 
@@ -111,6 +114,7 @@ def print_summary(rows: list[dict]) -> None:
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    decoders = {tree: decoder_path(path) for tree, path in checkouts.items()}
     runs = pair_runs(checkouts, args.pairs)
     result = {
         "label": f"{args.label}-pairs",
@@ -120,12 +124,14 @@ def main(argv=None) -> int:
                   f"in 1..{args.pairs} and each workload, the parent runs first at odd S and "
                   "the change first at even S",
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
-                 "python": platform.python_version(), "cc": cc_version()},
+                 "python": platform.python_version(), "cc": cc_version(),
+                 "decoder": decoders},
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}_pairs.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
+    print("decoder path: " + ", ".join(f"{tree} {path}" for tree, path in decoders.items()))
     print_summary(summarize(runs))
     bad = [f"{r['tree']} {r['workload']} seed {r['seed']}" for r in runs
            if not r["correct"] or r["failed"]]
