@@ -68,7 +68,7 @@ def _selection_indices(n_cb: int, k0: int, filler_range: range, count: int) -> n
     """Buffer positions read/written by ``count`` values, as a read-only array."""
     usable = np.ones(n_cb, dtype=bool)
     usable[filler_range.start:filler_range.stop] = False
-    order = np.roll(np.arange(n_cb), -k0)
+    order = np.roll(np.arange(n_cb, dtype=np.int64), -k0)  # the kernel reads int64
     idx = np.resize(order[usable[order]], count)
     idx.flags.writeable = False
     return idx

@@ -125,7 +125,7 @@ def demap_inputs(q_m, rng):
     rails = rng.choice(np.array([-32768, -32767, -1, 0, 1, 32766, 32767]), (2, 200))
     uniform = rng.integers(-32768, 32768, (2, 800))
     comps = np.concatenate([np.clip(noisy, -32768, 32767), rails, uniform], axis=1)
-    # every other column of an interleaved (re, im, pad) layout: strided views
+    # columns of an (n, 3) array: views with a stride of three int16
     layout = np.zeros((comps.shape[1], 3), np.int16)
     layout[:, :2] = comps.T
     return EqualizedSymbols(layout[:, 0], layout[:, 1])
@@ -179,7 +179,7 @@ class TestStagesEqualNumpy(OnDecoderPath):
             assert {-31, 31} <= set(buffers[0].llrs.tolist())
 
 
-# Runs every kernel stage on fixed inputs (the decode twice) into ``outputs``.
+# Defines run_stages(): every kernel stage on fixed inputs, the decode twice.
 STAGES = """
 import numpy as np
 from nrphy.ldpc import BaseGraphId, build_code, ldpc_decode
