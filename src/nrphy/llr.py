@@ -278,6 +278,8 @@ def unpack_llr_words(stream: PackedWordStream, count: int | None = None) -> np.n
     # a bytearray keeps the returned LLRs writable, as a fresh array would be
     raw = np.frombuffer(bytearray(stream.to_bytes()), dtype=np.int8)
     if count is not None:
+        if count < 0:
+            raise FormatError("negative count")
         if count > raw.size:
             raise FormatError("count exceeds stream capacity")
         if raw[count:].any():
@@ -297,6 +299,8 @@ def pack_bit_words(bits: np.ndarray) -> PackedWordStream:
 def unpack_bit_words(stream: PackedWordStream, count: int) -> np.ndarray:
     if stream.kind != KIND_RAW_BITS:
         raise FormatError(f"expected raw bit words, got {stream.kind}")
+    if count < 0:
+        raise FormatError("negative count")
     if count > 32 * len(stream.words):
         raise FormatError("count exceeds stream capacity")
     return np.unpackbits(np.frombuffer(stream.to_bytes(), dtype=np.uint8),

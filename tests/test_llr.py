@@ -488,6 +488,15 @@ class TestPacking:
         with pytest.raises(FormatError):
             unpack_llr_words(ls, 5)
 
+    def test_negative_count_rejected(self):
+        # a negative count would otherwise slice from the end of the stream
+        with pytest.raises(FormatError, match="negative"):
+            unpack_llr_words(pack_llr_words(np.array([1, 2, 3, 4, 0, 0, 0, 0], np.int8)), -4)
+        with pytest.raises(FormatError, match="negative"):
+            unpack_llr_words(pack_llr_words(np.array([1, 2, 3, 4], np.int8)), -1)
+        with pytest.raises(FormatError, match="negative"):
+            unpack_bit_words(pack_bit_words(np.ones(32, np.uint8)), -1)
+
     def test_kind_mismatch_rejected(self):
         ws = pack_bit_words(np.zeros(32, np.uint8))
         with pytest.raises(FormatError):
