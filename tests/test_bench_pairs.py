@@ -1,12 +1,14 @@
 """tools/bench_pairs.py: the run order of its pairs, the summary it prints and its record."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
 
 
@@ -104,6 +106,7 @@ class TestMain:
 
         monkeypatch.setattr(bench_pairs, "decoder_path", fake_decoder_path)
         monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+        monkeypatch.setattr(bench_pairs, "nrphy_bench_mbps", lambda checkout, blocks: 1.0)
         monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
         assert bench_pairs.main(["--label", "t", "--parent", str(tmp_path / "p"),
                                  "--change", str(tmp_path / "c"), "--pairs", "2"]) == 0
@@ -112,3 +115,82 @@ class TestMain:
         record = json.loads((tmp_path / "BENCH_t_pairs.json").read_text())
         assert record["host"]["decoder"] == {"parent": "numpy", "change": "native"}
         assert "decoder path: parent numpy, change native" in capsys.readouterr().out
+
+    @staticmethod
+    def fake_tools(monkeypatch, tmp_path, calls, traced_correct=True):
+        """Fake perfbench and nrphy bench that log each call; the change is 2x faster."""
+
+        def fake_perfbench(checkout, workload, seed, trace):
+            calls.append(("perfbench", checkout.name, workload, seed, trace))
+            names = ["ldpc.decode_ms_per_cb"] if trace else bench_pairs.end_to_end_bounds()
+            return {"correct": traced_correct or not trace, "attempted": 1, "failed": 0,
+                    "metrics": {name: {"value": 1.0, "unit": ""} for name in names}}
+
+        def fake_nrphy_bench_mbps(checkout, blocks):
+            calls.append(("bench", checkout.name, blocks))
+            return {"p": 1.0, "c": 2.0}[checkout.name] * blocks
+
+        monkeypatch.setattr(bench_pairs, "decoder_path", lambda checkout: "native")
+        monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+        monkeypatch.setattr(bench_pairs, "nrphy_bench_mbps", fake_nrphy_bench_mbps)
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        return ["--label", "t", "--parent", str(tmp_path / "p"), "--change",
+                str(tmp_path / "c"), "--pairs", "3"]
+
+    def test_traced_runs_follow_the_pairs_and_bench_runs_follow_those(self, monkeypatch,
+                                                                       tmp_path):
+        calls = []
+        assert bench_pairs.main(self.fake_tools(monkeypatch, tmp_path, calls)) == 0
+        runs = [call for call in calls if call[0] == "perfbench"]
+        pairs = 3 * 2 * len(bench_pairs.WORKLOADS)
+        assert {call[4] for call in runs[:pairs]} == {0}
+        assert runs[pairs:] == [("perfbench", tree, w, 1, 1)
+                                for w in bench_pairs.WORKLOADS for tree in ("p", "c")]
+        assert calls[:len(runs)] == runs
+        assert calls[len(runs):] == [("bench", tree, blocks)
+                                     for repeat in range(1, bench_pairs.BENCH_REPEATS + 1)
+                                     for blocks in (20, 40)
+                                     for tree in (("p", "c") if repeat % 2 else ("c", "p"))]
+
+    def test_record_holds_traced_runs_and_bench_mbps(self, monkeypatch, tmp_path):
+        assert bench_pairs.main(self.fake_tools(monkeypatch, tmp_path, [])) == 0
+        record = json.loads((tmp_path / "BENCH_t_pairs.json").read_text())
+        assert len(record["runs"]) == 3 * 2 * len(bench_pairs.WORKLOADS)
+        assert [(r["tree"], r["workload"], r["seed"]) for r in record["traced"]] == \
+               [(tree, w, 1) for w in bench_pairs.WORKLOADS for tree in ("parent", "change")]
+        assert all(r["metrics"] == {"ldpc.decode_ms_per_cb": 1.0} and r["correct"]
+                   for r in record["traced"])
+        assert [(r["tree"], r["blocks"], r["mbps"]) for r in record["nrphy_bench"][:4]] == \
+               [("parent", 20, 20.0), ("change", 20, 40.0),
+                ("parent", 40, 40.0), ("change", 40, 80.0)]
+        assert len(record["nrphy_bench"]) == 2 * 2 * bench_pairs.BENCH_REPEATS
+
+    def test_summary_prints_median_bench_mbps_per_block_count(self, monkeypatch, tmp_path,
+                                                              capsys):
+        assert bench_pairs.main(self.fake_tools(monkeypatch, tmp_path, [])) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()
+                 if "nrphy bench" in line]
+        assert [line[2:9] for line in lines] == [["20", "blocks", "20", "->", "40", "Mbps",
+                                                  "2.000x"],
+                                                 ["40", "blocks", "40", "->", "80", "Mbps",
+                                                  "2.000x"]]
+
+    def test_exits_1_when_only_a_traced_run_is_not_correct(self, monkeypatch, tmp_path, capsys):
+        args = self.fake_tools(monkeypatch, tmp_path, [], traced_correct=False)
+        assert bench_pairs.main(args) == 1
+        out = capsys.readouterr().out
+        assert f"parent {bench_pairs.WORKLOADS[0]} seed 1 traced" in out
+
+
+def test_workloads_and_run_length_are_those_of_benchmark_json():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench_pairs.WORKLOADS == tuple(w["name"] for w in spec["workloads"])
+    assert bench_pairs.SECONDS == spec["run_seconds"]
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0),
+                                        (["--label", "t", "--parent", ".", "--pairs", "1"], 2)])
+def test_script_runs_on_its_own(args, code):
+    done = subprocess.run([sys.executable, "tools/bench_pairs.py", *args], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr

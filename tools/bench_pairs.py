@@ -5,35 +5,50 @@ Usage, from the root of a checkout:
     python3 tools/bench_pairs.py --label 14 --parent ../parent
     python3 tools/bench_pairs.py --label 14 --parent ../parent --change ../change --pairs 4
 
-For seed S in 1..``--pairs`` (default 10) and each workload, both trees
-run ``perfbench/run.py --workload W --seed S --seconds 25 --trace 0``, one
-process at a time: the parent first at odd S and the change first at even
-S, so that a drift of the host over the session does not favour one tree.
-``--change`` defaults to this checkout. Before the first run, each tree's
-decoder path is probed (``native`` for the compiled kernel, ``numpy``
-otherwise), which also builds the kernel, so that no timed run includes a
-compile. The file, written here, holds both paths and every run. Then the
-script prints both paths and, per workload and end-to-end metric of
-``BENCHMARK.json``, both trees' medians with their quartiles, the median of the
-per-pair change/parent ratios, how many pairs the change won, and a mark
-where that ratio is worse than the metric's bound; above each workload's
-metrics, both trees' median ops attempted. It exits 1 if any run
+``--change`` defaults to this checkout; the workloads and the run length
+are those of ``BENCHMARK.json``. Runs go one process at a time, and each
+step alternates which tree runs first, so that a drift of the host over
+the session does not favour one tree. The file, written here, holds:
+
+- ``host.decoder``: each tree's decoder path, ``native`` (the compiled
+  kernel) or ``numpy``, probed before any run, which builds the kernel.
+- ``runs``: ``perfbench/run.py --trace 0`` on both trees for seed S in
+  1..``--pairs`` (default 10) and each workload, the parent first at odd S.
+- ``traced``: then one ``--trace 1`` pair at seed 1, whose per-layer
+  metrics give the time per stage.
+- ``nrphy_bench``: last, ``nrphy bench --config default`` Mbps at the
+  paper's 20 and 40 code blocks, ``BENCH_REPEATS`` runs per tree, the
+  parent first at odd repeats.
+
+The trace seed, block counts and repeats are those of ``BENCH_5``-``BENCH_11.json``.
+It prints both decoder paths; per workload, both trees' median ops attempted
+and, per end-to-end metric of ``BENCHMARK.json``, both trees' medians and
+quartiles, the median pair ratio, the change's wins and a mark where that
+ratio is worse than the metric's bound; per block count, both trees' median
+``nrphy bench`` Mbps and their ratio. It exits 1 if any paired or traced run
 was not ``correct`` or failed an op.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import platform
+import shlex
 import statistics
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-from bench_record import (ROOT, SECONDS, WORKLOADS, cc_version, decoder_path, end_to_end_bounds,
-                          git_commit, perfbench, worse_than_bound)
-
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
+SECONDS = float(BENCHMARK["run_seconds"])
+BENCH_BLOCKS = (20, 40)
+BENCH_REPEATS = 3
 TREES = ("parent", "change")
 
 
@@ -49,18 +64,85 @@ def parse_args(argv):
     return args
 
 
-def pair_runs(checkouts: dict[str, Path], pairs: int) -> list[dict]:
-    """Every run of ``pairs`` seeds, in the order they ran."""
+def _run(cmd, checkout: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    print("$", " ".join(cmd), file=sys.stderr, flush=True)
+    return subprocess.run(cmd, cwd=checkout, env=env, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    out = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                "--seconds", str(SECONDS), "--trace", str(trace)], checkout)
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def nrphy_bench_mbps(checkout: Path, blocks: int) -> float:
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "bench.csv"
+        _run([sys.executable, "-m", "nrphy.harness.cli", "bench", "--config", "default",
+              "--blocks", str(blocks), "--out", str(csv_path)], checkout)
+        with open(csv_path) as fh:
+            return float(next(csv.DictReader(fh))["mbps"])
+
+
+def decoder_path(checkout: Path) -> str:
+    """"native" or "numpy": the decoder path of ``checkout`` here; "numpy" if it has no kernel."""
+    probe = ("import nrphy.ldpc as l; n = getattr(l, '_native', None); "
+             "print('native' if n and n.library() else 'numpy')")
+    return _run([sys.executable, "-c", probe], checkout).strip()
+
+
+def cc_version() -> str | None:
+    """First line of ``$CC --version`` (``cc`` if CC is unset), or None without a compiler."""
+    try:
+        out = subprocess.run([*shlex.split(os.environ.get("CC") or "cc"), "--version"],
+                             check=True, capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.splitlines()[0] if out else None
+
+
+def git_commit(checkout: Path) -> str | None:
+    """HEAD's hash, with ``-dirty`` appended when the tree has uncommitted changes."""
+    try:
+        return subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
+                               "--abbrev=40"], check=True, capture_output=True,
+                              text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def end_to_end_bounds() -> dict:
+    """Metric name -> (``better``, ``bound``) from the end-to-end list of BENCHMARK.json."""
+    return {m["name"]: (m["better"], m["bound"]) for m in BENCHMARK["end_to_end"]}
+
+
+def worse_than_bound(ratio: float, better: str, bound: float) -> bool:
+    """True if the change/parent ``ratio`` is worse than 1 by more than ``bound``."""
+    return ratio < 1 - bound if better == "higher" else ratio > 1 + bound
+
+
+def pair_runs(checkouts: dict[str, Path], pairs: int, trace: int = 0) -> list[dict]:
+    """Every run of seeds 1..``pairs``, in the order they ran."""
     runs = []
     for seed in range(1, pairs + 1):
         for workload in WORKLOADS:
             for tree in TREES if seed % 2 else TREES[::-1]:
-                out = perfbench(checkouts[tree], workload, seed, 0)
+                out = perfbench(checkouts[tree], workload, seed, trace)
                 runs.append({"tree": tree, "workload": workload, "seed": seed,
                              "correct": out["correct"], "attempted": out["attempted"],
                              "failed": out["failed"],
                              "metrics": {k: m["value"] for k, m in out["metrics"].items()}})
     return runs
+
+
+def bench_runs(checkouts: dict[str, Path]) -> list[dict]:
+    """``nrphy bench`` Mbps of each tree at each of ``BENCH_BLOCKS``, in the order they ran."""
+    return [{"tree": tree, "blocks": blocks, "repeat": repeat,
+             "mbps": nrphy_bench_mbps(checkouts[tree], blocks)}
+            for repeat in range(1, BENCH_REPEATS + 1) for blocks in BENCH_BLOCKS
+            for tree in (TREES if repeat % 2 else TREES[::-1])]
 
 
 def summarize(runs: list[dict]) -> list[dict]:
@@ -111,29 +193,43 @@ def print_summary(rows: list[dict]) -> None:
               f"  {row['ratio']:6.3f}x  {row['wins']}/{row['pairs']}{mark}")
 
 
+def print_bench(bench: list[dict]) -> None:
+    for blocks in BENCH_BLOCKS:
+        parent, change = (statistics.median(run["mbps"] for run in bench
+                                            if run["blocks"] == blocks and run["tree"] == tree)
+                          for tree in TREES)
+        print(f"  nrphy bench {blocks} blocks {parent:10.4g} -> {change:10.4g} Mbps"
+              f"  {change / parent:6.3f}x  median of {BENCH_REPEATS}")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     decoders = {tree: decoder_path(path) for tree, path in checkouts.items()}
     runs = pair_runs(checkouts, args.pairs)
+    traced = pair_runs(checkouts, 1, trace=1)
+    bench = bench_runs(checkouts)
     result = {
         "label": f"{args.label}-pairs",
         **{tree: git_commit(path) for tree, path in checkouts.items()},
-        "method": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} "
-                  "--trace 0, each tree in its own copy, one process at a time; for seed S "
-                  f"in 1..{args.pairs} and each workload, the parent runs first at odd S and "
-                  "the change first at even S",
+        "method": f"perfbench/run.py --seconds {SECONDS:g} --trace 0 at seeds 1..{args.pairs}, "
+                  "then --trace 1 at seed 1; last, nrphy bench --config default --blocks 20 and "
+                  f"40, {BENCH_REPEATS} repeats. One process at a time, each tree in its own "
+                  "copy, the parent first at odd seeds and repeats",
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
-                 "python": platform.python_version(), "cc": cc_version(),
-                 "decoder": decoders},
+                 "python": platform.python_version(), "cc": cc_version(), "decoder": decoders},
         "runs": runs,
+        "traced": traced,
+        "nrphy_bench": bench,
     }
     out = ROOT / f"BENCH_{args.label}_pairs.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
     print("decoder path: " + ", ".join(f"{tree} {path}" for tree, path in decoders.items()))
     print_summary(summarize(runs))
-    bad = [f"{r['tree']} {r['workload']} seed {r['seed']}" for r in runs
+    print_bench(bench)
+    bad = [f"{r['tree']} {r['workload']} seed {r['seed']}{kind}"
+           for kind, part in (("", runs), (" traced", traced)) for r in part
            if not r["correct"] or r["failed"]]
     if bad:
         print("not correct or with failed ops: " + ", ".join(bad))
