@@ -168,12 +168,10 @@ class TestMain:
     def test_summary_prints_median_bench_mbps_per_block_count(self, monkeypatch, tmp_path,
                                                               capsys):
         assert bench_pairs.main(self.fake_tools(monkeypatch, tmp_path, [])) == 0
-        lines = [line.split() for line in capsys.readouterr().out.splitlines()
+        lines = [line.split()[2:9] for line in capsys.readouterr().out.splitlines()
                  if "nrphy bench" in line]
-        assert [line[2:9] for line in lines] == [["20", "blocks", "20", "->", "40", "Mbps",
-                                                  "2.000x"],
-                                                 ["40", "blocks", "40", "->", "80", "Mbps",
-                                                  "2.000x"]]
+        assert lines == [["20", "blocks", "20", "->", "40", "Mbps", "2.000x"],
+                         ["40", "blocks", "40", "->", "80", "Mbps", "2.000x"]]
 
     def test_exits_1_when_only_a_traced_run_is_not_correct(self, monkeypatch, tmp_path, capsys):
         args = self.fake_tools(monkeypatch, tmp_path, [], traced_correct=False)
