@@ -1,7 +1,9 @@
 """Decode-chain software throughput measurement.
 
 Symbols are generated up front; the timed region is the full decode
-chain (soft demap through LDPC decode, including buffer management).
+chain (soft demap through LDPC decode, including buffer management) over
+every block, one pass, repeated until the passes sum to MIN_TIMED_S; the
+median pass is reported.
 The FPGA accelerator this software models reports 899.9 / 900.1 Mbps for
 20 / 40 code blocks at the same operating point; those figures are
 printed for context only and are not reproducible in software.
@@ -9,6 +11,7 @@ printed for context only and are not reproducible in software.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import replace
 
@@ -25,9 +28,14 @@ BENCH_COLUMNS = ["codeblocks", "info_bits", "elapsed_s", "mbps", "block_errors"]
 
 FPGA_REFERENCE_MBPS = {20: 899.9, 40: 900.1}
 
+MIN_TIMED_S = 0.25  # timed decode passes, summed
+
 
 def run_throughput_bench(cfg: ChainConfig, blocks: int) -> RunReport:
-    """Time the decode chain over ``blocks`` identical code blocks."""
+    """Time the decode chain over ``blocks`` identical code blocks.
+
+    Errors and the iteration histogram are those of the first pass.
+    """
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
     cfg = replace(cfg, blocks=1)
@@ -42,13 +50,23 @@ def run_throughput_bench(cfg: ChainConfig, blocks: int) -> RunReport:
 
     pool = HarqBufferPool()
     decode_chain(cfg, symbol_batches[0], pool)  # warm caches before timing
+
+    def timed_pass():
+        t0 = time.perf_counter()
+        decoded = [decode_chain(cfg, symbols, pool) for symbols in symbol_batches]
+        return time.perf_counter() - t0, decoded
+
+    # One pass lasts milliseconds, so a stall of the host would move its
+    # Mbps a lot: passes repeat until MIN_TIMED_S, and the median counts.
+    first_s, first = timed_pass()
+    passes = [first_s]
+    while sum(passes) < MIN_TIMED_S:
+        passes.append(timed_pass()[0])
+    elapsed = statistics.median(passes)
     errors = 0
-    t0 = time.perf_counter()
-    for b in range(blocks):
-        dec = decode_chain(cfg, symbol_batches[b], pool)
-        errors += dec.block_delivered(payloads[b]).count(False)
+    for dec, payload in zip(first, payloads):
+        errors += dec.block_delivered(payload).count(False)
         report.count_iterations(dec.results[0].iterations_used)
-    elapsed = time.perf_counter() - t0
 
     info_bits = blocks * cfg.k_prime
     mbps = info_bits / elapsed / 1e6

@@ -351,23 +351,16 @@ class TestBlerMonotonicity:
         assert blers[0] > blers[-1]
 
 
-BENCH_TIMED_S = 0.25  # per block count, summed over its passes
-
-
 def fastest_benches(cfg, *block_counts):
-    """Per block count, the fastest of its ``run_throughput_bench`` passes.
+    """Per block count, the fastest of three ``run_throughput_bench`` runs.
 
-    The passes alternate between the counts, so a host whose speed drifts
-    during the run slows every count alike. There are at least three, and
-    more until every count has been timed for ``BENCH_TIMED_S`` in all: a
-    fast chain times only milliseconds per pass, and then one slow stretch
-    of the host could slow every pass of one count.
+    The runs alternate between the counts, so a host whose speed drifts
+    during the test slows every count alike. Each run already times its
+    decode passes for at least ``MIN_TIMED_S`` and reports the median, so
+    one slow stretch of the host cannot slow every run of one count.
     """
-    passes = []
-    while len(passes) < 3 or min(sum(r.wall_clock_s for r in reports)
-                                 for reports in zip(*passes)) < BENCH_TIMED_S:
-        passes.append([run_throughput_bench(cfg, n) for n in block_counts])
-    return [min(reports, key=lambda r: r.wall_clock_s) for reports in zip(*passes)]
+    runs = [[run_throughput_bench(cfg, n) for n in block_counts] for _ in range(3)]
+    return [min(reports, key=lambda r: r.wall_clock_s) for reports in zip(*runs)]
 
 
 class TestBenchmark:
