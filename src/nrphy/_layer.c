@@ -9,9 +9,11 @@
  * of every lane, and each lane is one check node, as on a circulant-shift
  * datapath. Lanes come in runs of Zc, one run per base row of the layer,
  * and edge e of a run is one column block of the posteriors rotated by its
- * shift, copied in and out whole. Each lane loop is its own function with
- * restrict parameters, so that the compiler vectorizes it without run-time
- * alias checks.
+ * shift, copied in and out whole. The decoder's only table is each edge's
+ * (column-block start, shift) pair: a negative start marks padding, where a
+ * row has fewer edges than its layer, and the parity check copies the same
+ * blocks. Each lane loop is its own function with restrict parameters, so
+ * that the compiler vectorizes it without run-time alias checks.
  *
  * Right shifts of negative values are arithmetic, as in NumPy: C leaves
  * them to the compiler, and GCC and Clang both shift arithmetically.
@@ -22,7 +24,6 @@
 
 #define OFFSET 2    /* the 0.5 min-sum offset in quarter-LLR units */
 #define LLR_MAX 127 /* the decoder's messages and posteriors saturate here */
-#define ZC_MAX 384  /* the largest lifting size */
 #define SOFT_MAX 31 /* channel LLRs (SoftLlr) saturate here */
 
 /* decode's termination reasons, in ldpc.py's _REASONS order */
@@ -52,14 +53,19 @@ static void gather(int16_t *restrict q, const int16_t *restrict post,
     }
 }
 
-/* The inverse of gather; padding is not written back. */
-static void scatter(int16_t *restrict post, const int32_t *restrict edges,
-                    const int16_t *restrict q, int blocks, int Zc)
+/* The inverse of gather. Padding is not written back, and its messages, in
+ * msg of the same layout as q, are set to 0, so that it reads +127 again in
+ * the next iteration. */
+static void scatter(int16_t *restrict post, int16_t *restrict msg,
+                    const int32_t *restrict edges, const int16_t *restrict q, int blocks,
+                    int Zc)
 {
-    for (int b = 0; b < blocks; b++, q += Zc) {
+    for (int b = 0; b < blocks; b++, q += Zc, msg += Zc) {
         int start = edges[2 * b], s = edges[2 * b + 1];
-        if (start < 0)
+        if (start < 0) {
+            memset(msg, 0, (size_t)Zc * sizeof *msg);
             continue;
+        }
         memcpy(post + start + s, q, (size_t)(Zc - s) * sizeof *q);
         memcpy(post + start, q + Zc - s, (size_t)s * sizeof *q);
     }
@@ -104,26 +110,24 @@ static void fold_edge(const int16_t *restrict q, int16_t *restrict min1,
 }
 
 /* Edge e's messages: the smallest |q| of the other edges less the offset,
- * floored at 0 and masked by real; the sign bit of q ^ (XOR of the lane)
- * is the parity of the other edges' signs, and as 0 / -1 it negates by
- * (m ^ s) - s. */
+ * floored at 0; the sign bit of q ^ (XOR of the lane) is the parity of the
+ * other edges' signs, and as 0 / -1 it negates by (m ^ s) - s. */
 static void edge_messages(const int16_t *restrict q, int16_t *restrict msg,
-                          const int16_t *restrict real, const int16_t *restrict min1,
-                          const int16_t *restrict min2, const int16_t *restrict arg,
-                          const int16_t *restrict sx, int16_t e, int lanes)
+                          const int16_t *restrict min1, const int16_t *restrict min2,
+                          const int16_t *restrict arg, const int16_t *restrict sx, int16_t e,
+                          int lanes)
 {
     for (int l = 0; l < lanes; l++) {
         int16_t m = arg[l] == e ? min2[l] : min1[l];
-        m = (int16_t)((m > OFFSET ? m - OFFSET : 0) * real[l]);
+        m = (int16_t)(m > OFFSET ? m - OFFSET : 0);
         int16_t s = (int16_t)((int16_t)(q[l] ^ sx[l]) >> 15);
         msg[l] = (int16_t)((m ^ s) - s);
     }
 }
 
-/* Offset min-sum messages of a (degree, lanes) block q. real is 1 on real
- * edges and 0 on padding, whose messages are 0. work holds 4 * lanes int16. */
-static void check_node(const int16_t *q, int16_t *msg, const int16_t *real, int16_t *work,
-                       int degree, int lanes)
+/* Offset min-sum messages of a (degree, lanes) block q, padding included.
+ * work holds 4 * lanes int16. */
+static void check_node(const int16_t *q, int16_t *msg, int16_t *work, int degree, int lanes)
 {
     int16_t *min1 = work, *min2 = work + lanes, *arg = work + 2 * lanes,
             *sx = work + 3 * lanes;
@@ -131,8 +135,8 @@ static void check_node(const int16_t *q, int16_t *msg, const int16_t *real, int1
     for (int e = 0; e < degree; e++)
         fold_edge(q + e * lanes, min1, min2, arg, sx, (int16_t)e, lanes);
     for (int e = 0; e < degree; e++)
-        edge_messages(q + e * lanes, msg + e * lanes, real + e * lanes, min1, min2, arg,
-                      sx, (int16_t)e, lanes);
+        edge_messages(q + e * lanes, msg + e * lanes, min1, min2, arg, sx, (int16_t)e,
+                      lanes);
 }
 
 /* One layer update: copy each edge's rotated block of post in, less its old
@@ -141,14 +145,14 @@ static void check_node(const int16_t *q, int16_t *msg, const int16_t *real, int1
  * (degree, lanes / Zc) table of (start, shift) pairs, and q a scratch block
  * of degree * lanes int16. */
 static void layer(int16_t *post, const int32_t *edges, int16_t *q, int16_t *msg,
-                  const int16_t *real, int16_t *work, int degree, int lanes, int Zc)
+                  int16_t *work, int degree, int lanes, int Zc)
 {
     int n = degree * lanes;
     gather(q, post, edges, n / Zc, Zc);
     sub_clip(q, msg, n);
-    check_node(q, msg, real, work, degree, lanes);
+    check_node(q, msg, work, degree, lanes);
     add_clip(q, msg, n);
-    scatter(post, edges, q, n / Zc, Zc);
+    scatter(post, msg, edges, q, n / Zc, Zc);
 }
 
 /* Write the hard decisions of post (bit 1 where post <= 0) over hard, which
@@ -164,32 +168,23 @@ static int decide(uint8_t *restrict hard, const int16_t *restrict post, int n)
     return changed;
 }
 
-/* Whether every lifted row of the layers' base rows XORs to zero: base row j
- * of a layer XORs edge e's block of hard rotated by its shift, for every
- * real edge, as the layer copies read it. */
-static int parity_holds(const uint8_t *restrict hard, const int32_t *edges,
-                        const int32_t *shape, int layers, int Zc)
+/* Whether every lifted row holds: each layer's block of post, gathered into
+ * q as the layer reads it, decides an even number of bit 1s (post <= 0) in
+ * every lane. Padding reads +127, a bit 0. acc holds the largest lanes int16. */
+static int parity_holds(int16_t *restrict q, int16_t *restrict acc, const int16_t *restrict post,
+                        const int32_t *edges, const int32_t *shape, int layers, int Zc)
 {
-    uint8_t acc[ZC_MAX];
     for (int i = 0; i < layers; i++) {
-        int degree = shape[2 * i], rows = shape[2 * i + 1] / Zc;
-        for (int j = 0; j < rows; j++) {
-            memset(acc, 0, (size_t)Zc);
-            for (int e = 0; e < degree; e++) {
-                const int32_t *edge = edges + 2 * (e * rows + j);
-                int start = edge[0], s = edge[1];
-                if (start < 0)
-                    continue;
-                for (int t = 0; t < Zc - s; t++)
-                    acc[t] ^= hard[start + s + t];
-                for (int t = 0; t < s; t++)
-                    acc[Zc - s + t] ^= hard[start + t];
-            }
-            for (int t = 0; t < Zc; t++)
-                if (acc[t])
-                    return 0;
-        }
-        edges += 2 * degree * rows;
+        int degree = shape[2 * i], lanes = shape[2 * i + 1];
+        gather(q, post, edges, degree * lanes / Zc, Zc);
+        memset(acc, 0, (size_t)lanes * sizeof *acc);
+        for (int e = 0; e < degree; e++)
+            for (int l = 0; l < lanes; l++)
+                acc[l] ^= q[e * lanes + l] <= 0;
+        for (int l = 0; l < lanes; l++)
+            if (acc[l])
+                return 0;
+        edges += 2 * degree * (lanes / Zc);
     }
     return 1;
 }
@@ -200,14 +195,15 @@ static int parity_holds(const uint8_t *restrict hard, const int32_t *edges,
  * then stops if every parity row holds, or else if no decision changed
  * since the previous iteration. The layers are given by shape, one
  * (degree, lanes) pair per layer; edges holds each layer's (degree,
- * lanes / Zc) table of (start, shift) pairs and real its (degree, lanes)
- * mask, one layer after the other, and msg, zeroed, its messages in the
- * same layout as real. scratch holds the largest degree * lanes plus four
- * times the largest lanes int16. Returns the termination reason and sets
- * *iterations to the number run. */
+ * lanes / Zc) table of (start, shift) pairs, one layer after the other,
+ * and msg, zeroed, each layer's (degree, lanes) messages in the same
+ * order. Padding edges (start < 0) read +127 and keep messages of 0.
+ * scratch holds the largest degree * lanes plus four times the largest
+ * lanes int16. Returns the termination reason and sets *iterations to the
+ * number run. */
 int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
-           const int32_t *edges, const int16_t *real, const int32_t *shape, int layers,
-           int n, int Zc, int max_iterations, int *iterations)
+           const int32_t *edges, const int32_t *shape, int layers, int n, int Zc,
+           int max_iterations, int *iterations)
 {
     int size = 0;
     for (int i = 0; i < layers; i++) {
@@ -218,17 +214,15 @@ int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
     for (int it = 1; it <= max_iterations; it++) {
         const int32_t *e = edges;
         int16_t *m = msg;
-        const int16_t *r = real;
         for (int i = 0; i < layers; i++) {
             int degree = shape[2 * i], lanes = shape[2 * i + 1];
-            layer(post, e, q, m, r, work, degree, lanes, Zc);
+            layer(post, e, q, m, work, degree, lanes, Zc);
             e += 2 * degree * (lanes / Zc);
             m += degree * lanes;
-            r += degree * lanes;
         }
         int changed = decide(hard, post, n);
         *iterations = it;
-        if (parity_holds(hard, edges, shape, layers, Zc))
+        if (parity_holds(q, work, post, edges, shape, layers, Zc))
             return PARITY_SATISFIED;
         if (it > 1 && !changed)
             return DECISIONS_STABLE;

@@ -6,21 +6,22 @@ replaces, which stays the fallback and the oracle in the tests:
 - ``demap``: every symbol's LLRs (``llr.llr_estimate``);
 - ``combine``: the saturating scatter-add of one transmission's LLRs into
   a soft buffer (``rate_adapt.rate_unmatch_combine``);
-- ``decode``: a code block's whole layered decode, termination included
+- ``decode``: a code block's whole layered decode, termination included,
+  from one table of each edge's (column-block start, shift) pair
   (``ldpc.ldpc_decode``).
 
 Each stage calls its function where ``library()`` returns the library, and
-runs NumPy otherwise; no setting picks the path. ``ctypes`` releases the
-GIL for each call's length.
+runs NumPy otherwise; no setting picks the path. ``library()`` builds or
+loads the library once per process, and where it cannot, it warns once and
+returns None. ``ctypes`` releases the GIL for each call's length.
 
 The source is compiled with the C compiler named by ``CC`` (else ``cc``),
 for the host CPU, into ``NRPHY_CACHE_DIR`` (else ``~/.cache/nrphy``). The
 file is named by a hash of the source, the flags, the compiler's version
 and the host CPU, so a cache hit is one ``dlopen``, and it is written under
 a temporary name and renamed into place, so processes that build at once
-leave one file. Where it cannot be built, every stage runs NumPy after one
-warning. ``hashlib`` and ``subprocess`` are imported only to build, so a
-process that never demaps, combines or decodes does not load them.
+leave one file. ``hashlib`` and ``subprocess`` are imported only to build,
+so a process that never demaps, combines or decodes does not load them.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _build() -> ctypes.CDLL:
         # RuntimeError: Path.home() with no HOME and no passwd entry
         raise _BuildError(str(exc)) from exc
     ptr, count = ctypes.c_void_p, ctypes.c_int
-    lib.decode.argtypes = (ptr,) * 7 + (count,) * 4 + (ctypes.POINTER(count),)
+    lib.decode.argtypes = (ptr,) * 6 + (count,) * 4 + (ctypes.POINTER(count),)
     lib.decode.restype = count
     lib.demap.argtypes = (ptr,) * 3 + (count,) * 7
     lib.demap.restype = None
@@ -101,23 +102,11 @@ def _build() -> ctypes.CDLL:
 
 
 @cache
-def _load() -> tuple[ctypes.CDLL | None, str | None]:
-    """(the kernel library, None), or (None, why it could not be built); once per process."""
-    try:
-        return _build(), None
-    except _BuildError as exc:
-        return None, str(exc)
-
-
-@cache
-def _warn_fallback(reason: str) -> None:
-    warnings.warn(f"nrphy: native receive kernel unavailable ({reason}); demapping, "
-                  "combining and decoding with NumPy", RuntimeWarning, stacklevel=4)
-
-
 def library() -> ctypes.CDLL | None:
-    """The kernel library, or None where every stage runs in NumPy."""
-    lib, reason = _load()
-    if lib is None:
-        _warn_fallback(reason)
-    return lib
+    """The kernel library, or None where every stage runs in NumPy; built once per process."""
+    try:
+        return _build()
+    except _BuildError as exc:
+        warnings.warn(f"nrphy: native receive kernel unavailable ({exc}); demapping, "
+                      "combining and decoding with NumPy", RuntimeWarning, stacklevel=3)
+        return None

@@ -90,6 +90,8 @@ def run_harq_link(
 ) -> HarqLinkResult:
     """Drive one packet through the rv schedule with soft combining."""
     rounds = max_rounds if max_rounds is not None else len(cfg.rv_schedule)
+    if rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     history: list[bool] = []
     delivered = False
     before = dict(pool.bindings)

@@ -15,12 +15,14 @@ row-layered offset min-sum with saturating 8-bit fixed-point messages (2
 fractional bits, so the 0.5 offset is exactly two LSBs) that updates
 consecutive rows sharing no column as one block, every layer the same
 step in every iteration. Where the compiled kernel of ``_native`` can be
-built, a code block's whole decode is one call into it: every iteration's
-layers, which copy each edge's rotated column block in and out whole, its
-hard decisions, and the parity and stability checks that end it.
-Otherwise each layer gathers through its element indices, the only such
-table, and runs the min-sum as defined (``_min_sum``), and ``parity_check``
-ends the decode; that path is also the kernel's oracle in the tests.
+built, a code block's whole decode is one call into it, which reads one
+table of each edge's (column-block start, shift) pair: every iteration's
+layers copy each edge's rotated column block in and out whole, and the
+parity check copies the same blocks in again to XOR their hard decisions.
+Otherwise each layer gathers through its element indices, the only table
+of them, and runs the min-sum as defined (``_min_sum``), and
+``parity_check`` ends the decode; that path is also the kernel's oracle in
+the tests.
 """
 
 from __future__ import annotations
@@ -391,15 +393,15 @@ class _Layer:
     sign. ``real`` is 0 on padding, so its messages stay 0 and the sentinel
     never changes. ``edges[e, j]`` is the (c * Zc, shift) pair of the j-th
     row's e-th edge, from which the kernel copies the same lanes as whole
-    rotated blocks and XORs the same rows' hard decisions for its parity
-    check; on padding it is (-1, -1).
+    rotated blocks, for each layer update and for its parity check; on
+    padding it is (-1, -1), which the kernel reads as +127 with a message
+    of 0.
     """
 
     rows: tuple[int, ...]
     idx: np.ndarray  # (degree, lanes) intp
     real: np.ndarray  # (degree, lanes) int16, 1 on real edges
     edges: np.ndarray  # (degree, rows, 2) int32
-    msg: slice  # the layer's messages in the decoder's one buffer, row-major
 
 
 @lru_cache(maxsize=None)
@@ -424,7 +426,6 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
         seen |= cols
 
     layers = []
-    start = 0
     for rows in groups:
         degree = max(len(code.rows[r]) for r in rows)
         idx = np.full((degree, len(rows) * Zc), code.N_full, dtype=np.intp)
@@ -435,29 +436,23 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
                 edges[e, j] = c * Zc, s
         real = (idx != code.N_full).astype(np.int16)
         idx.flags.writeable = real.flags.writeable = edges.flags.writeable = False
-        layers.append(_Layer(rows=tuple(rows), idx=idx, real=real, edges=edges,
-                             msg=slice(start, start + idx.size)))
-        start += idx.size
+        layers.append(_Layer(rows=tuple(rows), idx=idx, real=real, edges=edges))
     return tuple(layers)
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Every layer's kernel tables, concatenated in layer order, for one decode call.
-
-    ``real`` lays the layers out as the decoder's message buffer does.
-    """
+    """Every layer's kernel tables, concatenated in layer order, for one decode call."""
 
     edges: np.ndarray  # every layer's (degree, rows, 2) int32 table
-    real: np.ndarray  # every layer's (degree, lanes) int16 mask
     shape: np.ndarray  # (layers, 2) int32: each layer's (degree, lanes)
+    messages: int  # every layer's (degree, lanes) messages, in int16
     scratch: int  # the kernel's q block and work area, in int16
 
     @cached_property
-    def tables(self) -> tuple[int, int, int, int]:
-        """The decode call's edges, real and shape addresses and layer count."""
-        return (self.edges.ctypes.data, self.real.ctypes.data, self.shape.ctypes.data,
-                len(self.shape))
+    def tables(self) -> tuple[int, int, int]:
+        """The decode call's edges and shape addresses and layer count."""
+        return self.edges.ctypes.data, self.shape.ctypes.data, len(self.shape)
 
 
 @lru_cache(maxsize=None)
@@ -465,9 +460,10 @@ def _kernel(bg: BaseGraphId, Zc: int) -> _Kernel:
     """The kernel tables of ``_layers(bg, Zc)``."""
     layers = _layers(bg, Zc)
     shape = np.array([l.idx.shape for l in layers], dtype=np.int32)
-    return _Kernel(edges=np.concatenate([l.edges.ravel() for l in layers]),
-                   real=np.concatenate([l.real.ravel() for l in layers]), shape=shape,
-                   scratch=int(shape.prod(axis=1).max() + 4 * shape[:, 1].max()))
+    blocks = shape.prod(axis=1)
+    return _Kernel(edges=np.concatenate([l.edges.ravel() for l in layers]), shape=shape,
+                   messages=int(blocks.sum()),
+                   scratch=int(blocks.max() + 4 * shape[:, 1].max()))
 
 
 # the reason of each of the kernel's return codes
@@ -525,18 +521,17 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     llr = as_softllr(channel_llrs)
     if llr.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} LLRs")
-    layers = _layers(code.bg, code.Zc)
 
     # internal orientation: positive favors bit 0; the last entry is the sentinel
     post = np.empty(code.N_full + 1, dtype=np.int16)
     post[:-1] = llr
     np.negative(post, out=post)
     post[-1] = DECODER_LLR_MAX
-    msg = np.zeros(layers[-1].msg.stop, dtype=np.int16)  # every layer's messages
     lib = _native.library()
     if lib is not None:
         # the whole decode, termination included, is one call
         kernel = _kernel(code.bg, code.Zc)
+        msg = np.zeros(kernel.messages, dtype=np.int16)
         hard = np.empty(code.N_full, dtype=np.uint8)
         scratch = np.empty(kernel.scratch, dtype=np.int16)
         iterations = ctypes.c_int()
@@ -546,7 +541,8 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
         return DecodeResult(hard_bits=hard[: code.K], iterations_used=iterations.value,
                             termination_reason=_REASONS[reason])
 
-    msgs = [msg[l.msg].reshape(l.idx.shape) for l in layers]
+    layers = _layers(code.bg, code.Zc)
+    msgs = [np.zeros(l.idx.shape, dtype=np.int16) for l in layers]
     hard_prev = None
     for it in range(1, MAX_ITERATIONS + 1):
         for layer, m in zip(layers, msgs):

@@ -183,8 +183,8 @@ def awgn(symbols: EqualizedSymbols, sigma2: float, seed) -> EqualizedSymbols:
     The in-phase draws come first, then the quadrature ones; each
     component is its value plus one draw, rounded back to Q3.12.
     """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError("sigma2 must be finite and >= 0")
     if sigma2 == 0:
         return symbols
     rng = np.random.default_rng(seed)

@@ -58,8 +58,14 @@ def k0_start(code: LiftedLdpcCode, rv: int) -> int:
 
 
 def buffer_filler_range(code: LiftedLdpcCode, filler_count: int) -> range:
-    """Filler positions in buffer coordinates (systematic tail, minus 2Zc)."""
+    """Filler positions in buffer coordinates (systematic tail, minus 2Zc).
+
+    ValueError unless 0 <= filler_count <= K - 2Zc, the range ``select_lifting``
+    gives: more fillers would reach into the punctured head.
+    """
     end = code.K - 2 * code.Zc
+    if not 0 <= filler_count <= end:
+        raise ValueError(f"filler count {filler_count} is outside [0, K - 2Zc = {end}]")
     return range(end - filler_count, end)
 
 

@@ -331,6 +331,14 @@ class TestHarqSimulator:
             run_harq_sim(cfg, 16, n_processes=1, max_rounds=0,
                          packets_per_process=1)
 
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_link_with_no_rounds_rejected(self, max_rounds):
+        cfg = ChainConfig(**HARQ_POINT)
+        pool = HarqBufferPool()
+        with pytest.raises(ValueError, match="max_rounds"):
+            run_harq_link(cfg, pool, random_payload(cfg), seed_key=(1,), max_rounds=max_rounds)
+        assert pool.bindings == {}
+
     def test_more_processes_than_ids_rejected(self):
         cfg = ChainConfig(**HARQ_POINT)
         with pytest.raises(ValueError, match="n_processes"):

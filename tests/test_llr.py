@@ -374,6 +374,12 @@ class TestAwgn:
         out = awgn(sym, 0.0, 1)
         assert np.array_equal(out.re, sym.re) and np.array_equal(out.im, sym.im)
 
+    @pytest.mark.parametrize("sigma2", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_sigma2_rejected(self, sigma2):
+        sym = modulate(np.zeros(64, np.uint8), 2)
+        with pytest.raises(ValueError, match="sigma2"):
+            awgn(sym, sigma2, 1)
+
     def test_seed_determinism(self):
         sym = modulate(np.zeros(64, np.uint8), 2)
         a = awgn(sym, 0.3, 42)

@@ -372,6 +372,17 @@ class TestMaterialize:
         fr = buffer_filler_range(code, F)
         assert np.all(out[2 * Zc + fr.start: 2 * Zc + fr.stop] == FILLER_LLR_RAW)
 
+    @pytest.mark.parametrize("filler_count", [-1, 161, 170])
+    def test_filler_count_outside_the_systematic_tail_rejected(self, filler_count):
+        # BG2 Zc=20 has K - 2Zc = 160 buffer positions before its parity
+        code = build_code(BaseGraphId.BG2, 20)
+        assert buffer_filler_range(code, 160) == range(0, 160)
+        assert buffer_filler_range(code, 0) == range(160, 160)
+        with pytest.raises(ValueError, match="filler"):
+            buffer_filler_range(code, filler_count)
+        with pytest.raises(ValueError, match="filler"):
+            HarqBufferPool().acquire(0, True, code, filler_count)
+
     def test_no_fillers_full_rate(self, small_code):
         pool = HarqBufferPool()
         buf = pool.acquire(0, True, small_code, 0)
