@@ -52,6 +52,10 @@ class ChainConfig:
             raise ConfigError("E_r must be a multiple of Q_m")
         if not math.isfinite(self.snr_db):
             raise ConfigError("snr_db must be finite")
+        try:
+            self.sigma2
+        except OverflowError:  # below about -3082 dB
+            raise ConfigError("snr_db is so low that its noise variance overflows") from None
         if not (math.isfinite(self.target_rate) and 0 < self.target_rate <= 1):
             raise ConfigError("target_rate must be in (0, 1]")
         if self.seed < 0:

@@ -129,6 +129,8 @@ def run_harq_sim(
         raise ValueError(f"n_processes must be in [1, {POOL_SLOTS}]")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if packets_per_process < 1:
+        raise ValueError("packets_per_process must be >= 1")
     cfg = replace(cfg, blocks=1)
     pool = HarqBufferPool(num_slots=pool_size)
     report = RunReport(kind="harq-sim", config=cfg.echo(), columns=HARQ_COLUMNS)

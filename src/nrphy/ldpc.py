@@ -14,15 +14,16 @@ degree, the extension rows only up to theirs. The decoder is a
 row-layered offset min-sum with saturating 8-bit fixed-point messages (2
 fractional bits, so the 0.5 offset is exactly two LSBs) that updates
 consecutive rows sharing no column as one block, every layer the same
-step in every iteration. Where the compiled kernel of ``_native`` can be
-built, a code block's whole decode is one call into it, which reads one
-table of each edge's (column-block start, shift) pair: every iteration's
-layers copy each edge's rotated column block in and out whole, and the
-parity check copies the same blocks in again to XOR their hard decisions.
-Otherwise each layer gathers through its element indices, the only table
-of them, and runs the min-sum as defined (``_min_sum``), and
-``parity_check`` ends the decode; that path is also the kernel's oracle in
-the tests.
+step in every iteration. The decoder keeps one table per code
+(``_layers``): each edge's (column-block start, shift) pair, layer by
+layer. Where the compiled kernel of ``_native`` can be built, a code
+block's whole decode is one call into it, which reads that table: every
+iteration's layers copy each edge's rotated column block in and out whole,
+and the parity check copies the same blocks in again to XOR their hard
+decisions. Otherwise the decode expands the table into element indices
+(``_element_indices``), each layer gathers through them and runs the
+min-sum as defined (``_min_sum``), and ``parity_check`` ends the decode;
+that path is also the kernel's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -381,31 +382,31 @@ def parity_check(code: LiftedLdpcCode, bits: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class _Layer:
-    """Consecutive base rows with pairwise disjoint columns, updated as one block.
+class _Layers:
+    """The decoder's one table, built by ``_layers``: every layer's edges in layer order.
 
-    Lane ``j * Zc + t`` is lifted row t of the layer's j-th base row, and
-    ``idx[e, lane]`` is the bit its e-th edge reads. A row shorter than the
-    layer's degree is padded after its real edges with edges that read the
-    +127 sentinel at index N_full. No real |q| exceeds 127 and every row
+    ``shape[i]`` is layer i's (degree, lanes): its rows are the next
+    lanes // Zc base rows, and lane ``j * Zc + t`` is lifted row t of its
+    j-th row. ``edges`` holds each layer's (degree, rows, 2) table in turn:
+    entry [e, j] is the (c * Zc, shift) pair of the j-th row's e-th edge,
+    whose lane t reads bit c * Zc + (t + shift) % Zc. A row shorter than
+    its layer is padded after its real edges with (-1, -1), which reads
+    +127 and keeps a message of 0. No real |q| exceeds 127 and every row
     has at least two real edges, so padding can tie the two smallest |q|
     of a lane but never lower them, and being positive it never flips a
-    sign. ``real`` is 0 on padding, so its messages stay 0 and the sentinel
-    never changes. ``edges[e, j]`` is the (c * Zc, shift) pair of the j-th
-    row's e-th edge, from which the kernel copies the same lanes as whole
-    rotated blocks, for each layer update and for its parity check; on
-    padding it is (-1, -1), which the kernel reads as +127 with a message
-    of 0.
+    sign. The kernel copies each edge's rotated column block whole; the
+    NumPy path expands the table into element indices (``_element_indices``).
     """
 
-    rows: tuple[int, ...]
-    idx: np.ndarray  # (degree, lanes) intp
-    real: np.ndarray  # (degree, lanes) int16, 1 on real edges
-    edges: np.ndarray  # (degree, rows, 2) int32
+    edges: np.ndarray  # (edges, 2) int32
+    shape: np.ndarray  # (layers, 2) int32
+    messages: int  # every layer's (degree, lanes) messages, in int16
+    scratch: int  # the kernel's q block and work area, in int16
+    tables: tuple[int, int, int]  # the edges and shape addresses and the layer count
 
 
 @lru_cache(maxsize=None)
-def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
+def _layers(bg: BaseGraphId, Zc: int) -> _Layers:
     """The decoder's layers: base rows grouped in order, each group column-disjoint.
 
     Rows that share no column read and write disjoint posteriors, so
@@ -414,7 +415,6 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
     moving a row past one it shares a column with would change the result.
     """
     code = build_code(bg, Zc)
-    t = np.arange(Zc)
     groups: list[list[int]] = []
     seen: set[int] = set()
     for r, row in enumerate(code.rows):
@@ -425,45 +425,34 @@ def _layers(bg: BaseGraphId, Zc: int) -> tuple[_Layer, ...]:
         groups[-1].append(r)
         seen |= cols
 
-    layers = []
+    per_layer, shape = [], []
     for rows in groups:
         degree = max(len(code.rows[r]) for r in rows)
-        idx = np.full((degree, len(rows) * Zc), code.N_full, dtype=np.intp)
-        edges = np.full((degree, len(rows), 2), -1, dtype=np.int32)
+        table = np.full((degree, len(rows), 2), -1, dtype=np.int32)
         for j, r in enumerate(rows):
-            for e, (c, s) in enumerate(code.rows[r]):
-                idx[e, j * Zc:(j + 1) * Zc] = c * Zc + (t + s) % Zc
-                edges[e, j] = c * Zc, s
-        real = (idx != code.N_full).astype(np.int16)
-        idx.flags.writeable = real.flags.writeable = edges.flags.writeable = False
-        layers.append(_Layer(rows=tuple(rows), idx=idx, real=real, edges=edges))
-    return tuple(layers)
-
-
-@dataclass(frozen=True)
-class _Kernel:
-    """Every layer's kernel tables, concatenated in layer order, for one decode call."""
-
-    edges: np.ndarray  # every layer's (degree, rows, 2) int32 table
-    shape: np.ndarray  # (layers, 2) int32: each layer's (degree, lanes)
-    messages: int  # every layer's (degree, lanes) messages, in int16
-    scratch: int  # the kernel's q block and work area, in int16
-
-    @cached_property
-    def tables(self) -> tuple[int, int, int]:
-        """The decode call's edges and shape addresses and layer count."""
-        return self.edges.ctypes.data, self.shape.ctypes.data, len(self.shape)
-
-
-@lru_cache(maxsize=None)
-def _kernel(bg: BaseGraphId, Zc: int) -> _Kernel:
-    """The kernel tables of ``_layers(bg, Zc)``."""
-    layers = _layers(bg, Zc)
-    shape = np.array([l.idx.shape for l in layers], dtype=np.int32)
+            table[:len(code.rows[r]), j] = [(c * Zc, s) for c, s in code.rows[r]]
+        per_layer.append(table.reshape(-1, 2))
+        shape.append((degree, len(rows) * Zc))
+    edges = np.concatenate(per_layer)
+    shape = np.array(shape, dtype=np.int32)
+    edges.flags.writeable = shape.flags.writeable = False
     blocks = shape.prod(axis=1)
-    return _Kernel(edges=np.concatenate([l.edges.ravel() for l in layers]), shape=shape,
-                   messages=int(blocks.sum()),
-                   scratch=int(blocks.max() + 4 * shape[:, 1].max()))
+    return _Layers(edges=edges, shape=shape, messages=int(blocks.sum()),
+                   scratch=int(blocks.max() + 4 * shape[:, 1].max()),
+                   tables=(edges.ctypes.data, shape.ctypes.data, len(shape)))
+
+
+def _element_indices(code: LiftedLdpcCode) -> list[np.ndarray]:
+    """Each layer's (degree, lanes) element indices, expanded from ``_layers``.
+
+    Padding reads the +127 sentinel at index N_full.
+    """
+    layers = _layers(code.bg, code.Zc)
+    start, shift = layers.edges.T[:, :, None]
+    idx = np.where(start < 0, code.N_full, start + (np.arange(code.Zc) + shift) % code.Zc)
+    ends = np.cumsum(layers.shape.prod(axis=1) // code.Zc)[:-1]
+    return [block.reshape(degree, -1)
+            for block, degree in zip(np.split(idx, ends), layers.shape[:, 0])]
 
 
 # the reason of each of the kernel's return codes
@@ -471,19 +460,18 @@ _REASONS = (TerminationReason.PARITY_SATISFIED, TerminationReason.DECISIONS_STAB
             TerminationReason.MAX_ITERATIONS)
 
 
-def _min_sum(q: np.ndarray, real: np.ndarray | int) -> np.ndarray:
+def _min_sum(q: np.ndarray) -> np.ndarray:
     """Offset min-sum messages of a (degree, lanes) int16 block, from the definition.
 
     Each lane is one check node. An edge whose |q| is the lane's smallest
     gets the second smallest, every other edge the smallest; both are less
     the offset and floored at 0. Under a tie the two are equal, so every
-    tied edge gets the same message. Edges where ``real`` is 0 get 0. The
-    sign bit of q ^ (XOR of the lane) is the parity of the other edges'
-    signs.
+    tied edge gets the same message. The sign bit of q ^ (XOR of the lane)
+    is the parity of the other edges' signs.
     """
     mag = np.abs(q)
     min1, min2 = np.sort(mag, axis=0)[:2]
-    out = np.maximum(np.where(mag == min1, min2, min1) - OFFSET_RAW, 0) * real
+    out = np.maximum(np.where(mag == min1, min2, min1) - OFFSET_RAW, 0)
     return np.where((q ^ np.bitwise_xor.reduce(q, axis=0)) < 0, -out, out)
 
 
@@ -501,7 +489,7 @@ def check_node_update(llrs: np.ndarray) -> np.ndarray:
         raise ValueError("check node needs 2 to 32 edges")
     if raw.dtype.kind not in "iu" or not (-128 <= raw.min() and raw.max() <= 127):
         raise ValueError("check node LLRs must be integers in [-128, 127]")
-    return _min_sum(raw.astype(np.int16)[:, None], 1)[:, 0].astype(np.int8)
+    return _min_sum(raw.astype(np.int16)[:, None])[:, 0].astype(np.int8)
 
 
 def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
@@ -530,25 +518,27 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     lib = _native.library()
     if lib is not None:
         # the whole decode, termination included, is one call
-        kernel = _kernel(code.bg, code.Zc)
-        msg = np.zeros(kernel.messages, dtype=np.int16)
+        layers = _layers(code.bg, code.Zc)
+        msg = np.zeros(layers.messages, dtype=np.int16)
         hard = np.empty(code.N_full, dtype=np.uint8)
-        scratch = np.empty(kernel.scratch, dtype=np.int16)
+        scratch = np.empty(layers.scratch, dtype=np.int16)
         iterations = ctypes.c_int()
         reason = lib.decode(post.ctypes.data, msg.ctypes.data, hard.ctypes.data,
-                            scratch.ctypes.data, *kernel.tables, code.N_full, code.Zc,
+                            scratch.ctypes.data, *layers.tables, code.N_full, code.Zc,
                             MAX_ITERATIONS, ctypes.byref(iterations))
         return DecodeResult(hard_bits=hard[: code.K], iterations_used=iterations.value,
                             termination_reason=_REASONS[reason])
 
-    layers = _layers(code.bg, code.Zc)
-    msgs = [np.zeros(l.idx.shape, dtype=np.int16) for l in layers]
+    indices = _element_indices(code)
+    padding = [idx == code.N_full for idx in indices]
+    msgs = [np.zeros(idx.shape, dtype=np.int16) for idx in indices]
     hard_prev = None
     for it in range(1, MAX_ITERATIONS + 1):
-        for layer, m in zip(layers, msgs):
-            q = np.clip(post[layer.idx] - m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
-            m[...] = _min_sum(q, layer.real)
-            post[layer.idx] = np.clip(q + m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
+        for idx, pad, m in zip(indices, padding, msgs):
+            q = np.clip(post[idx] - m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
+            m[...] = _min_sum(q)
+            m[pad] = 0  # padding keeps the sentinel at +127
+            post[idx] = np.clip(q + m, -DECODER_LLR_MAX, DECODER_LLR_MAX)
         hard = (post[:-1] <= 0).astype(np.uint8)
         if parity_check(code, hard):
             reason = TerminationReason.PARITY_SATISFIED

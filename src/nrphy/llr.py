@@ -124,6 +124,8 @@ class DemapperParams:
     def for_noise(cls, q_m: int, sigma2: float) -> "DemapperParams":
         if q_m not in MODULATION_ORDERS:
             raise ValueError(f"unsupported modulation order {q_m}")
+        if not (math.isfinite(sigma2) and sigma2 >= 0):
+            raise ValueError("sigma2 must be finite and >= 0")
         a_real = 2.0 / _NORM[q_m]
         mults = _OFFSETS[q_m]
         offs = [int(round(m * a_real * SYMBOL_SCALE)) for m in mults]

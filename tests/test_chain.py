@@ -331,6 +331,12 @@ class TestHarqSimulator:
             run_harq_sim(cfg, 16, n_processes=1, max_rounds=0,
                          packets_per_process=1)
 
+    @pytest.mark.parametrize("packets", [0, -2])
+    def test_no_packets_rejected(self, packets):
+        cfg = ChainConfig(**HARQ_POINT)
+        with pytest.raises(ValueError, match="packets_per_process"):
+            run_harq_sim(cfg, 16, n_processes=1, max_rounds=1, packets_per_process=packets)
+
     @pytest.mark.parametrize("max_rounds", [0, -3])
     def test_link_with_no_rounds_rejected(self, max_rounds):
         cfg = ChainConfig(**HARQ_POINT)
@@ -423,7 +429,7 @@ class TestConfigParsing:
         "k_prime = abc", "rv_schedule = 0,x", "rv_schedule = 0,,2", "rv_schedule = 0,2,",
         "e_r = 0", "e_r = -2",
         "rnti = 65536", "q = 2", "cell_id = 1008", "snr_db = nan", "snr_db = -inf",
-        "target_rate = nan", "target_rate = 5", "target_rate = 0", "seed = -1",
+        "snr_db = -4000", "target_rate = nan", "target_rate = 5", "target_rate = 0", "seed = -1",
     ])
     def test_out_of_range_value_rejected(self, text):
         with pytest.raises(ConfigError):

@@ -17,6 +17,7 @@ from nrphy.ldpc import (
     BaseGraphId,
     InfoBlock,
     TerminationReason,
+    _element_indices,
     _layers,
     as_bits,
     as_softllr,
@@ -391,20 +392,43 @@ class TestLayers:
         # they are consecutive and share no column.
         for Zc in (2, 15, 20, 208, 384):
             code = build_code(bg, Zc)
-            t = np.arange(Zc)
             layers = _layers(bg, Zc)
-            assert len(layers) == merged
-            assert [r for layer in layers for r in layer.rows] == list(range(len(code.rows)))
-            for layer in layers:
-                cols = [{c for c, _ in code.rows[r]} for r in layer.rows]
-                assert sum(map(len, cols)) == len(set().union(*cols)), (Zc, layer.rows)
-                for j, r in enumerate(layer.rows):
-                    block = layer.idx[:, j * Zc:(j + 1) * Zc]
-                    deg = len(code.rows[r])
-                    for e, (c, s) in enumerate(code.rows[r]):
-                        assert np.array_equal(block[e], c * Zc + (t + s) % Zc)
-                    assert (block[deg:] == code.N_full).all()  # padding reads the sentinel
-                assert np.array_equal(layer.real, layer.idx != code.N_full)
+            assert layers.edges.dtype == layers.shape.dtype == np.int32
+            assert not layers.edges.flags.writeable and not layers.shape.flags.writeable
+            assert len(layers.shape) == merged
+            row = edge = 0
+            for degree, lanes in layers.shape:
+                assert lanes % Zc == 0
+                rows = code.rows[row:row + lanes // Zc]
+                cols = [{c for c, _ in r} for r in rows]
+                assert sum(map(len, cols)) == len(set().union(*cols)), (Zc, row)
+                assert degree == max(map(len, rows))
+                n = degree * len(rows)
+                table = layers.edges[edge:edge + n].reshape(degree, len(rows), 2)
+                for j, r in enumerate(rows):
+                    real = [(c * Zc, s) for c, s in r]
+                    padding = [(-1, -1)] * (degree - len(r))
+                    assert list(map(tuple, table[:, j].tolist())) == real + padding
+                row += len(rows)
+                edge += n
+            assert (row, edge) == (len(code.rows), len(layers.edges))
+
+    @pytest.mark.parametrize("bg, Zc", [(BaseGraphId.BG1, 384), (BaseGraphId.BG2, 20)])
+    def test_element_indices_expand_the_edge_table(self, bg, Zc):
+        code = build_code(bg, Zc)
+        t = np.arange(Zc)
+        indices = _element_indices(code)
+        assert [idx.shape for idx in indices] == list(map(tuple, _layers(bg, Zc).shape))
+        row = 0
+        for idx in indices:
+            for j in range(idx.shape[1] // Zc):
+                block = idx[:, j * Zc:(j + 1) * Zc]
+                deg = len(code.rows[row])
+                for e, (c, s) in enumerate(code.rows[row]):
+                    assert np.array_equal(block[e], c * Zc + (t + s) % Zc)
+                assert (block[deg:] == code.N_full).all()  # padding reads the sentinel
+                row += 1
+        assert row == len(code.rows)
 
 
 class TestDecoder:
@@ -510,20 +534,20 @@ def reference_decode(code, llr):
     Returns (hard bits, iterations, termination reason). The syndrome is
     taken from the layers' own element indices, not from ``parity_check``.
     """
-    layers = _layers(code.bg, code.Zc)
+    indices = _element_indices(code)
     post = np.empty(code.N_full + 1, dtype=np.int16)
     post[:-1] = -np.asarray(llr, dtype=np.int16)
     post[-1] = 127
-    msgs = [np.zeros(layer.idx.shape, dtype=np.int16) for layer in layers]
+    msgs = [np.zeros(idx.shape, dtype=np.int16) for idx in indices]
     hard_prev = None
     for it in range(1, MAX_ITERATIONS + 1):
-        for i, layer in enumerate(layers):
-            q = np.clip(post[layer.idx] - msgs[i], -127, 127)
-            msgs[i] = reference_min_sum(q, layer.real)
-            post[layer.idx] = np.clip(q + msgs[i], -127, 127)
+        for i, idx in enumerate(indices):
+            q = np.clip(post[idx] - msgs[i], -127, 127)
+            msgs[i] = reference_min_sum(q, idx != code.N_full)
+            post[idx] = np.clip(q + msgs[i], -127, 127)
         hard = (post <= 0).astype(np.uint8)
         hard[-1] = 0  # the sentinel reads as a zero bit
-        if not any(np.bitwise_xor.reduce(hard[layer.idx], axis=0).any() for layer in layers):
+        if not any(np.bitwise_xor.reduce(hard[idx], axis=0).any() for idx in indices):
             return hard[:code.K], it, TerminationReason.PARITY_SATISFIED
         if hard_prev is not None and np.array_equal(hard, hard_prev):
             return hard[:code.K], it, TerminationReason.DECISIONS_STABLE

@@ -202,6 +202,12 @@ class TestDemapperParams:
         with pytest.raises(ValueError):
             DemapperParams.for_noise(3, 1.0)
 
+    @pytest.mark.parametrize("sigma2", [math.nan, -1.0, math.inf, -math.inf])
+    def test_rejects_noise_variance_that_is_not_finite_and_nonnegative(self, sigma2):
+        # nan and -1.0 once read as noiseless (inv_noise 65535), inf as infinite noise
+        with pytest.raises(ValueError, match="sigma2"):
+            DemapperParams.for_noise(2, sigma2)
+
     # Each of these once demapped to wrong LLRs: Q_m=3 read uninitialized
     # memory, and A=10**6 wrapped int32 to the wrong sign.
     @pytest.mark.parametrize("fields", [

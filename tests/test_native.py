@@ -6,6 +6,7 @@ directory, because the kernel is built and loaded once per process.
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,12 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nrphy import _native
+from nrphy import _native, ldpc
 from nrphy.ldpc import LIFTING_SETS, BaseGraphId, TerminationReason, build_code, ldpc_decode
 from nrphy.llr import (MODULATION_ORDERS, DemapperParams, EqualizedSymbols, llr_estimate,
                        modulate)
 from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
-from test_ldpc import OnDecoderPath, random_codeword, zero_extension_blocks
+from test_ldpc import OnDecoderPath, max_conf_llrs, random_codeword, zero_extension_blocks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,6 +95,18 @@ class TestNativeEqualsNumpy(OnDecoderPath):
                 assert np.array_equal(native.hard_bits, numpy.hard_bits), label
                 assert (native.iterations_used, native.termination_reason) == \
                        (numpy.iterations_used, numpy.termination_reason), label
+
+    @pytest.mark.parametrize("bg, Zc", [(BaseGraphId.BG1, 384), (BaseGraphId.BG2, 20)])
+    def test_kernel_decodes_without_element_indices(self, monkeypatch, bg, Zc):
+        # the kernel reads only the edge table; the NumPy path expands it
+        def expand(code):
+            raise AssertionError("the kernel path expanded element indices")
+
+        monkeypatch.setattr(ldpc, "_element_indices", expand)
+        code = build_code(bg, Zc)
+        info, cw = random_codeword(code, np.random.default_rng(Zc))
+        res = ldpc_decode(code, max_conf_llrs(cw.bits))
+        assert res.parity_ok and np.array_equal(res.hard_bits, info.bits)
 
     def test_consecutive_decodes_return_independent_hard_bits(self):
         # a later decode must not write into an earlier result's hard bits
@@ -317,6 +330,14 @@ class TestBuild(OnDecoderPath):
         assert_native(env)
         files = {p.name for p in cache.iterdir()}
         assert len(first) == 1 and len(files) == 2 and first < files
+
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        # the build captures the compiler's output, so a warning would go unseen there
+        cc = shlex.split(os.environ.get("CC") or "cc")
+        done = subprocess.run([*cc, *_native.FLAGS, "-Wall", "-Wextra", "-Werror",
+                               "-o", str(tmp_path / "_layer.so"), str(_native.SOURCE)],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_default_cache_is_under_home(self, tmp_path):
         env = decode_env(tmp_path, HOME=str(tmp_path))
