@@ -12,8 +12,10 @@
  * shift, copied in and out whole. The decoder's only table is each edge's
  * (column-block start, shift) pair: a negative start marks padding, where a
  * row has fewer edges than its layer, and the parity check copies the same
- * blocks. Each lane loop is its own function with restrict parameters, so
- * that the compiler vectorizes it without run-time alias checks.
+ * blocks. A layer of extension rows whose own parity blocks were never sent
+ * is dead: it runs a read-only step that writes only those blocks. Each
+ * lane loop is its own function with restrict parameters, so that the
+ * compiler vectorizes it without run-time alias checks.
  *
  * Right shifts of negative values are arithmetic, as in NumPy: C leaves
  * them to the compiler, and GCC and Clang both shift arithmetically.
@@ -155,6 +157,76 @@ static void layer(int16_t *post, const int32_t *edges, int16_t *q, int16_t *msg,
     scatter(post, msg, edges, q, n / Zc, Zc);
 }
 
+/* Fold n values of q into each lane's smallest |q| and the XOR of its q. */
+static void fold_min_sign(const int16_t *restrict q, int16_t *restrict min,
+                          int16_t *restrict sx, int n)
+{
+    for (int l = 0; l < n; l++) {
+        int16_t a = (int16_t)(q[l] < 0 ? -q[l] : q[l]);
+        min[l] = a < min[l] ? a : min[l];
+        sx[l] ^= q[l];
+    }
+}
+
+/* The smallest |q| less the offset, floored at 0, negated where the sign
+ * XOR is negative: edge_messages for an edge whose own q is 0. */
+static void own_posteriors(int16_t *restrict post, const int16_t *restrict min,
+                           const int16_t *restrict sx, int n)
+{
+    for (int l = 0; l < n; l++) {
+        int16_t m = (int16_t)(min[l] > OFFSET ? min[l] - OFFSET : 0);
+        int16_t s = (int16_t)(sx[l] >> 15);
+        post[l] = (int16_t)((m ^ s) - s);
+    }
+}
+
+/* Whether a layer is dead: each of its rows is an extension row, whose one
+ * edge at or past extension (its own block, at shift 0, read by no other
+ * row) holds all-zero posteriors. rows is lanes / Zc and blocks the layer's
+ * degree * rows. */
+static int is_dead(const int16_t *post, const int32_t *edges, int blocks, int rows,
+                   int extension, int Zc)
+{
+    int zero_rows = 0;
+    for (int b = 0; b < blocks; b++) {
+        int start = edges[2 * b], zero = start >= extension;
+        for (int t = 0; zero && t < Zc; t++)
+            zero = post[start + t] == 0;
+        zero_rows += zero;
+    }
+    return zero_rows == rows;
+}
+
+/* A dead layer's update. An own block of zero LLRs has q = 0 in every
+ * iteration, so the row sends 0 to its other edges, which keep their
+ * posteriors, and the own block's posterior is its message alone: the
+ * smallest |q| of the other edges less the offset, with the XOR of their
+ * signs. So the step folds the other edges straight from post and writes
+ * only the own blocks; it reads and writes no messages, and padding, which
+ * reads +127, is skipped. work holds 2 * lanes int16. */
+static void dead_step(int16_t *post, const int32_t *edges, int16_t *work, int degree,
+                      int lanes, int extension, int Zc)
+{
+    int rows = lanes / Zc;
+    int16_t *min = work, *sx = work + lanes;
+    for (int l = 0; l < lanes; l++) {
+        min[l] = INT16_MAX;
+        sx[l] = 0;
+    }
+    for (int b = 0; b < degree * rows; b++) {
+        int start = edges[2 * b], s = edges[2 * b + 1], j = b % rows * Zc;
+        if (start < 0 || start >= extension)
+            continue;
+        fold_min_sign(post + start + s, min + j, sx + j, Zc - s);
+        fold_min_sign(post + start, min + j + Zc - s, sx + j + Zc - s, s);
+    }
+    for (int b = 0; b < degree * rows; b++) {
+        int start = edges[2 * b], j = b % rows * Zc;
+        if (start >= extension)
+            own_posteriors(post + start, min + j, sx + j, Zc);
+    }
+}
+
 /* Write the hard decisions of post (bit 1 where post <= 0) over hard, which
  * holds the previous ones; return whether any changed. */
 static int decide(uint8_t *restrict hard, const int16_t *restrict post, int n)
@@ -197,18 +269,24 @@ static int parity_holds(int16_t *restrict q, int16_t *restrict acc, const int16_
  * (degree, lanes) pair per layer; edges holds each layer's (degree,
  * lanes / Zc) table of (start, shift) pairs, one layer after the other,
  * and msg, zeroed, each layer's (degree, lanes) messages in the same
- * order. Padding edges (start < 0) read +127 and keep messages of 0.
- * scratch holds the largest degree * lanes plus four times the largest
- * lanes int16. Returns the termination reason and sets *iterations to the
- * number run. */
+ * order. Padding edges (start < 0) read +127 and keep messages of 0. The
+ * extension rows' own blocks start at post[extension]; a layer whose rows
+ * all own a block that is all zero at entry is dead, decided once, and
+ * runs dead_step at its place in every iteration. scratch holds the
+ * largest degree * lanes plus four times the largest lanes int16. Returns
+ * the termination reason and sets *iterations to the number run. */
 int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
-           const int32_t *edges, const int32_t *shape, int layers, int n, int Zc,
-           int max_iterations, int *iterations)
+           const int32_t *edges, const int32_t *shape, int layers, int n, int extension,
+           int Zc, int max_iterations, int *iterations)
 {
     int size = 0;
-    for (int i = 0; i < layers; i++) {
-        int block = shape[2 * i] * shape[2 * i + 1];
-        size = block > size ? block : size;
+    char dead[layers];
+    for (int i = 0, offset = 0; i < layers; i++) {
+        int degree = shape[2 * i], lanes = shape[2 * i + 1];
+        size = degree * lanes > size ? degree * lanes : size;
+        dead[i] = (char)is_dead(post, edges + offset, degree * (lanes / Zc), lanes / Zc,
+                                extension, Zc);
+        offset += 2 * degree * (lanes / Zc);
     }
     int16_t *q = scratch, *work = scratch + size;
     for (int it = 1; it <= max_iterations; it++) {
@@ -216,7 +294,10 @@ int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
         int16_t *m = msg;
         for (int i = 0; i < layers; i++) {
             int degree = shape[2 * i], lanes = shape[2 * i + 1];
-            layer(post, e, q, m, work, degree, lanes, Zc);
+            if (dead[i])
+                dead_step(post, e, work, degree, lanes, extension, Zc);
+            else
+                layer(post, e, q, m, work, degree, lanes, Zc);
             e += 2 * degree * (lanes / Zc);
             m += degree * lanes;
         }

@@ -7,8 +7,10 @@ replaces, which stays the fallback and the oracle in the tests:
 - ``combine``: the saturating scatter-add of one transmission's LLRs into
   a soft buffer (``rate_adapt.rate_unmatch_combine``);
 - ``decode``: a code block's whole layered decode, termination included,
-  from one table of each edge's (column-block start, shift) pair
-  (``ldpc.ldpc_decode``).
+  from one table of each edge's (column-block start, shift) pair and the
+  start of the extension parity blocks, (kb + 4) * Zc: a layer whose rows
+  all own a never-sent (all-zero) block runs a read-only step that writes
+  only those blocks (``ldpc.ldpc_decode``).
 
 Each stage calls its function where ``library()`` returns the library, and
 runs NumPy otherwise; no setting picks the path. ``library()`` builds or
@@ -92,7 +94,7 @@ def _build() -> ctypes.CDLL:
         # RuntimeError: Path.home() with no HOME and no passwd entry
         raise _BuildError(str(exc)) from exc
     ptr, count = ctypes.c_void_p, ctypes.c_int
-    lib.decode.argtypes = (ptr,) * 6 + (count,) * 4 + (ctypes.POINTER(count),)
+    lib.decode.argtypes = (ptr,) * 6 + (count,) * 5 + (ctypes.POINTER(count),)
     lib.decode.restype = count
     lib.demap.argtypes = (ptr,) * 3 + (count,) * 7
     lib.demap.restype = None

@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ..ldpc import as_int
 from ..llr import awgn
 from ..rate_adapt import HarqBufferPool
 from .chain import decode_chain, encode_chain
@@ -35,8 +36,7 @@ MIN_TIMED_S = 0.25  # timed decode passes, summed
 
 def run_throughput_bench(cfg: ChainConfig, blocks: int) -> RunReport:
     """Time the decode chain over ``blocks`` identical code blocks."""
-    if blocks < 1:
-        raise ValueError("blocks must be >= 1")
+    as_int(blocks, "blocks", 1)
     cfg = replace(cfg, blocks=1)
     report = RunReport(kind="bench", config=cfg.echo(), columns=BENCH_COLUMNS)
 

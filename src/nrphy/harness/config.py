@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError
-from ..ldpc import LiftedLdpcCode, build_code, choose_base_graph, select_lifting
+from ..ldpc import LiftedLdpcCode, as_int, build_code, choose_base_graph, select_lifting
 from ..llr import MODULATION_ORDERS
 from ..rate_adapt import POOL_SLOTS
 from ..scramble import ScramblingIdentity
@@ -38,16 +38,19 @@ class ChainConfig:
     def __post_init__(self):
         if not self.rv_schedule:
             raise ConfigError("rv schedule must be nonempty")
-        if any(rv not in (0, 1, 2, 3) for rv in self.rv_schedule):
-            raise ConfigError("every rv must be in 0..3")
-        if not 0 <= self.harq_process < POOL_SLOTS:
-            raise ConfigError(f"harq_process must be in [0, {POOL_SLOTS})")
-        if self.blocks < 1:
-            raise ConfigError("blocks must be >= 1")
-        if self.q_m not in MODULATION_ORDERS:
-            raise ConfigError("Q_m must be one of 2, 4, 6, 8")
-        if self.e_r < 1:
-            raise ConfigError("E_r must be >= 1")
+        try:
+            for rv in self.rv_schedule:
+                as_int(rv, "every rv", 0, 4)
+            as_int(self.k_prime, "k_prime", 1)
+            as_int(self.blocks, "blocks", 1)
+            as_int(self.e_r, "E_r", 1)
+            as_int(self.harq_process, "harq_process", 0, POOL_SLOTS)
+            as_int(self.seed, "seed", 0)
+            identity = ScramblingIdentity(rnti=self.rnti, q=self.q, cell_id=self.cell_id)
+            if as_int(self.q_m, "Q_m", 2) not in MODULATION_ORDERS:
+                raise ValueError("Q_m must be one of 2, 4, 6, 8")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.e_r % self.q_m:
             raise ConfigError("E_r must be a multiple of Q_m")
         if not math.isfinite(self.snr_db):
@@ -58,13 +61,7 @@ class ChainConfig:
             raise ConfigError("snr_db is so low that its noise variance overflows") from None
         if not (math.isfinite(self.target_rate) and 0 < self.target_rate <= 1):
             raise ConfigError("target_rate must be in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         self.code()  # raises ConfigError for a K' its base graph cannot carry
-        try:
-            identity = ScramblingIdentity(rnti=self.rnti, q=self.q, cell_id=self.cell_id)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         object.__setattr__(self, "identity", identity)  # derived, not a field
 
     @property

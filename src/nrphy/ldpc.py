@@ -13,17 +13,18 @@ extension parity block at once. The core rows are read at their full
 degree, the extension rows only up to theirs. The decoder is a
 row-layered offset min-sum with saturating 8-bit fixed-point messages (2
 fractional bits, so the 0.5 offset is exactly two LSBs) that updates
-consecutive rows sharing no column as one block, every layer the same
-step in every iteration. The decoder keeps one table per code
-(``_layers``): each edge's (column-block start, shift) pair, layer by
-layer. Where the compiled kernel of ``_native`` can be built, a code
-block's whole decode is one call into it, which reads that table: every
-iteration's layers copy each edge's rotated column block in and out whole,
-and the parity check copies the same blocks in again to XOR their hard
-decisions. Otherwise the decode expands the table into element indices
-(``_element_indices``), each layer gathers through them and runs the
-min-sum as defined (``_min_sum``), and ``parity_check`` ends the decode;
-that path is also the kernel's oracle in the tests.
+consecutive rows sharing no column as one block. The decoder keeps one
+table per code (``_layers``): each edge's (column-block start, shift)
+pair, layer by layer. Where the compiled kernel of ``_native`` can be
+built, a code block's whole decode is one call into it, which reads that
+table: every iteration's layers copy each edge's rotated column block in
+and out whole, a layer of never-sent extension rows runs a read-only
+step that writes only their own parity blocks, and the parity check
+copies the same blocks in again to XOR their hard decisions. Otherwise
+the decode expands the table into element indices (``_element_indices``),
+each layer gathers through them and runs the min-sum as defined
+(``_min_sum``), and ``parity_check`` ends the decode; that path is also
+the kernel's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -117,6 +118,17 @@ def as_bits(values) -> np.ndarray:
     if not cast_exactly or (bits.size and bits.max() > 1):
         raise ValueError("bits must be 0 or 1")
     return bits
+
+
+def as_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is an int or NumPy integer,
+    not a bool, in [lo, hi), or >= lo where ``hi`` is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < lo or (hi is not None and value >= hi):
+        raise ValueError(f"{name} must be >= {lo}" if hi is None else
+                         f"{name} must be in [{lo}, {hi})")
+    return int(value)
 
 
 def as_softllr(values) -> np.ndarray:
@@ -505,6 +517,19 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     iteration. The decode is one call into the compiled kernel
     (``_native``) where it can be built, else it runs the definition-level
     min-sum in NumPy (``_min_sum``) and ``parity_check``.
+
+    The kernel gives the same result with less work on layers that are
+    dead: each of their rows is an extension row r >= 4 whose own block
+    kb + r, its last edge, at shift 0 and read by no other row
+    (``build_code``), has all-zero LLRs, as rate matching leaves a block
+    it never sent. That block's q is 0 in every lane and iteration, so
+    the row sends 0 to its other edges, which keep their posteriors, and
+    the block's posterior is its message alone: max(min |q| - 2, 0) over
+    the other edges, with the XOR of their signs. A dead layer computes
+    just that, at its place in layer order, and keeps no messages. It is
+    told where the extension blocks start, (kb + 4) * Zc, and decides once
+    per decode, from its input, which layers are dead; a layer with a
+    live row, or a row whose block arrived in part, runs the full update.
     """
     llr = as_softllr(channel_llrs)
     if llr.shape != (code.N_full,):
@@ -524,8 +549,9 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
         scratch = np.empty(layers.scratch, dtype=np.int16)
         iterations = ctypes.c_int()
         reason = lib.decode(post.ctypes.data, msg.ctypes.data, hard.ctypes.data,
-                            scratch.ctypes.data, *layers.tables, code.N_full, code.Zc,
-                            MAX_ITERATIONS, ctypes.byref(iterations))
+                            scratch.ctypes.data, *layers.tables, code.N_full,
+                            (code.systematic_cols + 4) * code.Zc, code.Zc, MAX_ITERATIONS,
+                            ctypes.byref(iterations))
         return DecodeResult(hard_bits=hard[: code.K], iterations_used=iterations.value,
                             termination_reason=_REASONS[reason])
 

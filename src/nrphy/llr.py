@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _native
 from .errors import FormatError
-from .ldpc import LLR_RAW_MAX, as_bits, as_softllr
+from .ldpc import LLR_RAW_MAX, as_bits, as_int, as_softllr
 
 LLR_SCALE = 4  # raw units per unit LLR (2 fractional bits)
 
@@ -112,13 +112,11 @@ class DemapperParams:
 
     def __post_init__(self):
         # these bounds keep every demapper product below 2^31
-        if not (isinstance(self.Q_m, (int, np.integer)) and self.Q_m in MODULATION_ORDERS):
+        if as_int(self.Q_m, "Q_m", 2) not in MODULATION_ORDERS:
             raise ValueError(f"unsupported modulation order {self.Q_m}")
         for name, low, high in (("A", 1, _I16_MAX), ("B", 0, _I16_MAX), ("C", 0, _I16_MAX),
                                 ("D", 0, _I16_MAX), ("inv_noise", 0, _INV_NOISE_MAX)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and low <= value <= high):
-                raise ValueError(f"{name} must be an integer in [{low}, {high}]")
+            as_int(getattr(self, name), name, low, high + 1)
 
     @classmethod
     def for_noise(cls, q_m: int, sigma2: float) -> "DemapperParams":

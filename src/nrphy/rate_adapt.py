@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _native
 from .errors import PoolExhaustedError, UnknownProcessError
-from .ldpc import LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_softllr
+from .ldpc import LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_int, as_softllr
 
 POOL_SLOTS = 16
 
@@ -39,14 +39,12 @@ class RateMatchConfig:
     Q_m: int
 
     def __post_init__(self):
-        if self.E_r <= 0:
-            raise ValueError("E_r must be positive")
-        if self.Q_m not in (2, 4, 6, 8):
+        as_int(self.E_r, "E_r", 1)
+        as_int(self.rv, "rv", 0, 4)
+        if as_int(self.Q_m, "Q_m", 2) not in (2, 4, 6, 8):
             raise ValueError("Q_m must be one of 2, 4, 6, 8")
         if self.E_r % self.Q_m:
             raise ValueError("E_r must be a multiple of Q_m")
-        if self.rv not in (0, 1, 2, 3):
-            raise ValueError("rv must be in {0,1,2,3}")
 
 
 def k0_start(code: LiftedLdpcCode, rv: int) -> int:
@@ -129,16 +127,22 @@ class HarqBufferPool:
 
     def acquire(self, process_id: int, is_new_packet: bool,
                 code: LiftedLdpcCode = None, filler_count: int = 0) -> SoftBuffer:
-        """Bind (new packet) or look up (retransmission) a soft buffer."""
+        """Bind (new packet) or look up (retransmission) a soft buffer.
+
+        A full pool refuses a new packet on any unbound id; otherwise an id
+        that is not an integer in [0, POOL_SLOTS) raises ValueError.
+        """
         if is_new_packet:
             if code is None:
                 raise ValueError("new packet requires the code dimensions")
             if process_id not in self.bindings and len(self.bindings) == self.num_slots:
                 raise PoolExhaustedError(f"all {self.num_slots} soft buffers are bound")
+            process_id = as_int(process_id, "process id", 0, POOL_SLOTS)
             buf = SoftBuffer(code, np.zeros(code.N_cb, dtype=np.int8),
                              buffer_filler_range(code, filler_count))
             self.bindings[process_id] = buf
             return buf
+        process_id = as_int(process_id, "process id", 0, POOL_SLOTS)
         if process_id not in self.bindings:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
         buf = self.bindings[process_id]

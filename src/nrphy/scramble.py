@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldpc import as_bits, as_softllr
+from .ldpc import as_bits, as_int, as_softllr
 
 WARMUP = 1600
 _REG_BITS = 31
@@ -30,12 +30,9 @@ class ScramblingIdentity:
     cell_id: int
 
     def __post_init__(self):
-        if not 0 <= self.rnti < (1 << 16):
-            raise ValueError("rnti out of 16-bit range")
-        if self.q not in (0, 1):
-            raise ValueError("codeword index must be 0 or 1")
-        if not 0 <= self.cell_id <= 1007:
-            raise ValueError("cell_id out of [0, 1007]")
+        as_int(self.rnti, "rnti", 0, 1 << 16)
+        as_int(self.q, "codeword index q", 0, 2)
+        as_int(self.cell_id, "cell_id", 0, 1008)
 
     @property
     def c_init(self) -> int:

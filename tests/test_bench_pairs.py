@@ -14,7 +14,8 @@ import bench_pairs  # noqa: E402
 
 def run(tree, workload, seed, **metrics):
     return {"tree": tree, "workload": workload, "seed": seed, "correct": True,
-            "attempted": 10, "failed": 0, "metrics": metrics}
+            "attempted": 10, "failed": 0, "metrics": metrics,
+            "usage": {"minflt": 100, "majflt": 0, "utime": 1.0, "stime": 0.1}}
 
 
 def synthetic_runs():
@@ -71,7 +72,39 @@ class TestSummarize:
                                               ["b", "ops", "1000", "->", "1800"]]
 
 
+class TestFaults:
+    def test_summary_holds_and_prints_each_trees_median_faults_per_op(self, capsys):
+        runs = []
+        for seed, (parent, change) in enumerate([(400, 1900), (500, 2000), (450, 2100)], 1):
+            for tree, minflt in (("parent", parent), ("change", change)):
+                r = run(tree, "w", seed, **dict.fromkeys(bench_pairs.end_to_end_bounds(), 1.0))
+                r["usage"] = dict(r["usage"], minflt=minflt, majflt=10)
+                runs.append(r)
+        rows = bench_pairs.summarize(runs)
+        assert all(row["faults"] == [46.0, 201.0] for row in rows)
+        bench_pairs.print_summary(rows)
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()
+                 if line.split()[1:2] == ["faults/op"]]
+        assert [line[:5] for line in lines] == [["w", "faults/op", "46", "->", "201"]]
+
+
 class TestPairRuns:
+    def test_records_the_faults_and_cpu_time_of_each_runs_own_children(self, monkeypatch):
+        def fake_perfbench(checkout, workload, seed, trace):
+            if checkout.name == "p":  # the parent runs first at seed 1
+                subprocess.run([sys.executable, "-c", "pass"], check=True)
+            return {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+
+        monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+        monkeypatch.setattr(bench_pairs, "WORKLOADS", ("w",))
+        parent, change = bench_pairs.pair_runs({"parent": Path("p"), "change": Path("c")}, 1)
+        assert set(parent["usage"]) == set(change["usage"]) == set(bench_pairs.USAGE)
+        # an interpreter's start faults in hundreds of pages and takes some CPU time
+        assert parent["usage"]["minflt"] > 100
+        assert parent["usage"]["utime"] + parent["usage"]["stime"] > 0
+        assert change["usage"] == dict.fromkeys(bench_pairs.USAGE, 0)
+
+
     def test_parent_first_at_odd_seeds_change_first_at_even(self, monkeypatch):
         order = []
 
@@ -156,6 +189,10 @@ class TestMain:
         assert bench_pairs.main(self.fake_tools(monkeypatch, tmp_path, [])) == 0
         record = json.loads((tmp_path / "BENCH_t_pairs.json").read_text())
         assert len(record["runs"]) == 3 * 2 * len(bench_pairs.WORKLOADS)
+        assert all(set(r["usage"]) == set(bench_pairs.USAGE) for r in record["runs"])
+        assert set(record["faults_per_op"]) == set(bench_pairs.WORKLOADS)
+        assert all(set(trees) == {"parent", "change"}
+                   for trees in record["faults_per_op"].values())
         assert [(r["tree"], r["workload"], r["seed"]) for r in record["traced"]] == \
                [(tree, w, 1) for w in bench_pairs.WORKLOADS for tree in ("parent", "change")]
         assert all(r["metrics"] == {"ldpc.decode_ms_per_cb": 1.0} and r["correct"]

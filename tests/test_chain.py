@@ -393,6 +393,11 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="blocks"):
             run_throughput_bench(ChainConfig(k_prime=96, target_rate=0.5, e_r=256), 0)
 
+    @pytest.mark.parametrize("blocks", [2.0, True])
+    def test_non_integer_blocks_rejected(self, blocks):
+        with pytest.raises(ValueError, match="blocks must be an integer"):
+            run_throughput_bench(ChainConfig(k_prime=96, target_rate=0.5, e_r=256), blocks)
+
     def test_elapsed_roughly_linear_in_blocks(self):
         cfg = ChainConfig()
         r10, r40 = fastest_benches(cfg, 10, 40)
@@ -443,6 +448,15 @@ class TestConfigParsing:
 
     def test_default_name(self):
         assert load_config("default") == ChainConfig()
+
+    @pytest.mark.parametrize("field, value", [
+        ("q_m", 2.0), ("blocks", True), ("rnti", 42.5), ("e_r", 12672.0), ("k_prime", 8448.0),
+        ("harq_process", 1.5), ("seed", 2025.0), ("q", False), ("cell_id", 1.0),
+        ("rv_schedule", (0, 2.0)),
+    ])
+    def test_non_integer_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ChainConfig(**{field: value})
 
 
 def _softllr_readers():

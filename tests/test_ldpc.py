@@ -20,6 +20,7 @@ from nrphy.ldpc import (
     _element_indices,
     _layers,
     as_bits,
+    as_int,
     as_softllr,
     build_code,
     check_node_update,
@@ -300,6 +301,23 @@ class TestInputShape:
     def test_2d_info_block_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
             InfoBlock(np.zeros((2, 10), np.uint8), 0)
+
+
+class TestAsInt:
+    @pytest.mark.parametrize("value", [0, 15, np.int64(3), np.uint8(15)])
+    def test_integers_in_range_pass_as_int(self, value):
+        out = as_int(value, "x", 0, 16)
+        assert type(out) is int and out == value
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), 2.0, 2.5, "2", None])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError, match="x must be an integer"):
+            as_int(value, "x", 0, 16)
+
+    @pytest.mark.parametrize("value, lo, hi", [(-1, 0, 16), (16, 0, 16), (0, 1, None)])
+    def test_out_of_range_rejected(self, value, lo, hi):
+        with pytest.raises(ValueError, match="x must be"):
+            as_int(value, "x", lo, hi)
 
 
 class TestParityCheck:
@@ -611,6 +629,26 @@ class TestDeadExtensionRows(OnDecoderPath):
                 rows = np.arange(4, n_rows)[rng.random(n_rows - 4) < 0.5]
                 zero_extension_blocks(code, llr, rows)
                 assert_decodes_like_reference(code, llr, f"{bg.name} Zc={Zc} {values}")
+
+    @pytest.mark.parametrize("bg", list(BaseGraphId), ids=lambda bg: bg.name)
+    def test_own_block_zero_but_one_lane_runs_live(self, bg):
+        """A row whose own block arrived only in part is live, whether its
+        layer holds it alone or with a dead row: every extension row at small
+        Zc, three at Zc=384."""
+        rng = np.random.default_rng(50 + bg.value)
+        n_rows = len(build_code(bg, 2).rows)
+        ext = np.arange(4, n_rows)
+        for Zc in (3, 20, 384):
+            code = build_code(bg, Zc)
+            kb = code.systematic_cols
+            for r in ext if Zc < 384 else rng.choice(ext, 3, replace=False):
+                _, cw = random_codeword(code, rng)
+                noisy = 6 * (2.0 * cw.bits - 1.0) + 8 * rng.standard_normal(code.N_full)
+                llr = np.clip(np.rint(noisy), -31, 31).astype(np.int8)
+                zero_extension_blocks(code, llr, ext)
+                lane = (kb + r) * Zc + int(rng.integers(1, Zc))
+                llr[lane] = 31 if cw.bits[lane] else -31
+                assert_decodes_like_reference(code, llr, f"{bg.name} Zc={Zc} row {r}")
 
     @pytest.mark.parametrize("k_prime, rate, e_r", [
         (8448, 2 / 3, 12672),  # the benchmark point, BG1 Zc=384

@@ -216,6 +216,7 @@ class TestDemapperParams:
         (4, 2591, -1, 0, 0, 256), (6, 1264, 2528, 32768, 0, 256),
         (8, 628, 2513, 1257, -628, 256), (2, 5793, 0, 0, 0, 0x10000),
         (2, 5793, 0, 0, 0, -1), (2, 5793.0, 0, 0, 0, 256), (2, 5793, 0, 0, 0, 25.6),
+        (2, True, 0, 0, 0, 256), (4, 2591, False, 0, 0, 256), (2, 5793, 0, 0, 0, True),
     ])
     def test_rejects_fields_outside_their_range(self, fields):
         with pytest.raises(ValueError):

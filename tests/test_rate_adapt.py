@@ -138,6 +138,14 @@ class TestInterleave:
         assert np.array_equal(interleave(deinterleave(x, q_m), q_m), x)
 
 
+class TestRateMatchConfig:
+    @pytest.mark.parametrize("kwargs", [dict(E_r=100.0), dict(rv=True), dict(rv=1.0),
+                                        dict(Q_m=2.0)], ids=str)
+    def test_non_integer_field_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RateMatchConfig(**dict(dict(E_r=100, rv=0, Q_m=2), **kwargs))
+
+
 class TestHarqPool:
     def test_fresh_slot_is_zeroed(self, small_code):
         pool = HarqBufferPool()
@@ -191,12 +199,22 @@ class TestHarqPool:
         with pytest.raises(ValueError, match="do not match"):
             pool.acquire(0, False, build_code(BaseGraphId.BG2, 4))
 
+    @pytest.mark.parametrize("pid", [-1, 16, 2.5, True, np.bool_(True)], ids=repr)
+    def test_process_id_outside_the_pool_rejected(self, small_code, pid):
+        pool = HarqBufferPool()
+        with pytest.raises(ValueError, match="process id"):
+            pool.acquire(pid, True, small_code, 0)
+        pool.acquire(1, True, small_code, 0)
+        with pytest.raises(ValueError, match="process id"):
+            pool.acquire(pid, False)
+        assert list(pool.bindings) == [1]
+
     def test_partition_invariant_under_random_ops(self, small_code):
         rng = np.random.default_rng(5)
-        pool = HarqBufferPool()
+        pool = HarqBufferPool(num_slots=12)
         live = set()
         for _ in range(300):
-            pid = int(rng.integers(0, 24))
+            pid = int(rng.integers(0, 16))
             try:
                 if rng.random() < 0.55:
                     pool.acquire(pid, True, small_code, 0)
@@ -207,7 +225,7 @@ class TestHarqPool:
             except (PoolExhaustedError, UnknownProcessError):
                 pass
             assert set(pool.bindings) == live
-            assert len(pool.bindings) <= 16
+            assert len(pool.bindings) <= 12
 
 
 class TestRateUnmatchCombine:

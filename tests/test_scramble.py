@@ -65,6 +65,12 @@ class TestGoldSequence:
         ident = ScramblingIdentity(rnti=3, q=1, cell_id=5)
         assert ident.c_init == 3 * 2 ** 15 + 1 * 2 ** 14 + 5
 
+    @pytest.mark.parametrize("field, value", [("rnti", 42.5), ("rnti", True), ("q", 1.0),
+                                              ("cell_id", 7.0)])
+    def test_non_integer_identity_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ScramblingIdentity(**dict(dict(rnti=42, q=0, cell_id=1), **{field: value}))
+
     def test_zero_identity_is_x1_only(self):
         # c_init = 0 keeps x2 all-zero, so the output is the x1 stream alone.
         n = 256

@@ -14,6 +14,13 @@ the session does not favour one tree. The file, written here, holds:
   kernel) or ``numpy``, probed before any run, which builds the kernel.
 - ``runs``: ``perfbench/run.py --trace 0`` on both trees for seed S in
   1..``--pairs`` (default 10) and each workload, the parent first at odd S.
+  Each run holds, beside its metrics, the ``usage`` of its process and of
+  the processes that one waited for: minor and major page faults and user
+  and system CPU seconds.
+- ``faults_per_op``: per workload, each tree's median page faults (minor
+  plus major) per op attempted over its paired runs, so that a change in
+  heap layout, which moves op times through page faults, can be told
+  apart from a change in the code.
 - ``traced``: then one ``--trace 1`` pair at seed 1, whose per-layer
   metrics give the time per stage.
 - ``nrphy_bench``: last, ``nrphy bench --config default`` Mbps at the
@@ -22,7 +29,7 @@ the session does not favour one tree. The file, written here, holds:
 
 The trace seed, block counts and repeats are those of ``BENCH_5``-``BENCH_11.json``.
 It prints both decoder paths; per workload, both trees' median ops attempted
-and, per end-to-end metric of ``BENCHMARK.json``, both trees' medians and
+and page faults per op and, per end-to-end metric of ``BENCHMARK.json``, both trees' medians and
 quartiles, the median pair ratio, the change's wins and a mark where that
 ratio is worse than the metric's bound; per block count, both trees' median
 ``nrphy bench`` Mbps and their ratio. It exits 1 if any paired or traced run
@@ -36,6 +43,7 @@ import csv
 import json
 import os
 import platform
+import resource
 import shlex
 import statistics
 import subprocess
@@ -50,6 +58,7 @@ SECONDS = float(BENCHMARK["run_seconds"])
 BENCH_BLOCKS = (20, 40)
 BENCH_REPEATS = 3
 TREES = ("parent", "change")
+USAGE = ("minflt", "majflt", "utime", "stime")  # the getrusage fields each run records
 
 
 def parse_args(argv):
@@ -124,16 +133,26 @@ def worse_than_bound(ratio: float, better: str, bound: float) -> bool:
 
 
 def pair_runs(checkouts: dict[str, Path], pairs: int, trace: int = 0) -> list[dict]:
-    """Every run of seeds 1..``pairs``, in the order they ran."""
+    """Every run of seeds 1..``pairs``, in the order they ran.
+
+    A run's ``usage`` is the growth of this process's RUSAGE_CHILDREN over
+    its perfbench call: runs go one at a time, so it is that child's, with
+    the setup process perfbench waits for.
+    """
     runs = []
     for seed in range(1, pairs + 1):
         for workload in WORKLOADS:
             for tree in TREES if seed % 2 else TREES[::-1]:
+                before = resource.getrusage(resource.RUSAGE_CHILDREN)
                 out = perfbench(checkouts[tree], workload, seed, trace)
+                after = resource.getrusage(resource.RUSAGE_CHILDREN)
                 runs.append({"tree": tree, "workload": workload, "seed": seed,
                              "correct": out["correct"], "attempted": out["attempted"],
                              "failed": out["failed"],
-                             "metrics": {k: m["value"] for k, m in out["metrics"].items()}})
+                             "metrics": {k: m["value"] for k, m in out["metrics"].items()},
+                             "usage": {k: round(getattr(after, f"ru_{k}")
+                                                - getattr(before, f"ru_{k}"), 3)
+                                       for k in USAGE}})
     return runs
 
 
@@ -149,16 +168,18 @@ def summarize(runs: list[dict]) -> list[dict]:
     """Per workload and end-to-end metric: quartiles of each tree, median ratio, wins.
 
     Each row also carries both trees' median ops attempted on its workload,
-    against which ``peak_rss_mb`` is read: perfbench keeps about 2 KB per op.
+    against which ``peak_rss_mb`` is read (perfbench keeps about 2 KB per
+    op), and their median page faults per op.
     """
     rows = []
     for workload in dict.fromkeys(run["workload"] for run in runs):
         values = {(run["tree"], run["seed"]): run["metrics"]
                   for run in runs if run["workload"] == workload}
         seeds = sorted({seed for _, seed in values})
-        ops = [statistics.median(run["attempted"] for run in runs
-                                 if run["workload"] == workload and run["tree"] == tree)
-               for tree in TREES]
+        per_tree = [[run for run in runs if run["workload"] == workload and run["tree"] == tree]
+                    for tree in TREES]
+        ops = [statistics.median(run["attempted"] for run in part) for part in per_tree]
+        faults = [statistics.median(map(faults_per_op, part)) for part in per_tree]
         for name, (better, bound) in end_to_end_bounds().items():
             parent, change = ([values[tree, seed][name] for seed in seeds] for tree in TREES)
             ratios = [c / p for c, p in zip(change, parent)]
@@ -173,8 +194,14 @@ def summarize(runs: list[dict]) -> list[dict]:
                 "worse": worse_than_bound(ratio, better, bound),
                 "bound": bound,
                 "ops": ops,
+                "faults": faults,
             })
     return rows
+
+
+def faults_per_op(run: dict) -> float:
+    """A run's minor and major page faults per op attempted."""
+    return (run["usage"]["minflt"] + run["usage"]["majflt"]) / max(run["attempted"], 1)
 
 
 def print_summary(rows: list[dict]) -> None:
@@ -186,6 +213,9 @@ def print_summary(rows: list[dict]) -> None:
             parent, change = row["ops"]
             print(f"  {workload:10s} {'ops':12s} {parent:10.5g} -> {change:10.5g}"
                   "  median attempted")
+            parent, change = row["faults"]
+            print(f"  {workload:10s} {'faults/op':12s} {parent:10.5g} -> {change:10.5g}"
+                  "  median page faults per op")
         (p1, p2, p3), (c1, c2, c3) = row["parent"], row["change"]
         mark = f"  WORSE than the {row['bound']:g} bound" if row["worse"] else ""
         print(f"  {row['workload']:10s} {row['metric']:12s}"
@@ -209,6 +239,7 @@ def main(argv=None) -> int:
     runs = pair_runs(checkouts, args.pairs)
     traced = pair_runs(checkouts, 1, trace=1)
     bench = bench_runs(checkouts)
+    rows = summarize(runs)
     result = {
         "label": f"{args.label}-pairs",
         **{tree: git_commit(path) for tree, path in checkouts.items()},
@@ -219,6 +250,7 @@ def main(argv=None) -> int:
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "cc": cc_version(), "decoder": decoders},
         "runs": runs,
+        "faults_per_op": {row["workload"]: dict(zip(TREES, row["faults"])) for row in rows},
         "traced": traced,
         "nrphy_bench": bench,
     }
@@ -226,7 +258,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
     print("decoder path: " + ", ".join(f"{tree} {path}" for tree, path in decoders.items()))
-    print_summary(summarize(runs))
+    print_summary(rows)
     print_bench(bench)
     bad = [f"{r['tree']} {r['workload']} seed {r['seed']}{kind}"
            for kind, part in (("", runs), (" traced", traced)) for r in part
