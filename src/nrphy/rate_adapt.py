@@ -49,9 +49,7 @@ class RateMatchConfig:
 
 def k0_start(code: LiftedLdpcCode, rv: int) -> int:
     """Circular-buffer read start for a redundancy version."""
-    if rv not in (0, 1, 2, 3):
-        raise ValueError("rv must be in {0,1,2,3}")
-    num = _K0_NUM[code.bg][rv]
+    num = _K0_NUM[code.bg][as_int(rv, "rv", 0, 4)]
     return (num * code.N_cb // (_K0_DEN[code.bg] * code.Zc)) * code.Zc
 
 
@@ -120,9 +118,7 @@ class HarqBufferPool:
     """
 
     def __init__(self, num_slots: int = POOL_SLOTS):
-        if not 1 <= num_slots <= POOL_SLOTS:
-            raise ValueError(f"num_slots must be in [1, {POOL_SLOTS}]")
-        self.num_slots = num_slots
+        self.num_slots = as_int(num_slots, "num_slots", 1, POOL_SLOTS + 1)
         self.bindings: dict[int, SoftBuffer] = {}
 
     def acquire(self, process_id: int, is_new_packet: bool,

@@ -89,8 +89,7 @@ def _outputs(state: int, taps: tuple[int, ...], n: int) -> int:
 
 def sequence(identity: ScramblingIdentity, n: int) -> np.ndarray:
     """First n scrambling bits for this identity."""
-    if n < 0:
-        raise ValueError(f"sequence length must be >= 0, got {n}")
+    n = as_int(n, "sequence length", 0)
     c_init = identity.c_init
     x2 = 0
     for i, state in enumerate(_X2_WARM):

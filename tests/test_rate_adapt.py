@@ -56,6 +56,11 @@ class TestK0Start:
         with pytest.raises(ValueError):
             k0_start(small_code, 4)
 
+    @pytest.mark.parametrize("rv", [True, 1.0])
+    def test_non_integer_rv_rejected(self, small_code, rv):
+        with pytest.raises(ValueError, match="rv must be an integer"):
+            k0_start(small_code, rv)
+
 
 class TestRateMatch:
     def test_identity_read(self, small_codeword):
@@ -152,6 +157,12 @@ class TestHarqPool:
         buf = pool.acquire(7, True, small_code, 0)
         assert len(buf.llrs) == small_code.N_cb
         assert not buf.llrs.any()
+
+    @pytest.mark.parametrize("num_slots", [0, 17, 2.5, True])
+    def test_pool_size_outside_one_to_sixteen_rejected(self, num_slots):
+        # 2.5 once made a pool that never ran out: no count of bindings equals it
+        with pytest.raises(ValueError, match="num_slots"):
+            HarqBufferPool(num_slots=num_slots)
 
     def test_capacity_is_sixteen(self, small_code):
         pool = HarqBufferPool()

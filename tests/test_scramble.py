@@ -123,6 +123,16 @@ class TestGoldSequence:
         with pytest.raises(ValueError, match="length"):
             sequence(ScramblingIdentity(9, 1, 500), n)
 
+    def test_numpy_integer_length_reads_as_int(self):
+        # np.int64 once raised AttributeError from int.to_bytes
+        ident = ScramblingIdentity(9, 1, 500)
+        assert np.array_equal(sequence(ident, np.int64(37)), sequence(ident, 37))
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_non_integer_length_rejected(self, n):
+        with pytest.raises(ValueError, match="length must be an integer"):
+            sequence(ScramblingIdentity(9, 1, 500), n)
+
 
 class TestScrambleBits:
     def test_involution(self):

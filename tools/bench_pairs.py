@@ -29,11 +29,11 @@ the session does not favour one tree. The file, written here, holds:
 
 The trace seed, block counts and repeats are those of ``BENCH_5``-``BENCH_11.json``.
 It prints both decoder paths; per workload, both trees' median ops attempted
-and page faults per op and, per end-to-end metric of ``BENCHMARK.json``, both trees' medians and
-quartiles, the median pair ratio, the change's wins and a mark where that
-ratio is worse than the metric's bound; per block count, both trees' median
-``nrphy bench`` Mbps and their ratio. It exits 1 if any paired or traced run
-was not ``correct`` or failed an op.
+and page faults per op and, per end-to-end metric of ``BENCHMARK.json``,
+both trees' medians and quartiles, the median pair ratio, the change's wins
+and a mark where that ratio is worse than the metric's bound; per block
+count, both trees' median ``nrphy bench`` Mbps and their ratio. It exits 1
+if any paired or traced run was not ``correct`` or failed an op.
 """
 
 from __future__ import annotations
