@@ -1,9 +1,10 @@
 /*
- * nrphy's receive kernel, bit-exact with its NumPy forms, which define it:
+ * nrphy's compiled kernel, bit-exact with its NumPy forms, which define it:
+ * encode (ldpc.py's ldpc_encode), of which one call encodes one code block,
  * demap (llr.py's llr_estimate), combine (rate_adapt.py's
  * rate_unmatch_combine) and decode, the layered offset min-sum decoder
  * (ldpc.py), of which one call decodes one code block, termination
- * included.
+ * included. encode reads decode's table, described below.
  *
  * A layer's block is (degree, lanes) int16, row-major: row e holds edge e
  * of every lane, and each lane is one check node, as on a circulant-shift
@@ -309,6 +310,83 @@ int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
             return DECISIONS_STABLE;
     }
     return MAX_ITERATIONS;
+}
+
+/* Encoding: ldpc_encode's solves, from the decoder's edge table */
+
+/* XOR n bytes of src into dst, eight at a time: a byte loop vectorizes, but
+ * at the short, odd lengths of a rotated block its scalar tail costs more. */
+static void xor_bytes(uint8_t *restrict dst, const uint8_t *restrict src, int n)
+{
+    int i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t a, b;
+        memcpy(&a, dst + i, 8);
+        memcpy(&b, src + i, 8);
+        a ^= b;
+        memcpy(dst + i, &a, 8);
+    }
+    for (; i < n; i++)
+        dst[i] ^= src[i];
+}
+
+/* XOR block src, rotated left by s, into dst: dst[t] ^= src[(t + s) % Zc]. */
+static void xor_rotated(uint8_t *restrict dst, const uint8_t *restrict src, int s, int Zc)
+{
+    xor_bytes(dst, src + s, Zc - s);
+    xor_bytes(dst + Zc - s, src, s);
+}
+
+/* One base row's edges in decode's table: edge e is the (start, shift) pair
+ * at edges[2 * e * stride], where stride is the row's layer's row count. */
+struct row {
+    const int32_t *edges;
+    int stride, degree;
+};
+
+/* XOR each edge of row, its column block of cw rotated by its shift, into
+ * dst, except an edge that reads dst itself; padding ends the row. */
+static void xor_row(uint8_t *dst, const uint8_t *cw, struct row row, int Zc)
+{
+    for (int e = 0; e < row.degree; e++) {
+        int start = row.edges[2 * e * row.stride], s = row.edges[2 * e * row.stride + 1];
+        if (start < 0)
+            break;
+        if (cw + start != dst)
+            xor_rotated(dst, cw + start, s, Zc);
+    }
+}
+
+/* Encode one code block of n bits in place: cw holds the kb * Zc
+ * information bits, and the parity blocks after them are written whole.
+ * edges, shape and layers are decode's table, in which the base rows come
+ * in order. The four core rows sum to count rotations of p0 (block kb) and
+ * their syndrome, so p0 is the XOR of the syndrome rotated by each of
+ * inverse's count shifts. Then, in row order, core row r < 3 solves block
+ * kb + r + 1 and extension row r >= 4 block kb + r, each the XOR of the
+ * row's other edges: a block not yet solved is still zero, and no row
+ * reads a block that a later row solves. */
+void encode(uint8_t *cw, const int32_t *edges, const int32_t *shape, int layers,
+            const int32_t *inverse, int count, int n, int kb, int Zc)
+{
+    int n_rows = n / Zc - kb;
+    struct row row[n_rows];
+    for (int i = 0, r = 0; i < layers; i++) {
+        int degree = shape[2 * i], rows = shape[2 * i + 1] / Zc;
+        for (int j = 0; j < rows; j++, r++)
+            row[r] = (struct row){edges + 2 * j, rows, degree};
+        edges += 2 * degree * rows;
+    }
+    uint8_t *parity = cw + kb * Zc, syndrome[Zc];
+    memset(parity, 0, (size_t)(n_rows * Zc));
+    memset(syndrome, 0, (size_t)Zc);
+    for (int r = 0; r < 4; r++)
+        xor_row(syndrome, cw, row[r], Zc);
+    for (int k = 0; k < count; k++)
+        xor_rotated(parity, syndrome, inverse[k], Zc);
+    for (int r = 0; r < n_rows; r++)
+        if (r != 3)
+            xor_row(parity + (r + (r < 3)) * Zc, cw, row[r], Zc);
 }
 
 /* Demapping: llr_estimate's fixed-point arithmetic, one symbol at a time */

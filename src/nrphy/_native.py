@@ -1,8 +1,11 @@
-"""The receive chain's compiled kernel (``_layer.c``): built at first use, then loaded.
+"""The coding chain's compiled kernel (``_layer.c``): built at first use, then loaded.
 
-The kernel exports three functions, each bit-exact with the NumPy body it
+The kernel exports four functions, each bit-exact with the NumPy body it
 replaces, which stays the fallback and the oracle in the tests:
 
+- ``encode``: a code block's whole systematic codeword, from the decoder's
+  edge table and the inverse circulant's shifts that solve p0
+  (``ldpc.ldpc_encode``);
 - ``demap``: every symbol's LLRs (``llr.llr_estimate``);
 - ``combine``: the saturating scatter-add of one transmission's LLRs into
   a soft buffer (``rate_adapt.rate_unmatch_combine``);
@@ -23,7 +26,8 @@ file is named by a hash of the source, the flags, the compiler's version
 and the host CPU, so a cache hit is one ``dlopen``, and it is written under
 a temporary name and renamed into place, so processes that build at once
 leave one file. ``hashlib`` and ``subprocess`` are imported only to build,
-so a process that never demaps, combines or decodes does not load them.
+so a process that never encodes, demaps, combines or decodes does not load
+them.
 """
 
 from __future__ import annotations
@@ -100,6 +104,8 @@ def _build() -> ctypes.CDLL:
     lib.demap.restype = None
     lib.combine.argtypes = (ptr,) * 3 + (count,) * 2
     lib.combine.restype = None
+    lib.encode.argtypes = (ptr,) * 3 + (count,) + (ptr,) + (count,) * 4
+    lib.encode.restype = None
     return lib
 
 
@@ -109,6 +115,6 @@ def library() -> ctypes.CDLL | None:
     try:
         return _build()
     except _BuildError as exc:
-        warnings.warn(f"nrphy: native receive kernel unavailable ({exc}); demapping, "
+        warnings.warn(f"nrphy: native kernel unavailable ({exc}); encoding, demapping, "
                       "combining and decoding with NumPy", RuntimeWarning, stacklevel=3)
         return None

@@ -2,15 +2,20 @@
 
 Base graphs BG1/BG2 are stored as data files of (row, column, shift-per-set)
 records and expanded ("lifted") by a lifting size Zc into the working
-parity-check structure. Every XOR over the code's edges reads one table
-of window offsets (``_check_windows``) into a buffer that holds each
-column block twice over (``_doubled``), so an edge is its column block
-rotated by its shift, as on a circulant-shift datapath. The parity check
-is one such XOR. The encoder fills the buffer once: it solves the first
-core parity block from the sum of the four core rows through the inverse
-circulant's windows, the next three from core rows 0-2, then every
-extension parity block at once. The core rows are read at their full
-degree, the extension rows only up to theirs. The decoder is a
+parity-check structure. Every XOR over the code's edges in NumPy reads
+one table of window offsets (``_check_windows``) into a buffer that holds
+each column block twice over (``_doubled``), so an edge is its column
+block rotated by its shift, as on a circulant-shift datapath. The parity
+check is one such XOR. The encoder solves the first core parity block
+from the sum of the four core rows through the inverse circulant's
+shifts (``_p0_shifts``), the next three from core rows 0-2, then every
+extension parity block. Where the compiled kernel of ``_native`` can be
+built, that is one call into it, which reads the decoder's edge table
+(``_layers``, below) and XORs each edge's rotated column block into the
+block its row solves. Otherwise the encoder fills the buffer once,
+reading the core rows at their full degree and the extension rows only
+up to theirs, and solves every extension block at once; that path is
+also the kernel's oracle in the tests. The decoder is a
 row-layered offset min-sum with saturating 8-bit fixed-point messages (2
 fractional bits, so the 0.5 offset is exactly two LSBs) that updates
 consecutive rows sharing no column as one block. The decoder keeps one
@@ -152,9 +157,9 @@ class InfoBlock:
     def __post_init__(self):
         bits = as_bits(self.bits)
         object.__setattr__(self, "bits", bits)
-        if self.filler_count < 0:
-            raise ConfigError("negative filler count")
-        if self.filler_count and bits[-self.filler_count:].any():
+        count = as_int(self.filler_count, "filler_count", 0, bits.size + 1)
+        object.__setattr__(self, "filler_count", count)
+        if count and bits[-count:].any():
             raise ValueError("filler bits must be zero")
 
 
@@ -326,15 +331,25 @@ def _poly_inv(a: int, n: int) -> int:
     return t0
 
 
+@dataclass(frozen=True)
+class _P0Shifts:
+    """The inverse circulant's shifts, built by ``_p0_shifts``, and the kernel's view of them."""
+
+    shifts: np.ndarray  # int32, read-only
+    table: tuple[int, int]  # their address and count
+
+
 @lru_cache(maxsize=None)
-def _p0_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
-    """``_doubled`` window offsets into p0's block that XOR to p0 from its syndrome.
+def _p0_shifts(bg: BaseGraphId, Zc: int) -> _P0Shifts:
+    """The shifts of p0's syndrome whose rotations XOR to p0.
 
     The four core rows sum to sum_k rot(p0, s_k) = S, where S is their
     information-part syndrome and rot(v, s)[t] = v[(t + s) % Zc]. As a
     polynomial (bit t is the coefficient of x^t), rot(v, s) is x^(Zc-s) v
     mod x^Zc + 1, so p0 = inv * S with inv the inverse of sum_k x^(Zc-s_k),
-    and each term x^a of inv is one window of S at shift (Zc - a) % Zc.
+    and each term x^a of inv is S rotated by (Zc - a) % Zc. The NumPy
+    encoder reads these as ``_doubled`` windows of p0's block, at
+    2*Zc*kb + shift.
     """
     code = build_code(bg, Zc)
     kb = code.systematic_cols
@@ -344,19 +359,31 @@ def _p0_windows(bg: BaseGraphId, Zc: int) -> np.ndarray:
             if c == kb:
                 m ^= 1 << ((Zc - s) % Zc)
     inv = _poly_inv(m, Zc)
-    starts = np.array([2 * Zc * kb + (Zc - a) % Zc for a in range(Zc) if inv >> a & 1],
-                      dtype=np.intp)
-    starts.flags.writeable = False
-    return starts
+    shifts = np.array([(Zc - a) % Zc for a in range(Zc) if inv >> a & 1], dtype=np.int32)
+    shifts.flags.writeable = False
+    return _P0Shifts(shifts=shifts, table=(shifts.ctypes.data, shifts.size))
 
 
 def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
-    """Systematic encode; parity solved from the double-diagonal core."""
+    """Systematic encode; parity solved from the double-diagonal core.
+
+    Where the compiled kernel of ``_native`` can be built, the whole
+    codeword is one call into it, which solves the same blocks in the same
+    order from the decoder's edge table (``_layers``) and ``_p0_shifts``.
+    """
     bits = info.bits
     if bits.shape != (code.K,):
         raise ValueError(f"info length {bits.shape} != K={code.K}")
     Zc = code.Zc
     kb = code.systematic_cols
+    lib = _native.library()
+    if lib is not None:
+        cw = np.empty(code.N_full, dtype=np.uint8)
+        cw[:code.K] = bits
+        lib.encode(cw.ctypes.data, *_layers(code.bg, Zc).tables,
+                   *_p0_shifts(code.bg, Zc).table, code.N_full, kb, Zc)
+        return Codeword(bits=cw, code=code)
+
     checks = _check_windows(code.bg, Zc)
     doubled, windows = _doubled(code, bits)
 
@@ -366,7 +393,8 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
     # cancels every parity block but p0, which is solved from that sum in
     # its own slot.
     doubled[kb] = np.bitwise_xor.reduce(windows[checks[:, :4]], axis=(0, 1))
-    doubled[kb] = np.bitwise_xor.reduce(windows[_p0_windows(code.bg, Zc)], axis=0)
+    p0 = 2 * Zc * kb + _p0_shifts(code.bg, Zc).shifts
+    doubled[kb] = np.bitwise_xor.reduce(windows[p0], axis=0)
     # Core rows 0-2 each end in the next core parity block, unrotated.
     for r in range(3):
         doubled[kb + r + 1] = np.bitwise_xor.reduce(windows[checks[:, r]], axis=0)

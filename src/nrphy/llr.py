@@ -163,7 +163,7 @@ def _constellation(q_m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def modulate(bits: np.ndarray, q_m: int) -> EqualizedSymbols:
     """Gray-map groups of q_m bits onto the unit-energy constellation."""
-    if q_m not in MODULATION_ORDERS:
+    if as_int(q_m, "Q_m", 1) not in MODULATION_ORDERS:
         raise ValueError(f"unsupported modulation order {q_m}")
     bits = as_bits(bits)
     if bits.size % q_m:

@@ -85,16 +85,27 @@ def rate_match(codeword: Codeword, filler_range: range, cfg: RateMatchConfig) ->
 
 
 def interleave(e: np.ndarray, q_m: int) -> np.ndarray:
-    """Spread bits so each group of Q_m output bits samples the whole block."""
+    """Spread bits so each group of Q_m output bits samples the whole block.
+
+    Slice i of the input, of E_r / Q_m bits, goes to every Q_m-th output bit
+    from bit i, one strided copy per slice: a transposed copy of uint8 is
+    several times slower.
+    """
     e = np.asarray(e)
+    q_m = as_int(q_m, "Q_m", 1)
     if len(e) % q_m:
         raise ValueError("Q_m must divide E_r")
-    return e.reshape(q_m, -1).T.reshape(-1)
+    out = np.empty(len(e), e.dtype)
+    k = len(e) // q_m
+    for i in range(q_m):
+        out[i::q_m] = e[i * k:(i + 1) * k]
+    return out
 
 
 def deinterleave(llrs: np.ndarray, q_m: int) -> np.ndarray:
     """Exact inverse permutation of :func:`interleave`."""
     llrs = np.asarray(llrs)
+    q_m = as_int(q_m, "Q_m", 1)
     if len(llrs) % q_m:
         raise ValueError("Q_m must divide E_r")
     return llrs.reshape(-1, q_m).T.reshape(-1)

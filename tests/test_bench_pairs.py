@@ -90,7 +90,7 @@ class TestFaults:
 
 class TestPairRuns:
     def test_records_the_faults_and_cpu_time_of_each_runs_own_children(self, monkeypatch):
-        def fake_perfbench(checkout, workload, seed, trace):
+        def fake_perfbench(checkout, workload, seed, trace, env=None):
             if checkout.name == "p":  # the parent runs first at seed 1
                 subprocess.run([sys.executable, "-c", "pass"], check=True)
             return {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
@@ -108,7 +108,7 @@ class TestPairRuns:
     def test_parent_first_at_odd_seeds_change_first_at_even(self, monkeypatch):
         order = []
 
-        def fake_perfbench(checkout, workload, seed, trace):
+        def fake_perfbench(checkout, workload, seed, trace, env=None):
             order.append((checkout.name, workload, seed))
             return {"correct": True, "attempted": 1, "failed": 0,
                     "metrics": {"decode_mbps": {"value": 1.0, "unit": "Mbps"}}}
@@ -131,7 +131,7 @@ class TestMain:
             events.append(("probe", checkout.name))
             return {"p": "numpy", "c": "native"}[checkout.name]
 
-        def fake_perfbench(checkout, workload, seed, trace):
+        def fake_perfbench(checkout, workload, seed, trace, env=None):
             events.append(("run", checkout.name))
             return {"correct": True, "attempted": 1, "failed": 0,
                     "metrics": {name: {"value": 1.0, "unit": ""}
@@ -153,7 +153,7 @@ class TestMain:
     def fake_tools(monkeypatch, tmp_path, calls, traced_correct=True):
         """Fake perfbench and nrphy bench that log each call; the change is 2x faster."""
 
-        def fake_perfbench(checkout, workload, seed, trace):
+        def fake_perfbench(checkout, workload, seed, trace, env=None):
             calls.append(("perfbench", checkout.name, workload, seed, trace))
             names = ["ldpc.decode_ms_per_cb"] if trace else bench_pairs.end_to_end_bounds()
             return {"correct": traced_correct or not trace, "attempted": 1, "failed": 0,
@@ -175,7 +175,7 @@ class TestMain:
         calls = []
         assert bench_pairs.main(self.fake_tools(monkeypatch, tmp_path, calls)) == 0
         runs = [call for call in calls if call[0] == "perfbench"]
-        pairs = 3 * 2 * len(bench_pairs.WORKLOADS)
+        pairs = (3 + bench_pairs.PINNED_PAIRS) * 2 * len(bench_pairs.WORKLOADS)
         assert {call[4] for call in runs[:pairs]} == {0}
         assert runs[pairs:] == [("perfbench", tree, w, 1, 1)
                                 for w in bench_pairs.WORKLOADS for tree in ("p", "c")]
@@ -209,6 +209,48 @@ class TestMain:
                  if "nrphy bench" in line]
         assert lines == [["20", "blocks", "20", "->", "40", "Mbps", "2.000x"],
                          ["40", "blocks", "40", "->", "80", "Mbps", "2.000x"]]
+
+    def test_pinned_pairs_follow_the_pairs_with_both_thresholds_and_are_kept_apart(
+            self, monkeypatch, tmp_path, capsys):
+        envs = []
+        args = self.fake_tools(monkeypatch, tmp_path, [])
+        logged = bench_pairs.perfbench
+
+        def fake_perfbench(checkout, workload, seed, trace, env=None):
+            envs.append((checkout.name, workload, seed, trace, env))
+            out = logged(checkout, workload, seed, trace)
+            if env and checkout.name == "c":  # only the pinned pairs read 3x
+                out["metrics"] = {name: {"value": 3.0, "unit": ""} for name in out["metrics"]}
+            return out
+
+        monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+        assert bench_pairs.main(args) == 0
+        paired = 3 * 2 * len(bench_pairs.WORKLOADS)
+        pinned = bench_pairs.PINNED_PAIRS * 2 * len(bench_pairs.WORKLOADS)
+        assert bench_pairs.PINNED_PAIRS == 3
+        assert {env is None for *_, env in envs[:paired]} == {True}
+        assert [(tree, w, seed, trace) for tree, w, seed, trace, _ in
+                envs[paired:paired + pinned]] == [
+            (tree, w, seed, 0) for seed in range(1, 4) for w in bench_pairs.WORKLOADS
+            for tree in (("p", "c") if seed % 2 else ("c", "p"))]
+        thresholds = {"MALLOC_TRIM_THRESHOLD_": "268435456",
+                      "MALLOC_MMAP_THRESHOLD_": "268435456"}
+        assert all(env == thresholds for *_, env in envs[paired:paired + pinned])
+        assert {env is None for *_, env in envs[paired + pinned:]} == {True}
+        record = json.loads((tmp_path / "BENCH_t_pairs.json").read_text())
+        assert record["pinned"]["env"] == thresholds
+        assert len(record["pinned"]["runs"]) == pinned
+        assert {(r["tree"], r["metrics"]["decode_mbps"]) for r in record["pinned"]["runs"]} \
+            == {("parent", 1.0), ("change", 3.0)}
+        assert {r["metrics"]["decode_mbps"] for r in record["runs"]} == {1.0}
+        assert set(record["pinned"]["faults_per_op"]) == set(bench_pairs.WORKLOADS)
+        out = capsys.readouterr().out.splitlines()
+        heads = [i for i, line in enumerate(out) if "median pair ratio" in line]
+        assert len(heads) == 2 and out[heads[1]].startswith("pinned, MALLOC_TRIM_THRESHOLD_")
+        decode = [line for line in out if line.split()[1:2] == ["decode_mbps"]]
+        assert len(decode) == 2 * len(bench_pairs.WORKLOADS)
+        assert all("1.000x  0/3" in line for line in decode[:len(bench_pairs.WORKLOADS)])
+        assert all("3.000x  3/3" in line for line in decode[len(bench_pairs.WORKLOADS):])
 
     def test_exits_1_when_only_a_traced_run_is_not_correct(self, monkeypatch, tmp_path, capsys):
         args = self.fake_tools(monkeypatch, tmp_path, [], traced_correct=False)

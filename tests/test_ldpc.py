@@ -95,12 +95,12 @@ def max_conf_llrs(bits):
 
 
 class OnDecoderPath:
-    """Runs a class's tests on the decoder path ``path``.
+    """Runs a class's tests on the path ``path`` of every stage the kernel offloads.
 
-    "native" is the compiled layer kernel: its tests skip only on a host
-    with no C compiler at all, and fail where a compiler fails the build.
-    A subclass with ``path = "numpy"`` runs the same tests on the NumPy
-    layer body, as a host without the kernel does.
+    "native" is the compiled kernel, which encodes and decodes: its tests
+    skip only on a host with no C compiler at all, and fail where a
+    compiler fails the build. A subclass with ``path = "numpy"`` runs the
+    same tests on the NumPy bodies, as a host without the kernel does.
     """
 
     path = "native"
@@ -228,7 +228,7 @@ class TestDataDirOverride:
             build_code.cache_clear()
 
 
-class TestEncoder:
+class TestEncoder(OnDecoderPath):
     def test_zero_maps_to_zero(self):
         code = build_code(BaseGraphId.BG2, 10)
         cw = ldpc_encode(code, InfoBlock(np.zeros(code.K, np.uint8), 0))
@@ -288,6 +288,22 @@ class TestEncoder:
         bits[3] = bad
         with pytest.raises(ValueError):
             InfoBlock(bits, 0)
+
+
+class TestEncoderNumpy(TestEncoder):
+    path = "numpy"
+
+
+class TestInfoBlock:
+    @pytest.mark.parametrize("count", [0, 5, 20, np.int64(3)], ids=repr)
+    def test_filler_count_in_range_accepted(self, count):
+        block = InfoBlock(np.zeros(20, np.uint8), count)
+        assert block.filler_count == count and type(block.filler_count) is int
+
+    @pytest.mark.parametrize("count", [-1, 21, 25, True, 2.0], ids=repr)
+    def test_filler_count_outside_range_or_not_integer_rejected(self, count):
+        with pytest.raises(ValueError, match="filler_count"):
+            InfoBlock(np.zeros(20, np.uint8), count)
 
 
 class TestInputShape:

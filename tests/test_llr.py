@@ -162,6 +162,11 @@ class TestModulate:
         with pytest.raises(ValueError):
             modulate(np.array(bits), 2)
 
+    @pytest.mark.parametrize("q_m", [2.0, np.float64(4), True, 0], ids=repr)
+    def test_non_integer_q_m_rejected(self, q_m):
+        with pytest.raises(ValueError, match="Q_m"):
+            modulate(np.zeros(8, np.uint8), q_m)
+
 
 class TestQuantize:
     def test_worked_examples(self):

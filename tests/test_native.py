@@ -1,4 +1,4 @@
-"""The compiled receive kernel: each stage equal to its NumPy body, and its build.
+"""The compiled kernel: each stage equal to its NumPy body, and its build.
 
 The build tests run a fresh interpreter each, with its own empty cache
 directory, because the kernel is built and loaded once per process.
@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 from nrphy import _native, ldpc
-from nrphy.ldpc import LIFTING_SETS, BaseGraphId, TerminationReason, build_code, ldpc_decode
+from nrphy.ldpc import (LIFTING_SETS, BaseGraphId, InfoBlock, TerminationReason, build_code,
+                        ldpc_decode, ldpc_encode)
 from nrphy.llr import (MODULATION_ORDERS, DemapperParams, EqualizedSymbols, llr_estimate,
                        modulate)
 from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
-from test_ldpc import OnDecoderPath, max_conf_llrs, random_codeword, zero_extension_blocks
+from test_ldpc import (OnDecoderPath, max_conf_llrs, random_codeword, reference_encode,
+                       zero_extension_blocks)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -145,6 +147,31 @@ def demap_inputs(q_m, rng):
 
 
 class TestStagesEqualNumpy(OnDecoderPath):
+    def test_encode_every_lifting_size_bit_exact(self, monkeypatch):
+        # each Zc and shift splits the kernel's rotated XORs differently; the
+        # fillers are the zero tail of the information bits, at most K - 2Zc
+        rng = np.random.default_rng(20261019)
+        for bg in BaseGraphId:
+            for Zc in sorted(z for zs in LIFTING_SETS for z in zs):
+                code = build_code(bg, Zc)
+                for fillers in (0, int(rng.integers(1, code.K - 2 * Zc + 1))):
+                    bits = np.zeros(code.K, np.uint8)
+                    bits[:code.K - fillers] = rng.integers(0, 2, code.K - fillers)
+                    info = InfoBlock(bits, fillers)
+                    native, numpy = on_both_paths(monkeypatch, lambda: ldpc_encode(code, info))
+                    label = f"{bg.name} Zc={Zc} fillers={fillers}"
+                    assert native.bits.dtype == numpy.bits.dtype == np.uint8, label
+                    assert np.array_equal(native.bits, numpy.bits), label
+                    assert np.array_equal(native.bits, reference_encode(code, bits)), label
+
+    def test_consecutive_encodes_return_independent_words(self):
+        code = build_code(BaseGraphId.BG2, 20)
+        rng = np.random.default_rng(8)
+        first = ldpc_encode(code, InfoBlock(rng.integers(0, 2, code.K).astype(np.uint8), 0))
+        kept = first.bits.copy()
+        ldpc_encode(code, InfoBlock(rng.integers(0, 2, code.K).astype(np.uint8), 0))
+        assert np.array_equal(first.bits, kept)
+
     @pytest.mark.parametrize("q_m", MODULATION_ORDERS)
     def test_demap_bit_exact(self, monkeypatch, q_m):
         rng = np.random.default_rng(300 + q_m)
@@ -192,10 +219,10 @@ class TestStagesEqualNumpy(OnDecoderPath):
             assert {-31, 31} <= set(buffers[0].llrs.tolist())
 
 
-# Defines run_stages(): every kernel stage on fixed inputs, the decode twice.
+# Defines run_stages(): every kernel stage on fixed inputs, the decode and the encode twice.
 STAGES = """
 import numpy as np
-from nrphy.ldpc import BaseGraphId, build_code, ldpc_decode
+from nrphy.ldpc import BaseGraphId, InfoBlock, build_code, ldpc_decode, ldpc_encode
 from nrphy.llr import DemapperParams, EqualizedSymbols, llr_estimate
 from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
 code = build_code(BaseGraphId.BG2, 20)
@@ -203,6 +230,9 @@ rng = np.random.default_rng(5)
 llr = rng.integers(-31, 32, code.N_full).astype(np.int8)
 symbols = EqualizedSymbols(*rng.integers(-32768, 32768, (2, 300)).astype(np.int16))
 received = rng.integers(-31, 32, 2 * code.N_cb).astype(np.int8)
+infos = [np.zeros(code.K, np.uint8) for _ in range(2)]
+infos[0][:code.K - 24] = rng.integers(0, 2, code.K - 24)
+infos[1][:] = rng.integers(0, 2, code.K)
 
 def run_stages():
     results = [ldpc_decode(code, llr) for _ in range(2)]
@@ -213,6 +243,8 @@ def run_stages():
                     for r in results],
         "demapped": llr_estimate(symbols, DemapperParams.for_noise(8, 0.01)).tolist(),
         "combined": buf.llrs.tolist(),
+        "encoded": [ldpc_encode(code, InfoBlock(bits, fillers)).bits.tolist()
+                    for bits, fillers in zip(infos, (24, 0))],
     }
 """
 
@@ -255,7 +287,8 @@ def assert_numpy_fallback(env, reference_results, preamble=""):
     code, stdout, stderr = run_decode(env, preamble)
     assert code == 0, stderr
     warned, results = decoded(stdout)
-    assert len(warned) == 1 and "decoding with NumPy" in warned[0], warned
+    assert len(warned) == 1 and "encoding" in warned[0] and "decoding with NumPy" in warned[0], \
+        warned
     assert results == reference_results
     return warned[0]
 

@@ -134,6 +134,23 @@ class TestInterleave:
         with pytest.raises(ValueError):
             interleave(np.arange(10), 4)
 
+    @pytest.mark.parametrize("stage", [interleave, deinterleave])
+    @pytest.mark.parametrize("q_m", [0, -2, 2.0, True], ids=repr)
+    def test_non_positive_integer_q_m_rejected(self, stage, q_m):
+        with pytest.raises(ValueError, match="Q_m"):
+            stage(np.arange(8), q_m)
+
+    @pytest.mark.parametrize("q_m", [2, 4, 6, 8])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+    def test_matches_the_transpose_at_link_and_harq_lengths(self, q_m, dtype):
+        # the link workloads' E_r, harq_ir's and a short block; input as a strided view
+        for e_r in (12672, 256, 24):
+            x = np.random.default_rng(e_r).integers(-2, 2, 2 * e_r).astype(dtype)[::2]
+            if e_r % q_m == 0:
+                out = interleave(x, q_m)
+                assert out.dtype == x.dtype and out.flags.c_contiguous
+                assert np.array_equal(out, x.reshape(q_m, -1).T.reshape(-1)), e_r
+
     @settings(max_examples=60, deadline=None)
     @given(q_m=st.sampled_from([2, 4, 6, 8]), groups=st.integers(1, 512))
     def test_inverse_property(self, q_m, groups):

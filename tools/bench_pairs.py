@@ -21,6 +21,13 @@ the session does not favour one tree. The file, written here, holds:
   plus major) per op attempted over its paired runs, so that a change in
   heap layout, which moves op times through page faults, can be told
   apart from a change in the code.
+- ``pinned``: then ``PINNED_PAIRS`` more pairs per workload, run the same
+  way with both trees under ``PINNED_ENV``, glibc's malloc thresholds
+  fixed at 256 MiB, so that the heap neither trims its top nor maps a
+  large block of its own and its layout cannot differ between the trees:
+  the ``env``, the ``runs`` and their ``faults_per_op``. They are kept
+  beside the paired runs, never in their place; a claim and the bounds
+  of ``BENCHMARK.json`` are read from the paired runs.
 - ``traced``: then one ``--trace 1`` pair at seed 1, whose per-layer
   metrics give the time per stage.
 - ``nrphy_bench``: last, ``nrphy bench --config default`` Mbps at the
@@ -31,9 +38,10 @@ The trace seed, block counts and repeats are those of ``BENCH_5``-``BENCH_11.jso
 It prints both decoder paths; per workload, both trees' median ops attempted
 and page faults per op and, per end-to-end metric of ``BENCHMARK.json``,
 both trees' medians and quartiles, the median pair ratio, the change's wins
-and a mark where that ratio is worse than the metric's bound; per block
-count, both trees' median ``nrphy bench`` Mbps and their ratio. It exits 1
-if any paired or traced run was not ``correct`` or failed an op.
+and a mark where that ratio is worse than the metric's bound, for the
+paired runs and then for the pinned ones; per block count, both trees'
+median ``nrphy bench`` Mbps and their ratio. It exits 1 if any paired,
+pinned or traced run was not ``correct`` or failed an op.
 """
 
 from __future__ import annotations
@@ -59,6 +67,8 @@ BENCH_BLOCKS = (20, 40)
 BENCH_REPEATS = 3
 TREES = ("parent", "change")
 USAGE = ("minflt", "majflt", "utime", "stime")  # the getrusage fields each run records
+PINNED_PAIRS = 3
+PINNED_ENV = {"MALLOC_TRIM_THRESHOLD_": "268435456", "MALLOC_MMAP_THRESHOLD_": "268435456"}
 
 
 def parse_args(argv):
@@ -73,16 +83,19 @@ def parse_args(argv):
     return args
 
 
-def _run(cmd, checkout: Path) -> str:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    print("$", " ".join(cmd), file=sys.stderr, flush=True)
-    return subprocess.run(cmd, cwd=checkout, env=env, check=True, capture_output=True,
-                          text=True).stdout
+def _run(cmd, checkout: Path, env: dict | None = None) -> str:
+    """``cmd``'s output, run in ``checkout`` on its ``src/``, with the variables ``env`` set."""
+    env = env or {}
+    print("$", *(f"{k}={v}" for k, v in env.items()), *cmd, file=sys.stderr, flush=True)
+    return subprocess.run(cmd, cwd=checkout, env=dict(os.environ, **env,
+                                                      PYTHONPATH=str(checkout / "src")),
+                          check=True, capture_output=True, text=True).stdout
 
 
-def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+def perfbench(checkout: Path, workload: str, seed: int, trace: int,
+              env: dict | None = None) -> dict:
     out = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(SECONDS), "--trace", str(trace)], checkout)
+                "--seconds", str(SECONDS), "--trace", str(trace)], checkout, env)
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -132,8 +145,9 @@ def worse_than_bound(ratio: float, better: str, bound: float) -> bool:
     return ratio < 1 - bound if better == "higher" else ratio > 1 + bound
 
 
-def pair_runs(checkouts: dict[str, Path], pairs: int, trace: int = 0) -> list[dict]:
-    """Every run of seeds 1..``pairs``, in the order they ran.
+def pair_runs(checkouts: dict[str, Path], pairs: int, trace: int = 0,
+              env: dict | None = None) -> list[dict]:
+    """Every run of seeds 1..``pairs``, in the order they ran, each with ``env`` added.
 
     A run's ``usage`` is the growth of this process's RUSAGE_CHILDREN over
     its perfbench call: runs go one at a time, so it is that child's, with
@@ -144,7 +158,7 @@ def pair_runs(checkouts: dict[str, Path], pairs: int, trace: int = 0) -> list[di
         for workload in WORKLOADS:
             for tree in TREES if seed % 2 else TREES[::-1]:
                 before = resource.getrusage(resource.RUSAGE_CHILDREN)
-                out = perfbench(checkouts[tree], workload, seed, trace)
+                out = perfbench(checkouts[tree], workload, seed, trace, env)
                 after = resource.getrusage(resource.RUSAGE_CHILDREN)
                 runs.append({"tree": tree, "workload": workload, "seed": seed,
                              "correct": out["correct"], "attempted": out["attempted"],
@@ -204,8 +218,13 @@ def faults_per_op(run: dict) -> float:
     return (run["usage"]["minflt"] + run["usage"]["majflt"]) / max(run["attempted"], 1)
 
 
-def print_summary(rows: list[dict]) -> None:
-    print("change/parent, median [quartiles] of each tree, median pair ratio, wins")
+def faults_by_workload(rows: list[dict]) -> dict:
+    """Workload -> tree -> median page faults per op, from ``summarize``'s rows."""
+    return {row["workload"]: dict(zip(TREES, row["faults"])) for row in rows}
+
+
+def print_summary(rows: list[dict], title: str = "") -> None:
+    print(f"{title}change/parent, median [quartiles] of each tree, median pair ratio, wins")
     workload = None
     for row in rows:
         if row["workload"] != workload:
@@ -237,20 +256,24 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     decoders = {tree: decoder_path(path) for tree, path in checkouts.items()}
     runs = pair_runs(checkouts, args.pairs)
+    pinned = pair_runs(checkouts, PINNED_PAIRS, env=PINNED_ENV)
     traced = pair_runs(checkouts, 1, trace=1)
     bench = bench_runs(checkouts)
-    rows = summarize(runs)
+    rows, pinned_rows = summarize(runs), summarize(pinned)
     result = {
         "label": f"{args.label}-pairs",
         **{tree: git_commit(path) for tree, path in checkouts.items()},
         "method": f"perfbench/run.py --seconds {SECONDS:g} --trace 0 at seeds 1..{args.pairs}, "
+                  f"then {PINNED_PAIRS} pinned pairs with both malloc thresholds at 256 MiB, "
                   "then --trace 1 at seed 1; last, nrphy bench --config default --blocks 20 and "
                   f"40, {BENCH_REPEATS} repeats. One process at a time, each tree in its own "
                   "copy, the parent first at odd seeds and repeats",
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "cc": cc_version(), "decoder": decoders},
         "runs": runs,
-        "faults_per_op": {row["workload"]: dict(zip(TREES, row["faults"])) for row in rows},
+        "faults_per_op": faults_by_workload(rows),
+        "pinned": {"env": PINNED_ENV, "runs": pinned,
+                   "faults_per_op": faults_by_workload(pinned_rows)},
         "traced": traced,
         "nrphy_bench": bench,
     }
@@ -259,9 +282,12 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
     print("decoder path: " + ", ".join(f"{tree} {path}" for tree, path in decoders.items()))
     print_summary(rows)
+    print_summary(pinned_rows, title="pinned, " + ", ".join(f"{k}={v}" for k, v in
+                                                           PINNED_ENV.items()) + ": ")
     print_bench(bench)
     bad = [f"{r['tree']} {r['workload']} seed {r['seed']}{kind}"
-           for kind, part in (("", runs), (" traced", traced)) for r in part
+           for kind, part in (("", runs), (" pinned", pinned), (" traced", traced))
+           for r in part
            if not r["correct"] or r["failed"]]
     if bad:
         print("not correct or with failed ops: " + ", ".join(bad))
