@@ -23,11 +23,12 @@ the session does not favour one tree. The file, written here, holds:
   apart from a change in the code.
 - ``pinned``: then ``PINNED_PAIRS`` more pairs per workload, run the same
   way with both trees under ``PINNED_ENV``, glibc's malloc thresholds
-  fixed at 256 MiB, so that the heap neither trims its top nor maps a
-  large block of its own and its layout cannot differ between the trees:
-  the ``env``, the ``runs`` and their ``faults_per_op``. They are kept
-  beside the paired runs, never in their place; a claim and the bounds
-  of ``BENCHMARK.json`` are read from the paired runs.
+  fixed at 256 MiB, so that neither tree's heap trims its top or maps a
+  large block of its own, which have moved op times through page faults
+  by heap layout alone: the ``env``, the ``runs`` and their
+  ``faults_per_op``. They are kept beside the paired runs, never in
+  their place; a claim and the bounds of ``BENCHMARK.json`` are read
+  from the paired runs.
 - ``traced``: then one ``--trace 1`` pair at seed 1, whose per-layer
   metrics give the time per stage.
 - ``nrphy_bench``: last, ``nrphy bench --config default`` Mbps at the
