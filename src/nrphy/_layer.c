@@ -14,23 +14,26 @@
  * (column-block start, shift) pair: a negative start marks padding, where a
  * row has fewer edges than its layer, and the parity check copies the same
  * blocks. A layer of extension rows whose own parity blocks were never sent
- * is dead: it runs a read-only step that writes only those blocks. Each
- * lane loop is its own function with restrict parameters, so that the
- * compiler vectorizes it without run-time alias checks.
+ * is dead: it runs a read-only step that writes only those blocks. decode
+ * allocates its own working memory per call; it and encode take the code as
+ * the same arguments, edges to Zc. Each lane loop is its own function with
+ * restrict parameters, so that the compiler vectorizes it without run-time
+ * alias checks.
  *
  * Right shifts of negative values are arithmetic, as in NumPy: C leaves
  * them to the compiler, and GCC and Clang both shift arithmetically.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define OFFSET 2    /* the 0.5 min-sum offset in quarter-LLR units */
 #define LLR_MAX 127 /* the decoder's messages and posteriors saturate here */
 #define SOFT_MAX 31 /* channel LLRs (SoftLlr) saturate here */
 
-/* decode's termination reasons, in ldpc.py's _REASONS order */
-enum { PARITY_SATISFIED, DECISIONS_STABLE, MAX_ITERATIONS };
+/* decode's termination reasons, in ldpc.py's _REASONS order; NO_MEMORY: calloc failed */
+enum { PARITY_SATISFIED, DECISIONS_STABLE, MAX_ITERATIONS, NO_MEMORY = -1 };
 
 static inline int16_t clip(int v)
 {
@@ -183,16 +186,16 @@ static void own_posteriors(int16_t *restrict post, const int16_t *restrict min,
 
 /* Whether a layer is dead: each of its rows is an extension row, whose one
  * edge at or past extension (its own block, at shift 0, read by no other
- * row) holds all-zero posteriors. rows is lanes / Zc and blocks the layer's
+ * row) holds all-zero LLRs. rows is lanes / Zc and blocks the layer's
  * degree * rows. */
-static int is_dead(const int16_t *post, const int32_t *edges, int blocks, int rows,
+static int is_dead(const int8_t *llr, const int32_t *edges, int blocks, int rows,
                    int extension, int Zc)
 {
     int zero_rows = 0;
     for (int b = 0; b < blocks; b++) {
         int start = edges[2 * b], zero = start >= extension;
         for (int t = 0; zero && t < Zc; t++)
-            zero = post[start + t] == 0;
+            zero = llr[start + t] == 0;
         zero_rows += zero;
     }
     return zero_rows == rows;
@@ -262,35 +265,42 @@ static int parity_holds(int16_t *restrict q, int16_t *restrict acc, const int16_
     return 1;
 }
 
-/* Decode one code block of n posteriors, in the decoder's orientation
- * (positive favours bit 0), for at most max_iterations iterations. Each
- * iteration runs every layer in order, writes the hard decisions to hard,
- * then stops if every parity row holds, or else if no decision changed
- * since the previous iteration. The layers are given by shape, one
- * (degree, lanes) pair per layer; edges holds each layer's (degree,
- * lanes / Zc) table of (start, shift) pairs, one layer after the other,
- * and msg, zeroed, each layer's (degree, lanes) messages in the same
- * order. Padding edges (start < 0) read +127 and keep messages of 0. The
- * extension rows' own blocks start at post[extension]; a layer whose rows
- * all own a block that is all zero at entry is dead, decided once, and
- * runs dead_step at its place in every iteration. scratch holds the
- * largest degree * lanes plus four times the largest lanes int16. Returns
- * the termination reason and sets *iterations to the number run. */
-int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
-           const int32_t *edges, const int32_t *shape, int layers, int n, int extension,
-           int Zc, int max_iterations, int *iterations)
+/* Decode one code block of n SoftLlr channel LLRs, whose negations are the
+ * posteriors in the decoder's orientation (positive favours bit 0), for at
+ * most max_iterations iterations. Each iteration runs every layer in order,
+ * writes the hard decisions to hard, then stops if every parity row holds,
+ * or else if no decision changed since the previous iteration. The layers
+ * are given by shape, one (degree, lanes) pair per layer; edges holds each
+ * layer's (degree, lanes / Zc) table of (start, shift) pairs, one layer
+ * after the other. Padding edges (start < 0) read +127 and keep messages
+ * of 0. The extension rows' own blocks start at (kb + 4) * Zc; a layer
+ * whose rows all own a block that is all zero at entry is dead, decided
+ * once, and runs dead_step at its place in every iteration. The
+ * posteriors, every layer's (degree, lanes) messages, zeroed, and a
+ * scratch block are one calloc, freed before returning. Returns the
+ * termination reason, or NO_MEMORY, and sets *iterations to the number run. */
+int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t *shape,
+           int layers, int n, int kb, int Zc, int max_iterations, int *iterations)
 {
-    int size = 0;
+    int extension = (kb + 4) * Zc, messages = 0, size = 0, widest = 0;
     char dead[layers];
     for (int i = 0, offset = 0; i < layers; i++) {
         int degree = shape[2 * i], lanes = shape[2 * i + 1];
+        messages += degree * lanes;
         size = degree * lanes > size ? degree * lanes : size;
-        dead[i] = (char)is_dead(post, edges + offset, degree * (lanes / Zc), lanes / Zc,
+        widest = lanes > widest ? lanes : widest;
+        dead[i] = (char)is_dead(llr, edges + offset, degree * (lanes / Zc), lanes / Zc,
                                 extension, Zc);
         offset += 2 * degree * (lanes / Zc);
     }
-    int16_t *q = scratch, *work = scratch + size;
-    for (int it = 1; it <= max_iterations; it++) {
+    int16_t *post = calloc((size_t)(n + messages + size + 4 * widest), sizeof *post);
+    if (!post)
+        return NO_MEMORY;
+    int16_t *msg = post + n, *q = msg + messages, *work = q + size;
+    for (int i = 0; i < n; i++)
+        post[i] = (int16_t)-llr[i];
+    int reason = MAX_ITERATIONS;
+    for (int it = 1; it <= max_iterations && reason == MAX_ITERATIONS; it++) {
         const int32_t *e = edges;
         int16_t *m = msg;
         for (int i = 0; i < layers; i++) {
@@ -305,11 +315,12 @@ int decode(int16_t *post, int16_t *msg, uint8_t *hard, int16_t *scratch,
         int changed = decide(hard, post, n);
         *iterations = it;
         if (parity_holds(q, work, post, edges, shape, layers, Zc))
-            return PARITY_SATISFIED;
-        if (it > 1 && !changed)
-            return DECISIONS_STABLE;
+            reason = PARITY_SATISFIED;
+        else if (it > 1 && !changed)
+            reason = DECISIONS_STABLE;
     }
-    return MAX_ITERATIONS;
+    free(post);
+    return reason;
 }
 
 /* Encoding: ldpc_encode's solves, from the decoder's edge table */
@@ -366,8 +377,8 @@ static void xor_row(uint8_t *dst, const uint8_t *cw, struct row row, int Zc)
  * kb + r + 1 and extension row r >= 4 block kb + r, each the XOR of the
  * row's other edges: a block not yet solved is still zero, and no row
  * reads a block that a later row solves. */
-void encode(uint8_t *cw, const int32_t *edges, const int32_t *shape, int layers,
-            const int32_t *inverse, int count, int n, int kb, int Zc)
+void encode(uint8_t *cw, const int32_t *edges, const int32_t *shape, int layers, int n,
+            int kb, int Zc, const int32_t *inverse, int count)
 {
     int n_rows = n / Zc - kb;
     struct row row[n_rows];

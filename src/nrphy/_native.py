@@ -9,11 +9,11 @@ replaces, which stays the fallback and the oracle in the tests:
 - ``demap``: every symbol's LLRs (``llr.llr_estimate``);
 - ``combine``: the saturating scatter-add of one transmission's LLRs into
   a soft buffer (``rate_adapt.rate_unmatch_combine``);
-- ``decode``: a code block's whole layered decode, termination included,
-  from one table of each edge's (column-block start, shift) pair and the
-  start of the extension parity blocks, (kb + 4) * Zc: a layer whose rows
-  all own a never-sent (all-zero) block runs a read-only step that writes
-  only those blocks (``ldpc.ldpc_decode``).
+- ``decode``: a code block's whole layered decode, from its LLRs to its
+  hard decisions, in memory it allocates per call (-1 where it cannot),
+  from one table of each edge's (column-block start, shift) pair: a
+  layer whose rows all own a never-sent (all-zero) block runs a read-only
+  step that writes only those blocks (``ldpc.ldpc_decode``).
 
 Each stage calls its function where ``library()`` returns the library, and
 runs NumPy otherwise; no setting picks the path. ``library()`` builds or
@@ -98,13 +98,14 @@ def _build() -> ctypes.CDLL:
         # RuntimeError: Path.home() with no HOME and no passwd entry
         raise _BuildError(str(exc)) from exc
     ptr, count = ctypes.c_void_p, ctypes.c_int
-    lib.decode.argtypes = (ptr,) * 6 + (count,) * 5 + (ctypes.POINTER(count),)
+    tables = (ptr, ptr) + (count,) * 4  # the code, as encode and decode take it: _Layers.tables
+    lib.decode.argtypes = (ptr, ptr, *tables, count, ctypes.POINTER(count))
     lib.decode.restype = count
     lib.demap.argtypes = (ptr,) * 3 + (count,) * 7
     lib.demap.restype = None
     lib.combine.argtypes = (ptr,) * 3 + (count,) * 2
     lib.combine.restype = None
-    lib.encode.argtypes = (ptr,) * 3 + (count,) + (ptr,) + (count,) * 4
+    lib.encode.argtypes = (ptr, *tables, ptr, count)
     lib.encode.restype = None
     return lib
 

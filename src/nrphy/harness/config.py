@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError
 from ..ldpc import LiftedLdpcCode, as_int, build_code, choose_base_graph, select_lifting
-from ..llr import MODULATION_ORDERS
+from ..llr import as_q_m
 from ..rate_adapt import POOL_SLOTS
 from ..scramble import ScramblingIdentity
 
@@ -47,8 +47,7 @@ class ChainConfig:
             as_int(self.harq_process, "harq_process", 0, POOL_SLOTS)
             as_int(self.seed, "seed", 0)
             identity = ScramblingIdentity(rnti=self.rnti, q=self.q, cell_id=self.cell_id)
-            if as_int(self.q_m, "Q_m", 2) not in MODULATION_ORDERS:
-                raise ValueError("Q_m must be one of 2, 4, 6, 8")
+            as_q_m(self.q_m)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.e_r % self.q_m:

@@ -8,6 +8,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from ..ldpc import as_int
 from ..llr import awgn
 from ..rate_adapt import POOL_SLOTS, HarqBufferPool
 from .chain import DecodeOutput, decode_chain, encode_chain
@@ -38,8 +39,7 @@ def transmit(cfg: ChainConfig, payload: np.ndarray, noise_key: tuple[int, ...],
 
 def run_bler_sweep(cfg: ChainConfig, snr_list, blocks_per_point: int) -> RunReport:
     """Measure block error rate per SNR point; deterministic under seed."""
-    if blocks_per_point < 1:
-        raise ValueError("blocks_per_point must be >= 1")
+    as_int(blocks_per_point, "blocks_per_point", 1)
     report = RunReport(kind="bler", config=cfg.echo(), columns=BLER_COLUMNS)
     n_blocks = blocks_per_point * cfg.blocks
     pool = HarqBufferPool()
@@ -89,9 +89,7 @@ def run_harq_link(
     max_rounds: int | None = None,
 ) -> HarqLinkResult:
     """Drive one packet through the rv schedule with soft combining."""
-    rounds = max_rounds if max_rounds is not None else len(cfg.rv_schedule)
-    if rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    rounds = len(cfg.rv_schedule) if max_rounds is None else as_int(max_rounds, "max_rounds", 1)
     history: list[bool] = []
     delivered = False
     before = dict(pool.bindings)
@@ -123,14 +121,10 @@ def run_harq_sim(
     combining, which at the simulated operating point almost never
     succeeds. Reports delivered information per transmission.
     """
-    if not 1 <= pool_size <= POOL_SLOTS:
-        raise ValueError(f"pool_size must be in [1, {POOL_SLOTS}]")
-    if not 1 <= n_processes <= POOL_SLOTS:
-        raise ValueError(f"n_processes must be in [1, {POOL_SLOTS}]")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    if packets_per_process < 1:
-        raise ValueError("packets_per_process must be >= 1")
+    as_int(pool_size, "pool_size", 1, POOL_SLOTS + 1)
+    as_int(n_processes, "n_processes", 1, POOL_SLOTS + 1)
+    as_int(max_rounds, "max_rounds", 1)
+    as_int(packets_per_process, "packets_per_process", 1)
     cfg = replace(cfg, blocks=1)
     pool = HarqBufferPool(num_slots=pool_size)
     report = RunReport(kind="harq-sim", config=cfg.echo(), columns=HARQ_COLUMNS)

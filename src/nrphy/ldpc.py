@@ -380,8 +380,7 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
     if lib is not None:
         cw = np.empty(code.N_full, dtype=np.uint8)
         cw[:code.K] = bits
-        lib.encode(cw.ctypes.data, *_layers(code.bg, Zc).tables,
-                   *_p0_shifts(code.bg, Zc).table, code.N_full, kb, Zc)
+        lib.encode(cw.ctypes.data, *_layers(code.bg, Zc).tables, *_p0_shifts(code.bg, Zc).table)
         return Codeword(bits=cw, code=code)
 
     checks = _check_windows(code.bg, Zc)
@@ -434,15 +433,14 @@ class _Layers:
     +127 and keeps a message of 0. No real |q| exceeds 127 and every row
     has at least two real edges, so padding can tie the two smallest |q|
     of a lane but never lower them, and being positive it never flips a
-    sign. The kernel copies each edge's rotated column block whole; the
-    NumPy path expands the table into element indices (``_element_indices``).
+    sign. The kernel copies each edge's rotated column block whole, with
+    messages sized from ``shape``; the NumPy path expands the table into
+    element indices (``_element_indices``).
     """
 
     edges: np.ndarray  # (edges, 2) int32
     shape: np.ndarray  # (layers, 2) int32
-    messages: int  # every layer's (degree, lanes) messages, in int16
-    scratch: int  # the kernel's q block and work area, in int16
-    tables: tuple[int, int, int]  # the edges and shape addresses and the layer count
+    tables: tuple[int, ...]  # the kernel's code arguments: edges, shape, layers, N_full, kb, Zc
 
 
 @lru_cache(maxsize=None)
@@ -476,10 +474,9 @@ def _layers(bg: BaseGraphId, Zc: int) -> _Layers:
     edges = np.concatenate(per_layer)
     shape = np.array(shape, dtype=np.int32)
     edges.flags.writeable = shape.flags.writeable = False
-    blocks = shape.prod(axis=1)
-    return _Layers(edges=edges, shape=shape, messages=int(blocks.sum()),
-                   scratch=int(blocks.max() + 4 * shape[:, 1].max()),
-                   tables=(edges.ctypes.data, shape.ctypes.data, len(shape)))
+    return _Layers(edges=edges, shape=shape,
+                   tables=(edges.ctypes.data, shape.ctypes.data, len(shape), code.N_full,
+                           code.systematic_cols, Zc))
 
 
 def _element_indices(code: LiftedLdpcCode) -> list[np.ndarray]:
@@ -495,9 +492,7 @@ def _element_indices(code: LiftedLdpcCode) -> list[np.ndarray]:
             for block, degree in zip(np.split(idx, ends), layers.shape[:, 0])]
 
 
-# the reason of each of the kernel's return codes
-_REASONS = (TerminationReason.PARITY_SATISFIED, TerminationReason.DECISIONS_STABLE,
-            TerminationReason.MAX_ITERATIONS)
+_REASONS = tuple(TerminationReason)  # the reason of each non-negative kernel return code
 
 
 def _min_sum(q: np.ndarray) -> np.ndarray:
@@ -543,7 +538,8 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     off as the all-zero codeword. Base rows are updated in order,
     column-disjoint neighbours together (``_layers``), every layer in every
     iteration. The decode is one call into the compiled kernel
-    (``_native``) where it can be built, else it runs the definition-level
+    (``_native``) where it can be built, which allocates its own working
+    memory (MemoryError where it cannot), else it runs the definition-level
     min-sum in NumPy (``_min_sum``) and ``parity_check``.
 
     The kernel gives the same result with less work on layers that are
@@ -554,8 +550,8 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     the row sends 0 to its other edges, which keep their posteriors, and
     the block's posterior is its message alone: max(min |q| - 2, 0) over
     the other edges, with the XOR of their signs. A dead layer computes
-    just that, at its place in layer order, and keeps no messages. It is
-    told where the extension blocks start, (kb + 4) * Zc, and decides once
+    just that, at its place in layer order, and keeps no messages. It
+    finds where the extension blocks start, (kb + 4) * Zc, and decides once
     per decode, from its input, which layers are dead; a layer with a
     live row, or a row whose block arrived in part, runs the full update.
     """
@@ -563,26 +559,21 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     if llr.shape != (code.N_full,):
         raise ValueError(f"expected {code.N_full} LLRs")
 
-    # internal orientation: positive favors bit 0; the last entry is the sentinel
-    post = np.empty(code.N_full + 1, dtype=np.int16)
-    post[:-1] = llr
-    np.negative(post, out=post)
-    post[-1] = DECODER_LLR_MAX
     lib = _native.library()
     if lib is not None:
-        # the whole decode, termination included, is one call
-        layers = _layers(code.bg, code.Zc)
-        msg = np.zeros(layers.messages, dtype=np.int16)
+        # the whole decode, termination included, is one call; as_softllr passes views through
+        llr = np.ascontiguousarray(llr)
         hard = np.empty(code.N_full, dtype=np.uint8)
-        scratch = np.empty(layers.scratch, dtype=np.int16)
         iterations = ctypes.c_int()
-        reason = lib.decode(post.ctypes.data, msg.ctypes.data, hard.ctypes.data,
-                            scratch.ctypes.data, *layers.tables, code.N_full,
-                            (code.systematic_cols + 4) * code.Zc, code.Zc, MAX_ITERATIONS,
-                            ctypes.byref(iterations))
+        reason = lib.decode(llr.ctypes.data, hard.ctypes.data, *_layers(code.bg, code.Zc).tables,
+                            MAX_ITERATIONS, ctypes.byref(iterations))
+        if reason < 0:
+            raise MemoryError("the decode kernel could not allocate its working memory")
         return DecodeResult(hard_bits=hard[: code.K], iterations_used=iterations.value,
                             termination_reason=_REASONS[reason])
 
+    # internal orientation: positive favors bit 0; the last entry is the sentinel
+    post = np.append(np.negative(llr, dtype=np.int16), np.int16(DECODER_LLR_MAX))
     indices = _element_indices(code)
     padding = [idx == code.N_full for idx in indices]
     msgs = [np.zeros(idx.shape, dtype=np.int16) for idx in indices]

@@ -46,6 +46,13 @@ _NORM = {2: math.sqrt(2.0), 4: math.sqrt(10.0), 6: math.sqrt(42.0), 8: math.sqrt
 _OFFSETS = {2: (), 4: (1,), 6: (2, 1), 8: (4, 2, 1)}
 
 
+def as_q_m(value) -> int:
+    """``value`` as an int; ValueError unless it is an integer in ``MODULATION_ORDERS``."""
+    if as_int(value, "Q_m", 2) not in MODULATION_ORDERS:
+        raise ValueError(f"Q_m must be one of {MODULATION_ORDERS}, not {value!r}")
+    return int(value)
+
+
 def quantize(values) -> np.ndarray:
     """Round to the nearest quarter, ties away from zero, clamp to +/-7.75."""
     v = np.asarray(values, dtype=np.float64)
@@ -111,17 +118,15 @@ class DemapperParams:
     inv_noise: int
 
     def __post_init__(self):
+        as_q_m(self.Q_m)
         # these bounds keep every demapper product below 2^31
-        if as_int(self.Q_m, "Q_m", 2) not in MODULATION_ORDERS:
-            raise ValueError(f"unsupported modulation order {self.Q_m}")
         for name, low, high in (("A", 1, _I16_MAX), ("B", 0, _I16_MAX), ("C", 0, _I16_MAX),
                                 ("D", 0, _I16_MAX), ("inv_noise", 0, _INV_NOISE_MAX)):
             as_int(getattr(self, name), name, low, high + 1)
 
     @classmethod
     def for_noise(cls, q_m: int, sigma2: float) -> "DemapperParams":
-        if q_m not in MODULATION_ORDERS:
-            raise ValueError(f"unsupported modulation order {q_m}")
+        q_m = as_q_m(q_m)
         if not (math.isfinite(sigma2) and sigma2 >= 0):
             raise ValueError("sigma2 must be finite and >= 0")
         a_real = 2.0 / _NORM[q_m]
@@ -163,8 +168,7 @@ def _constellation(q_m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def modulate(bits: np.ndarray, q_m: int) -> EqualizedSymbols:
     """Gray-map groups of q_m bits onto the unit-energy constellation."""
-    if as_int(q_m, "Q_m", 1) not in MODULATION_ORDERS:
-        raise ValueError(f"unsupported modulation order {q_m}")
+    q_m = as_q_m(q_m)
     bits = as_bits(bits)
     if bits.size % q_m:
         raise ValueError("bit count not a multiple of Q_m")

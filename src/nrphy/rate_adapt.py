@@ -21,6 +21,7 @@ import numpy as np
 from . import _native
 from .errors import PoolExhaustedError, UnknownProcessError
 from .ldpc import LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_int, as_softllr
+from .llr import as_q_m
 
 POOL_SLOTS = 16
 
@@ -41,8 +42,7 @@ class RateMatchConfig:
     def __post_init__(self):
         as_int(self.E_r, "E_r", 1)
         as_int(self.rv, "rv", 0, 4)
-        if as_int(self.Q_m, "Q_m", 2) not in (2, 4, 6, 8):
-            raise ValueError("Q_m must be one of 2, 4, 6, 8")
+        as_q_m(self.Q_m)
         if self.E_r % self.Q_m:
             raise ValueError("E_r must be a multiple of Q_m")
 

@@ -140,6 +140,7 @@ class TestMain:
         monkeypatch.setattr(bench_pairs, "decoder_path", fake_decoder_path)
         monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
         monkeypatch.setattr(bench_pairs, "nrphy_bench_mbps", lambda checkout, blocks: 1.0)
+        monkeypatch.setattr(bench_pairs, "calibration_ns", lambda checkout: 1.0)
         monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
         assert bench_pairs.main(["--label", "t", "--parent", str(tmp_path / "p"),
                                  "--change", str(tmp_path / "c"), "--pairs", "2"]) == 0
@@ -166,6 +167,8 @@ class TestMain:
         monkeypatch.setattr(bench_pairs, "decoder_path", lambda checkout: "native")
         monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
         monkeypatch.setattr(bench_pairs, "nrphy_bench_mbps", fake_nrphy_bench_mbps)
+        monkeypatch.setattr(bench_pairs, "calibration_ns",
+                            lambda checkout: float(bench_pairs.REFERENCE_NS))
         monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
         return ["--label", "t", "--parent", str(tmp_path / "p"), "--change",
                 str(tmp_path / "c"), "--pairs", "3"]
@@ -257,6 +260,43 @@ class TestMain:
         assert bench_pairs.main(args) == 1
         out = capsys.readouterr().out
         assert f"parent {bench_pairs.WORKLOADS[0]} seed 1 traced" in out
+
+
+class TestBenchCalibration:
+    def test_each_bench_run_is_followed_by_its_trees_calibration(self, monkeypatch, capsys):
+        calls = []
+
+        def fake_run(cmd, checkout, env=None):
+            """nrphy bench writes its CSV; the calibration child prints its median unit."""
+            if "bench" in cmd:
+                calls.append(("bench", checkout.name, cmd[cmd.index("--blocks") + 1]))
+                Path(cmd[cmd.index("--out") + 1]).write_text("codeblocks,mbps\nx,10.0\n")
+                return ""
+            calls.append(("calibration", checkout.name))
+            assert "unit_ns" in cmd[-1] and f"range({bench_pairs.CALIBRATION_REPEATS})" in cmd[-1]
+            # the change ran while the host was half as fast: its unit took twice as long
+            return f"{bench_pairs.REFERENCE_NS * {'p': 1, 'c': 2}[checkout.name]}\n"
+
+        monkeypatch.setattr(bench_pairs, "_run", fake_run)
+        bench = bench_pairs.bench_runs({"parent": Path("p"), "change": Path("c")})
+        order = [(repeat, blocks, tree) for repeat in range(1, bench_pairs.BENCH_REPEATS + 1)
+                 for blocks in bench_pairs.BENCH_BLOCKS
+                 for tree in (("p", "c") if repeat % 2 else ("c", "p"))]
+        assert calls == [call for _, blocks, tree in order
+                         for call in (("bench", tree, str(blocks)), ("calibration", tree))]
+        assert [(r["tree"], r["blocks"], r["mbps"], r["calibration_ns"]) for r in bench] == \
+               [({"p": "parent", "c": "change"}[tree], blocks, 10.0,
+                 bench_pairs.REFERENCE_NS * (1.0 if tree == "p" else 2.0))
+                for _, blocks, tree in order]
+        bench_pairs.print_bench(bench)
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [line[2:9] + line[12:18] for line in lines] == [
+            [str(blocks), "blocks", "10", "->", "10", "Mbps", "1.000x",
+             "calibration-scaled", "10", "->", "20", "Mbps", "2.000x"]
+            for blocks in bench_pairs.BENCH_BLOCKS]
+
+    def test_calibration_runs_in_a_child_of_the_tree(self):
+        assert 0 < bench_pairs.calibration_ns(ROOT) < 1e10
 
 
 def test_workloads_and_run_length_are_those_of_benchmark_json():

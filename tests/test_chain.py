@@ -351,6 +351,24 @@ class TestHarqSimulator:
             run_harq_sim(cfg, 16, n_processes=17, max_rounds=1,
                          packets_per_process=1)
 
+    @pytest.mark.parametrize("value", [True, 2.0], ids=repr)
+    @pytest.mark.parametrize("name", ["link max_rounds", "pool_size", "n_processes",
+                                      "max_rounds", "packets_per_process", "blocks_per_point"])
+    def test_non_integer_counts_rejected(self, name, value):
+        # True would run one round, packet or block, and 2.0 fail in range()
+        cfg = ChainConfig(**HARQ_POINT)
+        calls = {
+            "link max_rounds": lambda: run_harq_link(cfg, HarqBufferPool(), random_payload(cfg),
+                                                     seed_key=(1,), max_rounds=value),
+            "pool_size": lambda: run_harq_sim(cfg, value, 2, 2, 2),
+            "n_processes": lambda: run_harq_sim(cfg, 4, value, 2, 2),
+            "max_rounds": lambda: run_harq_sim(cfg, 4, 2, value, 2),
+            "packets_per_process": lambda: run_harq_sim(cfg, 4, 2, 2, value),
+            "blocks_per_point": lambda: run_bler_sweep(cfg, [10.0], value),
+        }
+        with pytest.raises(ValueError, match=name.split()[-1]):
+            calls[name]()
+
 
 class TestBlerMonotonicity:
     def test_bler_nonincreasing_in_snr(self):

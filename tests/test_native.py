@@ -10,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -131,6 +132,80 @@ def on_both_paths(monkeypatch, stage):
     numpy = stage()
     monkeypatch.setattr(_native, "library", kernel)
     return native, numpy
+
+
+def noisy_llrs(code, rng, sigma=10.0):
+    """A random codeword at amplitude 8 under noise ``sigma``, as SoftLlrs."""
+    _, cw = random_codeword(code, rng)
+    noisy = 8 * (2.0 * cw.bits - 1.0) + sigma * rng.standard_normal(code.N_full)
+    return np.clip(np.rint(noisy), -31, 31).astype(np.int8)
+
+
+def assert_same_decode(got, expected, label=""):
+    assert np.array_equal(got.hard_bits, expected.hard_bits), label
+    assert (got.iterations_used, got.termination_reason) == \
+           (expected.iterations_used, expected.termination_reason), label
+
+
+class TestDecodeBoundary(OnDecoderPath):
+    """What ``ldpc_decode`` hands the kernel: the checked LLRs, contiguous, and nothing else."""
+
+    @pytest.mark.parametrize("bg, Zc", [(BaseGraphId.BG1, 384), (BaseGraphId.BG2, 20)])
+    def test_strided_view_decodes_like_its_contiguous_copy(self, monkeypatch, bg, Zc):
+        # as_softllr passes an int8 view through; between its values sit their negations
+        code = build_code(bg, Zc)
+        llr = noisy_llrs(code, np.random.default_rng(Zc))
+        llr2 = np.repeat(llr, 2)
+        llr2[1::2] *= -1
+        view = llr2[::2]
+        assert not view.flags.c_contiguous
+        strided = on_both_paths(monkeypatch, lambda: ldpc_decode(code, view))
+        copied = on_both_paths(monkeypatch, lambda: ldpc_decode(code, llr))
+        for path, got, expected in zip(("native", "numpy"), strided, copied):
+            assert_same_decode(got, expected, path)
+        assert_same_decode(*copied)
+
+    def test_threads_decoding_at_once_get_the_sequential_results(self):
+        # ctypes releases the GIL for each call, so the threads run the kernel together
+        code = build_code(BaseGraphId.BG1, 384)
+        rng = np.random.default_rng(23)
+        words = [noisy_llrs(code, rng) for _ in range(4)]  # more threads than cores
+        expected = [ldpc_decode(code, llr) for llr in words]
+        assert len({r.hard_bits.tobytes() for r in expected}) == len(words)
+        results = [[] for _ in words]
+        start = threading.Barrier(len(words))
+
+        def decode_often(i):
+            start.wait(timeout=60)
+            results[i] += [ldpc_decode(code, words[i]) for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode_often, args=(i,))
+                       for i in range(len(words))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, (got, want) in enumerate(zip(results, expected)):
+            assert len(got) == 10, i
+            for result in got:
+                assert_same_decode(result, want, f"word {i}")
+
+    def test_failed_allocation_raises_memory_error(self, monkeypatch):
+        # the kernel's -1 must not index the reasons, whose [-1] reads MAX_ITERATIONS
+        class NoMemory:
+            def decode(self, *args):
+                return -1
+
+        monkeypatch.setattr(_native, "library", NoMemory)
+        code = build_code(BaseGraphId.BG2, 20)
+        with pytest.raises(MemoryError):
+            ldpc_decode(code, np.zeros(code.N_full, np.int8))
 
 
 def demap_inputs(q_m, rng):

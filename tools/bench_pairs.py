@@ -33,7 +33,11 @@ the session does not favour one tree. The file, written here, holds:
   metrics give the time per stage.
 - ``nrphy_bench``: last, ``nrphy bench --config default`` Mbps at the
   paper's 20 and 40 code blocks, ``BENCH_REPEATS`` runs per tree, the
-  parent first at odd repeats.
+  parent first at odd repeats. Each run holds beside its ``mbps`` the
+  ``calibration_ns`` timed right after it in a fresh process of the same
+  tree: the median of ``CALIBRATION_REPEATS`` timings of perfbench's
+  calibration unit, which tracks the host's speed, so that a slow minute
+  of the host can be told from a slow change.
 
 The trace seed, block counts and repeats are those of ``BENCH_5``-``BENCH_11.json``.
 It prints both decoder paths; per workload, both trees' median ops attempted
@@ -41,8 +45,10 @@ and page faults per op and, per end-to-end metric of ``BENCHMARK.json``,
 both trees' medians and quartiles, the median pair ratio, the change's wins
 and a mark where that ratio is worse than the metric's bound, for the
 paired runs and then for the pinned ones; per block count, both trees'
-median ``nrphy bench`` Mbps and their ratio. It exits 1 if any paired,
-pinned or traced run was not ``correct`` or failed an op.
+median ``nrphy bench`` Mbps and their ratio, raw and scaled as perfbench
+scales its times, by the run's calibration time over ``REFERENCE_NS``. It
+exits 1 if any paired, pinned or traced run was not ``correct`` or failed
+an op.
 """
 
 from __future__ import annotations
@@ -61,11 +67,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.calibration import REFERENCE_NS  # noqa: E402
+
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
 SECONDS = float(BENCHMARK["run_seconds"])
 BENCH_BLOCKS = (20, 40)
 BENCH_REPEATS = 3
+CALIBRATION_REPEATS = 5  # timings of the calibration unit after each nrphy bench run
 TREES = ("parent", "change")
 USAGE = ("minflt", "majflt", "utime", "stime")  # the getrusage fields each run records
 PINNED_PAIRS = 3
@@ -107,6 +117,18 @@ def nrphy_bench_mbps(checkout: Path, blocks: int) -> float:
               "--blocks", str(blocks), "--out", str(csv_path)], checkout)
         with open(csv_path) as fh:
             return float(next(csv.DictReader(fh))["mbps"])
+
+
+def calibration_ns(checkout: Path) -> float:
+    """The median of ``CALIBRATION_REPEATS`` timings of ``checkout``'s calibration unit, in ns."""
+    script = ("import statistics; from perfbench.calibration import unit_ns; "
+              f"print(statistics.median(unit_ns() for _ in range({CALIBRATION_REPEATS})))")
+    return float(_run([sys.executable, "-c", script], checkout))
+
+
+def scaled_mbps(run: dict) -> float:
+    """An ``nrphy bench`` run's Mbps on a host on which the calibration unit takes REFERENCE_NS."""
+    return run["mbps"] * run["calibration_ns"] / REFERENCE_NS
 
 
 def decoder_path(checkout: Path) -> str:
@@ -172,9 +194,11 @@ def pair_runs(checkouts: dict[str, Path], pairs: int, trace: int = 0,
 
 
 def bench_runs(checkouts: dict[str, Path]) -> list[dict]:
-    """``nrphy bench`` Mbps of each tree at each of ``BENCH_BLOCKS``, in the order they ran."""
+    """``nrphy bench`` Mbps of each tree at each of ``BENCH_BLOCKS``, in the order they ran,
+    each with the calibration time taken right after it."""
     return [{"tree": tree, "blocks": blocks, "repeat": repeat,
-             "mbps": nrphy_bench_mbps(checkouts[tree], blocks)}
+             "mbps": nrphy_bench_mbps(checkouts[tree], blocks),
+             "calibration_ns": calibration_ns(checkouts[tree])}
             for repeat in range(1, BENCH_REPEATS + 1) for blocks in BENCH_BLOCKS
             for tree in (TREES if repeat % 2 else TREES[::-1])]
 
@@ -245,11 +269,15 @@ def print_summary(rows: list[dict], title: str = "") -> None:
 
 def print_bench(bench: list[dict]) -> None:
     for blocks in BENCH_BLOCKS:
-        parent, change = (statistics.median(run["mbps"] for run in bench
-                                            if run["blocks"] == blocks and run["tree"] == tree)
-                          for tree in TREES)
+        runs = [[run for run in bench if run["blocks"] == blocks and run["tree"] == tree]
+                for tree in TREES]
+        parent, change = (statistics.median(run["mbps"] for run in part) for part in runs)
+        scaled_parent, scaled_change = (statistics.median(map(scaled_mbps, part))
+                                        for part in runs)
         print(f"  nrphy bench {blocks} blocks {parent:10.4g} -> {change:10.4g} Mbps"
-              f"  {change / parent:6.3f}x  median of {BENCH_REPEATS}")
+              f"  {change / parent:6.3f}x  median of {BENCH_REPEATS};"
+              f" calibration-scaled {scaled_parent:10.4g} -> {scaled_change:10.4g} Mbps"
+              f"  {scaled_change / scaled_parent:6.3f}x")
 
 
 def main(argv=None) -> int:
@@ -267,8 +295,9 @@ def main(argv=None) -> int:
         "method": f"perfbench/run.py --seconds {SECONDS:g} --trace 0 at seeds 1..{args.pairs}, "
                   f"then {PINNED_PAIRS} pinned pairs with both malloc thresholds at 256 MiB, "
                   "then --trace 1 at seed 1; last, nrphy bench --config default --blocks 20 and "
-                  f"40, {BENCH_REPEATS} repeats. One process at a time, each tree in its own "
-                  "copy, the parent first at odd seeds and repeats",
+                  f"40, {BENCH_REPEATS} repeats, each followed by the median of "
+                  f"{CALIBRATION_REPEATS} calibration units in the same tree. One process at a "
+                  "time, each tree in its own copy, the parent first at odd seeds and repeats",
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "cc": cc_version(), "decoder": decoders},
         "runs": runs,
