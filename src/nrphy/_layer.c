@@ -6,19 +6,31 @@
  * (ldpc.py), of which one call decodes one code block, termination
  * included. encode reads decode's table, described below.
  *
- * A layer's block is (degree, lanes) int16, row-major: row e holds edge e
+ * A layer's block is (degree, stride) int16, row-major: row e holds edge e
  * of every lane, and each lane is one check node, as on a circulant-shift
  * datapath. Lanes come in runs of Zc, one run per base row of the layer,
  * and edge e of a run is one column block of the posteriors rotated by its
- * shift, copied in and out whole. The decoder's only table is each edge's
- * (column-block start, shift) pair: a negative start marks padding, where a
- * row has fewer edges than its layer, and the parity check copies the same
- * blocks. A layer of extension rows whose own parity blocks were never sent
- * is dead: it runs a read-only step that writes only those blocks. decode
- * allocates its own working memory per call; it and encode take the code as
- * the same arguments, edges to Zc. Each lane loop is its own function with
- * restrict parameters, so that the compiler vectorizes it without run-time
- * alias checks.
+ * shift, read and written as the block's two contiguous runs. The decoder's
+ * only table is each edge's (column-block start, shift) pair: a negative
+ * start marks padding, where a row has fewer edges than its layer. A layer
+ * of extension rows whose own parity blocks were never sent is dead: it
+ * runs a read-only step that writes only those blocks. The parity check
+ * XORs the same rotated blocks of the hard decisions, as encode XORs them
+ * of the codeword. decode allocates its own working memory per call; it
+ * and encode take the code as the same arguments, edges to Zc. Each lane
+ * loop is its own function with restrict parameters, so that the compiler
+ * vectorizes it without run-time alias checks.
+ *
+ * The decoder's arithmetic stays in 16-bit lanes. |q|, |msg| <= 127: the
+ * posteriors and the q = post - msg read from them saturate at 127, and a
+ * message is a |q| less the offset. So post - msg and q + msg fit int16
+ * exactly and are clamped there, one 16-bit min and max per lane, where
+ * clamping an int would widen every lane to 32 bits and back. The check
+ * node runs CHUNK lanes at a time with its state in registers, so each
+ * layer's stride is its lane count rounded up to whole chunks, inside the
+ * one allocation; lanes past a layer's last row read only zeroed or
+ * earlier-written scratch and are never copied back. Lanes are independent,
+ * so every Zc takes the one path and gets the same result.
  *
  * Right shifts of negative values are arithmetic, as in NumPy: C leaves
  * them to the compiler, and GCC and Clang both shift arithmetically.
@@ -31,134 +43,161 @@
 #define OFFSET 2    /* the 0.5 min-sum offset in quarter-LLR units */
 #define LLR_MAX 127 /* the decoder's messages and posteriors saturate here */
 #define SOFT_MAX 31 /* channel LLRs (SoftLlr) saturate here */
+#define CHUNK 32    /* check-node lanes at a time: one 512-bit register of int16 */
 
 /* decode's termination reasons, in ldpc.py's _REASONS order; NO_MEMORY: calloc failed */
 enum { PARITY_SATISFIED, DECISIONS_STABLE, MAX_ITERATIONS, NO_MEMORY = -1 };
 
-static inline int16_t clip(int v)
+/* Rotated-block XORs: decode's parity check and encode's solves */
+
+/* XOR n bytes of src into dst, eight at a time: a byte loop vectorizes, but
+ * at the short, odd lengths of a rotated block its scalar tail costs more. */
+static void xor_bytes(uint8_t *restrict dst, const uint8_t *restrict src, int n)
 {
-    return (int16_t)(v > LLR_MAX ? LLR_MAX : v < -LLR_MAX ? -LLR_MAX : v);
+    int i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t a, b;
+        memcpy(&a, dst + i, 8);
+        memcpy(&b, src + i, 8);
+        a ^= b;
+        memcpy(dst + i, &a, 8);
+    }
+    for (; i < n; i++)
+        dst[i] ^= src[i];
 }
 
-/* Copy each edge's block of post into q, rotated left by its shift: lane t
- * of an edge (start, s) reads post[start + (t + s) % Zc]. edges holds one
- * (start, s) pair per Zc lanes; a negative start marks padding, which reads
- * +127. */
-static void gather(int16_t *restrict q, const int16_t *restrict post,
-                   const int32_t *restrict edges, int blocks, int Zc)
+/* XOR block src, rotated left by s, into dst: dst[t] ^= src[(t + s) % Zc]. */
+static void xor_rotated(uint8_t *restrict dst, const uint8_t *restrict src, int s, int Zc)
 {
-    for (int b = 0; b < blocks; b++, q += Zc) {
-        int start = edges[2 * b], s = edges[2 * b + 1];
+    xor_bytes(dst, src + s, Zc - s);
+    xor_bytes(dst + Zc - s, src, s);
+}
+
+/* One base row's edges in decode's table: edge e is the (start, shift) pair
+ * at edges[2 * e * stride], where stride is the row's layer's row count. */
+struct row {
+    const int32_t *edges;
+    int stride, degree;
+};
+
+/* XOR each edge of row, its column block of cw rotated by its shift, into
+ * dst, except an edge that reads dst itself; padding ends the row. */
+static void xor_row(uint8_t *dst, const uint8_t *cw, struct row row, int Zc)
+{
+    for (int e = 0; e < row.degree; e++) {
+        int start = row.edges[2 * e * row.stride], s = row.edges[2 * e * row.stride + 1];
+        if (start < 0)
+            break;
+        if (cw + start != dst)
+            xor_rotated(dst, cw + start, s, Zc);
+    }
+}
+
+/* Whether n bytes are all zero: their OR, which vectorizes. */
+static int all_zero(const uint8_t *v, int n)
+{
+    uint8_t any = 0;
+    for (int i = 0; i < n; i++)
+        any |= v[i];
+    return !any;
+}
+
+/* Decoding */
+
+static inline int16_t clamp(int16_t v)
+{
+    return v > LLR_MAX ? LLR_MAX : v < -LLR_MAX ? (int16_t)-LLR_MAX : v;
+}
+
+/* q = post - msg, saturated, over a run of n lanes of a rotated block, in
+ * whole chunks: the lanes after the run, up to the next multiple of CHUNK,
+ * are written too, from whatever follows the run in post and msg. A layer
+ * writes its runs in increasing order, so the next run overwrites them,
+ * and after its last run they are pad lanes or slack. */
+static void sub_run(int16_t *restrict q, const int16_t *restrict post,
+                    const int16_t *restrict msg, int n)
+{
+    for (int c = 0; c < n; c += CHUNK)
+        for (int l = 0; l < CHUNK; l++)
+            q[c + l] = clamp((int16_t)(post[c + l] - msg[c + l]));
+}
+
+/* Offset min-sum messages of a (degree, stride) block q into msg, CHUNK
+ * lanes at a time, each lane's state held in registers: its two smallest
+ * |q|, the first edge holding the smallest and the XOR of its q. Edge e
+ * gets the smallest |q| of the other edges (min2 where e holds min1, else
+ * min1) less the offset, floored at 0; under a tie min1 == min2, so which
+ * tied edge holds min1 changes no message. The sign bit of q ^ (XOR of the
+ * lane) is the parity of the other edges' signs, and as 0 / -1 it negates
+ * by (m ^ s) - s. Then q becomes the new posterior, q + msg, saturated. */
+static void check_node(int16_t *restrict q, int16_t *restrict msg, int degree, int stride)
+{
+    for (int c = 0; c < stride; c += CHUNK) {
+        int16_t min1[CHUNK], min2[CHUNK], arg[CHUNK], sx[CHUNK];
+        for (int l = 0; l < CHUNK; l++) {
+            min1[l] = min2[l] = INT16_MAX;
+            arg[l] = sx[l] = 0;
+        }
+        for (int e = 0; e < degree; e++) {
+            const int16_t *qe = q + e * stride + c;
+            for (int l = 0; l < CHUNK; l++) {
+                int16_t a = (int16_t)(qe[l] < 0 ? -qe[l] : qe[l]);
+                int16_t hi = a > min1[l] ? a : min1[l];
+                min2[l] = hi < min2[l] ? hi : min2[l];
+                arg[l] = a < min1[l] ? (int16_t)e : arg[l];
+                min1[l] = a < min1[l] ? a : min1[l];
+                sx[l] ^= qe[l];
+            }
+        }
+        for (int e = 0; e < degree; e++) {
+            int16_t edge = (int16_t)e, *qe = q + e * stride + c, *me = msg + e * stride + c;
+            for (int l = 0; l < CHUNK; l++) {
+                int16_t m = arg[l] == edge ? min2[l] : min1[l];
+                m = (int16_t)(m > OFFSET ? m - OFFSET : 0);
+                int16_t s = (int16_t)((int16_t)(qe[l] ^ sx[l]) >> 15);
+                me[l] = (int16_t)((m ^ s) - s);
+                qe[l] = clamp((int16_t)(qe[l] + me[l]));
+            }
+        }
+    }
+}
+
+/* A layer's lane stride: its lanes rounded up to whole chunks. */
+static int padded(int lanes)
+{
+    return (lanes + CHUNK - 1) / CHUNK * CHUNK;
+}
+
+/* One layer update: q = post - msg for each edge's rotated block of post,
+ * the new messages into msg and the new posteriors into q, which are then
+ * copied back the same way. edges is the layer's (degree, rows) table of
+ * (start, shift) pairs; edge e of row j is lanes j * Zc on in row e of q
+ * and msg, which are (degree, padded(rows * Zc)). Padding reads +127 and
+ * keeps messages of 0, so that it reads +127 again in the next iteration. */
+static void layer(int16_t *restrict post, const int32_t *restrict edges, int16_t *restrict q,
+                  int16_t *restrict msg, int degree, int rows, int Zc)
+{
+    int stride = padded(rows * Zc);
+    for (int b = 0; b < degree * rows; b++) {
+        int start = edges[2 * b], s = edges[2 * b + 1], at = b / rows * stride + b % rows * Zc;
         if (start < 0) {
             for (int t = 0; t < Zc; t++)
-                q[t] = LLR_MAX;
+                q[at + t] = LLR_MAX;
             continue;
         }
-        memcpy(q, post + start + s, (size_t)(Zc - s) * sizeof *q);
-        memcpy(q + Zc - s, post + start, (size_t)s * sizeof *q);
+        sub_run(q + at, post + start + s, msg + at, Zc - s);
+        sub_run(q + at + Zc - s, post + start, msg + at + Zc - s, s);
     }
-}
-
-/* The inverse of gather. Padding is not written back, and its messages, in
- * msg of the same layout as q, are set to 0, so that it reads +127 again in
- * the next iteration. */
-static void scatter(int16_t *restrict post, int16_t *restrict msg,
-                    const int32_t *restrict edges, const int16_t *restrict q, int blocks,
-                    int Zc)
-{
-    for (int b = 0; b < blocks; b++, q += Zc, msg += Zc) {
-        int start = edges[2 * b], s = edges[2 * b + 1];
+    check_node(q, msg, degree, stride);
+    for (int b = 0; b < degree * rows; b++) {
+        int start = edges[2 * b], s = edges[2 * b + 1], at = b / rows * stride + b % rows * Zc;
         if (start < 0) {
-            memset(msg, 0, (size_t)Zc * sizeof *msg);
+            memset(msg + at, 0, (size_t)Zc * sizeof *msg);
             continue;
         }
-        memcpy(post + start + s, q, (size_t)(Zc - s) * sizeof *q);
-        memcpy(post + start, q + Zc - s, (size_t)s * sizeof *q);
+        memcpy(post + start + s, q + at, (size_t)(Zc - s) * sizeof *q);
+        memcpy(post + start, q + at + Zc - s, (size_t)s * sizeof *q);
     }
-}
-
-static void sub_clip(int16_t *restrict q, const int16_t *restrict msg, int n)
-{
-    for (int i = 0; i < n; i++)
-        q[i] = clip(q[i] - msg[i]);
-}
-
-static void add_clip(int16_t *restrict q, const int16_t *restrict msg, int n)
-{
-    for (int i = 0; i < n; i++)
-        q[i] = clip(q[i] + msg[i]);
-}
-
-static void start_lanes(int16_t *restrict min1, int16_t *restrict min2,
-                        int16_t *restrict arg, int16_t *restrict sx, int lanes)
-{
-    for (int l = 0; l < lanes; l++) {
-        min1[l] = min2[l] = INT16_MAX;
-        arg[l] = sx[l] = 0;
-    }
-}
-
-/* Fold edge e into each lane's two smallest |q|, the first edge holding the
- * smallest (so ties go to the lowest edge), and the XOR of the lane's q. */
-static void fold_edge(const int16_t *restrict q, int16_t *restrict min1,
-                      int16_t *restrict min2, int16_t *restrict arg,
-                      int16_t *restrict sx, int16_t e, int lanes)
-{
-    for (int l = 0; l < lanes; l++) {
-        int16_t a = (int16_t)(q[l] < 0 ? -q[l] : q[l]);
-        int16_t m1 = min1[l];
-        int16_t hi = a > m1 ? a : m1;
-        min2[l] = hi < min2[l] ? hi : min2[l];
-        arg[l] = a < m1 ? e : arg[l];
-        min1[l] = a < m1 ? a : m1;
-        sx[l] ^= q[l];
-    }
-}
-
-/* Edge e's messages: the smallest |q| of the other edges less the offset,
- * floored at 0; the sign bit of q ^ (XOR of the lane) is the parity of the
- * other edges' signs, and as 0 / -1 it negates by (m ^ s) - s. */
-static void edge_messages(const int16_t *restrict q, int16_t *restrict msg,
-                          const int16_t *restrict min1, const int16_t *restrict min2,
-                          const int16_t *restrict arg, const int16_t *restrict sx, int16_t e,
-                          int lanes)
-{
-    for (int l = 0; l < lanes; l++) {
-        int16_t m = arg[l] == e ? min2[l] : min1[l];
-        m = (int16_t)(m > OFFSET ? m - OFFSET : 0);
-        int16_t s = (int16_t)((int16_t)(q[l] ^ sx[l]) >> 15);
-        msg[l] = (int16_t)((m ^ s) - s);
-    }
-}
-
-/* Offset min-sum messages of a (degree, lanes) block q, padding included.
- * work holds 4 * lanes int16. */
-static void check_node(const int16_t *q, int16_t *msg, int16_t *work, int degree, int lanes)
-{
-    int16_t *min1 = work, *min2 = work + lanes, *arg = work + 2 * lanes,
-            *sx = work + 3 * lanes;
-    start_lanes(min1, min2, arg, sx, lanes);
-    for (int e = 0; e < degree; e++)
-        fold_edge(q + e * lanes, min1, min2, arg, sx, (int16_t)e, lanes);
-    for (int e = 0; e < degree; e++)
-        edge_messages(q + e * lanes, msg + e * lanes, min1, min2, arg, sx, (int16_t)e,
-                      lanes);
-}
-
-/* One layer update: copy each edge's rotated block of post in, less its old
- * message, replace msg with the new messages and copy the posteriors back,
- * saturating at +/-127 on the way in and out. edges is the layer's
- * (degree, lanes / Zc) table of (start, shift) pairs, and q a scratch block
- * of degree * lanes int16. */
-static void layer(int16_t *post, const int32_t *edges, int16_t *q, int16_t *msg,
-                  int16_t *work, int degree, int lanes, int Zc)
-{
-    int n = degree * lanes;
-    gather(q, post, edges, n / Zc, Zc);
-    sub_clip(q, msg, n);
-    check_node(q, msg, work, degree, lanes);
-    add_clip(q, msg, n);
-    scatter(post, msg, edges, q, n / Zc, Zc);
 }
 
 /* Fold n values of q into each lane's smallest |q| and the XOR of its q. */
@@ -173,7 +212,7 @@ static void fold_min_sign(const int16_t *restrict q, int16_t *restrict min,
 }
 
 /* The smallest |q| less the offset, floored at 0, negated where the sign
- * XOR is negative: edge_messages for an edge whose own q is 0. */
+ * XOR is negative: check_node's message to an edge whose own q is 0. */
 static void own_posteriors(int16_t *restrict post, const int16_t *restrict min,
                            const int16_t *restrict sx, int n)
 {
@@ -193,10 +232,8 @@ static int is_dead(const int8_t *llr, const int32_t *edges, int blocks, int rows
 {
     int zero_rows = 0;
     for (int b = 0; b < blocks; b++) {
-        int start = edges[2 * b], zero = start >= extension;
-        for (int t = 0; zero && t < Zc; t++)
-            zero = llr[start + t] == 0;
-        zero_rows += zero;
+        int start = edges[2 * b];
+        zero_rows += start >= extension && all_zero((const uint8_t *)llr + start, Zc);
     }
     return zero_rows == rows;
 }
@@ -244,23 +281,21 @@ static int decide(uint8_t *restrict hard, const int16_t *restrict post, int n)
     return changed;
 }
 
-/* Whether every lifted row holds: each layer's block of post, gathered into
- * q as the layer reads it, decides an even number of bit 1s (post <= 0) in
- * every lane. Padding reads +127, a bit 0. acc holds the largest lanes int16. */
-static int parity_holds(int16_t *restrict q, int16_t *restrict acc, const int16_t *restrict post,
-                        const int32_t *edges, const int32_t *shape, int layers, int Zc)
+/* Whether every lifted row holds: the XOR of each base row's edges, their
+ * column blocks of the hard decisions rotated by their shifts, is zero. */
+static int parity_holds(const uint8_t *hard, const int32_t *edges, const int32_t *shape,
+                        int layers, int Zc)
 {
+    uint8_t acc[Zc];
     for (int i = 0; i < layers; i++) {
-        int degree = shape[2 * i], lanes = shape[2 * i + 1];
-        gather(q, post, edges, degree * lanes / Zc, Zc);
-        memset(acc, 0, (size_t)lanes * sizeof *acc);
-        for (int e = 0; e < degree; e++)
-            for (int l = 0; l < lanes; l++)
-                acc[l] ^= q[e * lanes + l] <= 0;
-        for (int l = 0; l < lanes; l++)
-            if (acc[l])
+        int degree = shape[2 * i], rows = shape[2 * i + 1] / Zc;
+        for (int j = 0; j < rows; j++) {
+            memset(acc, 0, (size_t)Zc);
+            xor_row(acc, hard, (struct row){edges + 2 * j, rows, degree}, Zc);
+            if (!all_zero(acc, Zc))
                 return 0;
-        edges += 2 * degree * (lanes / Zc);
+        }
+        edges += 2 * degree * rows;
     }
     return 1;
 }
@@ -276,27 +311,29 @@ static int parity_holds(int16_t *restrict q, int16_t *restrict acc, const int16_
  * of 0. The extension rows' own blocks start at (kb + 4) * Zc; a layer
  * whose rows all own a block that is all zero at entry is dead, decided
  * once, and runs dead_step at its place in every iteration. The
- * posteriors, every layer's (degree, lanes) messages, zeroed, and a
- * scratch block are one calloc, freed before returning. Returns the
- * termination reason, or NO_MEMORY, and sets *iterations to the number run. */
+ * posteriors, every layer's (degree, padded(lanes)) messages, zeroed, and
+ * a scratch block as large as the largest, which a dead step uses as its
+ * work, are one calloc, each followed by CHUNK lanes of slack for
+ * sub_run's whole chunks, and freed before returning. The parity check
+ * XORs hard, as encode XORs the codeword. Returns the termination reason,
+ * or NO_MEMORY, and sets *iterations to the number run. */
 int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t *shape,
            int layers, int n, int kb, int Zc, int max_iterations, int *iterations)
 {
-    int extension = (kb + 4) * Zc, messages = 0, size = 0, widest = 0;
+    int extension = (kb + 4) * Zc, messages = 0, size = 0;
     char dead[layers];
     for (int i = 0, offset = 0; i < layers; i++) {
-        int degree = shape[2 * i], lanes = shape[2 * i + 1];
-        messages += degree * lanes;
-        size = degree * lanes > size ? degree * lanes : size;
-        widest = lanes > widest ? lanes : widest;
-        dead[i] = (char)is_dead(llr, edges + offset, degree * (lanes / Zc), lanes / Zc,
-                                extension, Zc);
-        offset += 2 * degree * (lanes / Zc);
+        int degree = shape[2 * i], rows = shape[2 * i + 1] / Zc;
+        int block = degree * padded(rows * Zc);
+        messages += block;
+        size = block > size ? block : size;
+        dead[i] = (char)is_dead(llr, edges + offset, degree * rows, rows, extension, Zc);
+        offset += 2 * degree * rows;
     }
-    int16_t *post = calloc((size_t)(n + messages + size + 4 * widest), sizeof *post);
+    int16_t *post = calloc((size_t)(n + messages + size + 3 * CHUNK), sizeof *post);
     if (!post)
         return NO_MEMORY;
-    int16_t *msg = post + n, *q = msg + messages, *work = q + size;
+    int16_t *msg = post + n + CHUNK, *q = msg + messages + CHUNK;
     for (int i = 0; i < n; i++)
         post[i] = (int16_t)-llr[i];
     int reason = MAX_ITERATIONS;
@@ -306,15 +343,15 @@ int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t
         for (int i = 0; i < layers; i++) {
             int degree = shape[2 * i], lanes = shape[2 * i + 1];
             if (dead[i])
-                dead_step(post, e, work, degree, lanes, extension, Zc);
+                dead_step(post, e, q, degree, lanes, extension, Zc);
             else
-                layer(post, e, q, m, work, degree, lanes, Zc);
+                layer(post, e, q, m, degree, lanes / Zc, Zc);
             e += 2 * degree * (lanes / Zc);
-            m += degree * lanes;
+            m += degree * padded(lanes);
         }
         int changed = decide(hard, post, n);
         *iterations = it;
-        if (parity_holds(q, work, post, edges, shape, layers, Zc))
+        if (parity_holds(hard, edges, shape, layers, Zc))
             reason = PARITY_SATISFIED;
         else if (it > 1 && !changed)
             reason = DECISIONS_STABLE;
@@ -324,49 +361,6 @@ int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t
 }
 
 /* Encoding: ldpc_encode's solves, from the decoder's edge table */
-
-/* XOR n bytes of src into dst, eight at a time: a byte loop vectorizes, but
- * at the short, odd lengths of a rotated block its scalar tail costs more. */
-static void xor_bytes(uint8_t *restrict dst, const uint8_t *restrict src, int n)
-{
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t a, b;
-        memcpy(&a, dst + i, 8);
-        memcpy(&b, src + i, 8);
-        a ^= b;
-        memcpy(dst + i, &a, 8);
-    }
-    for (; i < n; i++)
-        dst[i] ^= src[i];
-}
-
-/* XOR block src, rotated left by s, into dst: dst[t] ^= src[(t + s) % Zc]. */
-static void xor_rotated(uint8_t *restrict dst, const uint8_t *restrict src, int s, int Zc)
-{
-    xor_bytes(dst, src + s, Zc - s);
-    xor_bytes(dst + Zc - s, src, s);
-}
-
-/* One base row's edges in decode's table: edge e is the (start, shift) pair
- * at edges[2 * e * stride], where stride is the row's layer's row count. */
-struct row {
-    const int32_t *edges;
-    int stride, degree;
-};
-
-/* XOR each edge of row, its column block of cw rotated by its shift, into
- * dst, except an edge that reads dst itself; padding ends the row. */
-static void xor_row(uint8_t *dst, const uint8_t *cw, struct row row, int Zc)
-{
-    for (int e = 0; e < row.degree; e++) {
-        int start = row.edges[2 * e * row.stride], s = row.edges[2 * e * row.stride + 1];
-        if (start < 0)
-            break;
-        if (cw + start != dst)
-            xor_rotated(dst, cw + start, s, Zc);
-    }
-}
 
 /* Encode one code block of n bits in place: cw holds the kb * Zc
  * information bits, and the parity blocks after them are written whole.

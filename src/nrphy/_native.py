@@ -11,9 +11,12 @@ replaces, which stays the fallback and the oracle in the tests:
   a soft buffer (``rate_adapt.rate_unmatch_combine``);
 - ``decode``: a code block's whole layered decode, from its LLRs to its
   hard decisions, in memory it allocates per call (-1 where it cannot),
-  from one table of each edge's (column-block start, shift) pair: a
-  layer whose rows all own a never-sent (all-zero) block runs a read-only
-  step that writes only those blocks (``ldpc.ldpc_decode``).
+  from one table of each edge's (column-block start, shift) pair. Its
+  lane loops saturate in int16 and run the check node 32 lanes at a time,
+  its state in registers; a layer whose rows all own a never-sent
+  (all-zero) block runs a read-only step that writes only those blocks,
+  and the parity check XORs the rotated blocks of the hard decisions, as
+  ``encode`` does those of the codeword (``ldpc.ldpc_decode``).
 
 Each stage calls its function where ``library()`` returns the library, and
 runs NumPy otherwise; no setting picks the path. ``library()`` builds or
@@ -22,10 +25,10 @@ returns None. ``ctypes`` releases the GIL for each call's length.
 
 The source is compiled with the C compiler named by ``CC`` (else ``cc``),
 for the host CPU, into ``NRPHY_CACHE_DIR`` (else ``~/.cache/nrphy``). The
-file is named by a hash of the source, the flags, the compiler's version
-and the host CPU, so a cache hit is one ``dlopen``, and it is written under
-a temporary name and renamed into place, so processes that build at once
-leave one file. ``hashlib`` and ``subprocess`` are imported only to build,
+file is named by a hash of the source, the compiler command and flags, the
+compiler's version and the host CPU, so a cache hit is one ``dlopen``, and
+it is written under a temporary name and renamed into place, so processes
+that build at once leave one file. ``hashlib`` and ``subprocess`` are imported only to build,
 so a process that never encodes, demaps, combines or decodes does not load
 them.
 """
@@ -87,7 +90,8 @@ def _build() -> ctypes.CDLL:
         version = subprocess.run([*cc, "--version"], capture_output=True, text=True,
                                  check=True).stdout
         key = hashlib.sha256("\0".join([
-            SOURCE.read_text(), " ".join(FLAGS), version, platform.machine(), _cpu_flags(),
+            SOURCE.read_text(), " ".join([*cc, *FLAGS]), version, platform.machine(),
+            _cpu_flags(),
         ]).encode()).hexdigest()[:16]
         target = Path(os.environ.get(CACHE_DIR_ENV) or Path.home() / ".cache" / "nrphy",
                       f"_layer-{key}.so")

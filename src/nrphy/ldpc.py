@@ -22,10 +22,12 @@ consecutive rows sharing no column as one block. The decoder keeps one
 table per code (``_layers``): each edge's (column-block start, shift)
 pair, layer by layer. Where the compiled kernel of ``_native`` can be
 built, a code block's whole decode is one call into it, which reads that
-table: every iteration's layers copy each edge's rotated column block in
-and out whole, a layer of never-sent extension rows runs a read-only
-step that writes only their own parity blocks, and the parity check
-copies the same blocks in again to XOR their hard decisions. Otherwise
+table: every iteration's layers read and write each edge's rotated column
+block as its two contiguous runs, in 16-bit saturating lanes, a layer of
+never-sent extension rows runs a read-only step that writes only their
+own parity blocks, and the parity check XORs the same rotated blocks of
+the hard decisions, as the kernel encoder XORs those of the codeword,
+which is the check ``parity_check`` makes. Otherwise
 the decode expands the table into element indices (``_element_indices``),
 each layer gathers through them and runs the min-sum as defined
 (``_min_sum``), and ``parity_check`` ends the decode; that path is also
@@ -433,9 +435,10 @@ class _Layers:
     +127 and keeps a message of 0. No real |q| exceeds 127 and every row
     has at least two real edges, so padding can tie the two smallest |q|
     of a lane but never lower them, and being positive it never flips a
-    sign. The kernel copies each edge's rotated column block whole, with
-    messages sized from ``shape``; the NumPy path expands the table into
-    element indices (``_element_indices``).
+    sign. The kernel reads each edge's rotated column block as two runs,
+    with messages sized from ``shape``, each layer's lanes rounded up to
+    whole check-node chunks; the NumPy path expands the table into element
+    indices (``_element_indices``).
     """
 
     edges: np.ndarray  # (edges, 2) int32

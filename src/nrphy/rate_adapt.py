@@ -92,7 +92,7 @@ def interleave(e: np.ndarray, q_m: int) -> np.ndarray:
     several times slower.
     """
     e = np.asarray(e)
-    q_m = as_int(q_m, "Q_m", 1)
+    q_m = as_q_m(q_m)
     if len(e) % q_m:
         raise ValueError("Q_m must divide E_r")
     out = np.empty(len(e), e.dtype)
@@ -105,7 +105,7 @@ def interleave(e: np.ndarray, q_m: int) -> np.ndarray:
 def deinterleave(llrs: np.ndarray, q_m: int) -> np.ndarray:
     """Exact inverse permutation of :func:`interleave`."""
     llrs = np.asarray(llrs)
-    q_m = as_int(q_m, "Q_m", 1)
+    q_m = as_q_m(q_m)
     if len(llrs) % q_m:
         raise ValueError("Q_m must divide E_r")
     return llrs.reshape(-1, q_m).T.reshape(-1)

@@ -6,6 +6,7 @@ directory, because the kernel is built and loaded once per process.
 
 import json
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -385,6 +386,43 @@ pwd.getpwuid = no_entry
 """
 
 
+TESTS = Path(__file__).resolve().parent
+NO_AVX512 = "-mno-avx512f"
+X86_64 = pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                            reason="-mno-avx512f is an x86-64 flag")
+
+# Decodes every sixth of equality_inputs() on the kernel and in NumPy; prints
+# whether the kernel built and the labels of the decodes that differ.
+WITHOUT_AVX512 = """
+import itertools, json, sys
+sys.path.insert(0, sys.argv[1])
+from nrphy import _native
+from nrphy.ldpc import ldpc_decode
+from test_native import equality_inputs
+kernel = _native.library
+built, differ, decodes = kernel() is not None, [], 0
+for label, code, llr in itertools.islice(equality_inputs(), 0, None, 6):
+    _native.library = kernel
+    native = ldpc_decode(code, llr)
+    _native.library = lambda: None
+    numpy = ldpc_decode(code, llr)
+    decodes += 1
+    if (native.hard_bits.tobytes(), native.iterations_used, native.termination_reason) != \\
+       (numpy.hard_bits.tobytes(), numpy.iterations_used, numpy.termination_reason):
+        differ.append(label)
+print(json.dumps({"built": built, "decodes": decodes, "differ": differ}))
+"""
+
+
+def assert_compiles_without_warnings(tmp_path, *flags):
+    # the build captures the compiler's output, so a warning would go unseen there
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    done = subprocess.run([*cc, *flags, *_native.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "_layer.so"), str(_native.SOURCE)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 class TestBuild(OnDecoderPath):
     @pytest.mark.parametrize("no_compiler", ["CC", "PATH"])
     def test_no_compiler_warns_once_and_decodes_the_same(self, tmp_path, no_compiler,
@@ -440,12 +478,29 @@ class TestBuild(OnDecoderPath):
         assert len(first) == 1 and len(files) == 2 and first < files
 
     def test_kernel_compiles_without_warnings(self, tmp_path):
-        # the build captures the compiler's output, so a warning would go unseen there
-        cc = shlex.split(os.environ.get("CC") or "cc")
-        done = subprocess.run([*cc, *_native.FLAGS, "-Wall", "-Wextra", "-Werror",
-                               "-o", str(tmp_path / "_layer.so"), str(_native.SOURCE)],
-                              capture_output=True, text=True)
+        assert_compiles_without_warnings(tmp_path)
+
+    @X86_64
+    def test_kernel_compiles_without_warnings_without_avx512(self, tmp_path):
+        assert_compiles_without_warnings(tmp_path, NO_AVX512)
+
+    @X86_64
+    def test_kernel_without_avx512_decodes_bit_exact(self, tmp_path):
+        # CHUNK is one 512-bit register of int16; without AVX-512 it spans two
+        cc = os.environ.get("CC") or "cc"
+        env = decode_env(tmp_path, CC=f"{cc} {NO_AVX512}")
+        done = subprocess.run([sys.executable, "-c", WITHOUT_AVX512, str(TESTS)], env=env,
+                              capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout)
+        assert out["built"] and out["decodes"] == 96 and out["differ"] == []
+        assert len(list(tmp_path.glob("_layer-*.so"))) == 1
+
+    def test_other_compiler_flags_get_their_own_cache_file(self, tmp_path):
+        cc = os.environ.get("CC") or "cc"
+        assert_native(decode_env(tmp_path, CC=cc))
+        assert_native(decode_env(tmp_path, CC=f"{cc} -DNRPHY_UNUSED_MACRO"))
+        assert len(list(tmp_path.glob("_layer-*.so"))) == 2
 
     def test_default_cache_is_under_home(self, tmp_path):
         env = decode_env(tmp_path, HOME=str(tmp_path))

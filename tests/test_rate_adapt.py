@@ -103,10 +103,6 @@ class TestRateMatch:
 
 
 class TestInterleave:
-    def test_degenerate_single_row(self):
-        x = np.arange(7)
-        assert np.array_equal(interleave(x, 1), x)
-
     def test_enumerated_pattern_qm2(self):
         out = interleave(np.arange(8), 2)
         assert out.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
@@ -139,6 +135,13 @@ class TestInterleave:
     def test_non_positive_integer_q_m_rejected(self, stage, q_m):
         with pytest.raises(ValueError, match="Q_m"):
             stage(np.arange(8), q_m)
+
+    @pytest.mark.parametrize("stage", [interleave, deinterleave])
+    @pytest.mark.parametrize("q_m", [1, 3, 5])
+    def test_order_outside_the_modulation_orders_rejected(self, stage, q_m):
+        # 120 is a multiple of every order here, so only the order itself is wrong
+        with pytest.raises(ValueError, match="Q_m"):
+            stage(np.arange(120), q_m)
 
     @pytest.mark.parametrize("q_m", [2, 4, 6, 8])
     @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
