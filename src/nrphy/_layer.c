@@ -313,8 +313,9 @@ static int parity_holds(const uint8_t *hard, const int32_t *edges, const int32_t
  * once, and runs dead_step at its place in every iteration. The
  * posteriors, every layer's (degree, padded(lanes)) messages, zeroed, and
  * a scratch block as large as the largest, which a dead step uses as its
- * work, are one calloc, each followed by CHUNK lanes of slack for
- * sub_run's whole chunks, and freed before returning. The parity check
+ * work (every row has two edges or more, so it holds 2 * lanes), are one
+ * calloc, each followed by CHUNK lanes of slack for sub_run's whole
+ * chunks, and freed before returning. The parity check
  * XORs hard, as encode XORs the codeword. Returns the termination reason,
  * or NO_MEMORY, and sets *iterations to the number run. */
 int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t *shape,

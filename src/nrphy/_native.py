@@ -28,9 +28,9 @@ for the host CPU, into ``NRPHY_CACHE_DIR`` (else ``~/.cache/nrphy``). The
 file is named by a hash of the source, the compiler command and flags, the
 compiler's version and the host CPU, so a cache hit is one ``dlopen``, and
 it is written under a temporary name and renamed into place, so processes
-that build at once leave one file. ``hashlib`` and ``subprocess`` are imported only to build,
-so a process that never encodes, demaps, combines or decodes does not load
-them.
+that build at once leave one file. ``hashlib`` and ``subprocess`` are
+imported only to build, so a process that never encodes, demaps, combines
+or decodes does not load them.
 """
 
 from __future__ import annotations

@@ -26,12 +26,11 @@ table: every iteration's layers read and write each edge's rotated column
 block as its two contiguous runs, in 16-bit saturating lanes, a layer of
 never-sent extension rows runs a read-only step that writes only their
 own parity blocks, and the parity check XORs the same rotated blocks of
-the hard decisions, as the kernel encoder XORs those of the codeword,
-which is the check ``parity_check`` makes. Otherwise
-the decode expands the table into element indices (``_element_indices``),
-each layer gathers through them and runs the min-sum as defined
-(``_min_sum``), and ``parity_check`` ends the decode; that path is also
-the kernel's oracle in the tests.
+the hard decisions, as the kernel encoder XORs those of the codeword:
+the check ``parity_check`` makes. Otherwise the decode expands the table
+into element indices (``_element_indices``), each layer gathers through
+them and runs the min-sum as defined (``_min_sum``), and ``parity_check``
+ends the decode; that path is also the kernel's oracle in the tests.
 """
 
 from __future__ import annotations
