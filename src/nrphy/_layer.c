@@ -1,10 +1,11 @@
 /*
  * nrphy's compiled kernel, bit-exact with its NumPy forms, which define it:
  * encode (ldpc.py's ldpc_encode), of which one call encodes one code block,
- * demap (llr.py's llr_estimate), combine (rate_adapt.py's
- * rate_unmatch_combine) and decode, the layered offset min-sum decoder
- * (ldpc.py), of which one call decodes one code block, termination
- * included. encode reads decode's table, described below.
+ * modulate (llr.py's modulate), which reads each symbol's point from its
+ * order's two Q3.12 tables, demap (llr.py's llr_estimate), combine
+ * (rate_adapt.py's rate_unmatch_combine) and decode, the layered offset
+ * min-sum decoder (ldpc.py), of which one call decodes one code block,
+ * termination included. encode reads decode's table, described below.
  *
  * A layer's block is (degree, stride) int16, row-major: row e holds edge e
  * of every lane, and each lane is one check node, as on a circulant-shift
@@ -393,6 +394,38 @@ void encode(uint8_t *cw, const int32_t *edges, const int32_t *shape, int layers,
     for (int r = 0; r < n_rows; r++)
         if (r != 3)
             xor_row(parity + (r + (r < 3)) * Zc, cw, row[r], Zc);
+}
+
+/* Modulation: modulate's table lookup, one symbol at a time */
+
+/* modulate's loop for one modulation order, which every call site passes as
+ * a constant, so that the label loop unrolls: a symbol's label holds its
+ * q_m bits, the first as its MSB, and indexes both Q3.12 tables. */
+static inline __attribute__((always_inline)) void
+modulate_order(int16_t *restrict re, int16_t *restrict im, const uint8_t *restrict bits, int n,
+               int q_m, const int16_t *restrict table_re, const int16_t *restrict table_im)
+{
+    for (int i = 0; i < n; i++, bits += q_m) {
+        int label = 0;
+        for (int k = 0; k < q_m; k++)
+            label = label << 1 | bits[k];
+        re[i] = table_re[label];
+        im[i] = table_im[label];
+    }
+}
+
+/* Write the (re[i], im[i]) point of each of n symbols of q_m bits. q_m is 2,
+ * 4, 6 or 8, every bit is 0 or 1, as modulate checks, and the tables hold
+ * the 2^q_m points of that order. */
+void modulate(int16_t *re, int16_t *im, const uint8_t *bits, int n, int q_m,
+              const int16_t *table_re, const int16_t *table_im)
+{
+    switch (q_m) {
+    case 2: modulate_order(re, im, bits, n, 2, table_re, table_im); break;
+    case 4: modulate_order(re, im, bits, n, 4, table_re, table_im); break;
+    case 6: modulate_order(re, im, bits, n, 6, table_re, table_im); break;
+    case 8: modulate_order(re, im, bits, n, 8, table_re, table_im); break;
+    }
 }
 
 /* Demapping: llr_estimate's fixed-point arithmetic, one symbol at a time */

@@ -1,11 +1,13 @@
 """The coding chain's compiled kernel (``_layer.c``): built at first use, then loaded.
 
-The kernel exports four functions, each bit-exact with the NumPy body it
+The kernel exports five functions, each bit-exact with the NumPy body it
 replaces, which stays the fallback and the oracle in the tests:
 
 - ``encode``: a code block's whole systematic codeword, from the decoder's
   edge table and the inverse circulant's shifts that solve p0
   (``ldpc.ldpc_encode``);
+- ``modulate``: every symbol's point, read from its order's two Q3.12
+  tables by the label its bits make (``llr.modulate``);
 - ``demap``: every symbol's LLRs (``llr.llr_estimate``);
 - ``combine``: the saturating scatter-add of one transmission's LLRs into
   a soft buffer (``rate_adapt.rate_unmatch_combine``);
@@ -29,8 +31,8 @@ file is named by a hash of the source, the compiler command and flags, the
 compiler's version and the host CPU, so a cache hit is one ``dlopen``, and
 it is written under a temporary name and renamed into place, so processes
 that build at once leave one file. ``hashlib`` and ``subprocess`` are
-imported only to build, so a process that never encodes, demaps, combines
-or decodes does not load them.
+imported only to build, so a process that never encodes, modulates,
+demaps, combines or decodes does not load them.
 """
 
 from __future__ import annotations
@@ -105,6 +107,8 @@ def _build() -> ctypes.CDLL:
     tables = (ptr, ptr) + (count,) * 4  # the code, as encode and decode take it: _Layers.tables
     lib.decode.argtypes = (ptr, ptr, *tables, count, ctypes.POINTER(count))
     lib.decode.restype = count
+    lib.modulate.argtypes = (ptr,) * 3 + (count,) * 2 + (ptr,) * 2
+    lib.modulate.restype = None
     lib.demap.argtypes = (ptr,) * 3 + (count,) * 7
     lib.demap.restype = None
     lib.combine.argtypes = (ptr,) * 3 + (count,) * 2
@@ -120,6 +124,20 @@ def library() -> ctypes.CDLL | None:
     try:
         return _build()
     except _BuildError as exc:
-        warnings.warn(f"nrphy: native kernel unavailable ({exc}); encoding, demapping, "
-                      "combining and decoding with NumPy", RuntimeWarning, stacklevel=3)
+        warnings.warn(f"nrphy: native kernel unavailable ({exc}); encoding, modulating, "
+                      "demapping, combining and decoding with NumPy", RuntimeWarning,
+                      stacklevel=3)
         return None
+
+
+def address(array) -> int:
+    """The address of a C-contiguous array's data, which must outlive the call it is passed to.
+
+    A writable, non-empty array's address is read through a ``ctypes`` view
+    of its buffer, about 0.5 µs, where ``array.ctypes.data`` builds an
+    object each time, about 1.3 µs; any other array is read that way.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):  # read-only, or no byte to view
+        return array.ctypes.data

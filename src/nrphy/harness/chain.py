@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import llr as llr_mod
 from ..errors import ConfigError, PoolExhaustedError, UnknownProcessError
-from ..ldpc import DecodeResult, InfoBlock, ldpc_decode, ldpc_encode
+from ..ldpc import DecodeResult, InfoBlock, as_bits, ldpc_decode, ldpc_encode
 from ..llr import EqualizedSymbols, PackedWordStream, pack_bit_words
 from ..rate_adapt import (
     POOL_SLOTS,
@@ -60,7 +60,7 @@ def _block_process_id(cfg: ChainConfig, block: int) -> int:
 
 def encode_chain(cfg: ChainConfig, payload: np.ndarray, rv_round: int = 0) -> EncodeOutput:
     """Run the encode pipeline over ``blocks`` identical-parameter blocks."""
-    payload = np.asarray(payload)  # InfoBlock rejects any bit but 0 and 1
+    payload = as_bits(payload)
     if payload.shape != (cfg.k_prime * cfg.blocks,):
         raise ValueError(
             f"payload must be K' x C = {cfg.k_prime * cfg.blocks} bits")
@@ -69,11 +69,11 @@ def encode_chain(cfg: ChainConfig, payload: np.ndarray, rv_round: int = 0) -> En
     rm_cfg = RateMatchConfig(E_r=cfg.e_r, rv=rv, Q_m=cfg.q_m)
     fill_range = buffer_filler_range(code, filler)
 
+    info = np.zeros((cfg.blocks, code.K), dtype=np.uint8)  # each row's filler tail stays 0
+    info[:, :cfg.k_prime] = payload.reshape(cfg.blocks, cfg.k_prime)
     stream = np.empty(cfg.G, dtype=np.uint8)
     for b in range(cfg.blocks):
-        bits = np.zeros(code.K, dtype=payload.dtype)
-        bits[: cfg.k_prime] = payload[b * cfg.k_prime:(b + 1) * cfg.k_prime]
-        cw = ldpc_encode(code, InfoBlock(bits, filler))
+        cw = ldpc_encode(code, InfoBlock(info[b], filler))
         e = rate_match(cw, fill_range, rm_cfg)
         stream[b * cfg.e_r:(b + 1) * cfg.e_r] = interleave(e, cfg.q_m)
 

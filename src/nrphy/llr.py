@@ -6,7 +6,9 @@ raw / 4, range [-7.75, +7.75]. Positive values favor bit 1. Equalized
 symbols are Q3.12 (16-bit signed, 12 fractional bits) per component.
 
 Modulation reads each symbol from a table of the 2^Q_m Q3.12 points,
-built once per order by the Gray arithmetic. The demapper evaluates the
+built once per order by the Gray arithmetic: in one call into the
+compiled kernel of ``_native`` where it can be built, else in NumPy,
+which defines it. The demapper evaluates the
 per-bit piecewise-linear max-log approximation (nested absolute
 differences against the constellation's A/B/C/D offsets) in int32 with
 every intermediate saturated to 16 bits, then quantizes to SoftLlr: in
@@ -146,8 +148,17 @@ class DemapperParams:
         )
 
 
+@dataclass(frozen=True)
+class _Constellation:
+    """One order's points, built by ``_constellation``, and the kernel's view of them."""
+
+    re: np.ndarray  # int16, read-only, indexed by label
+    im: np.ndarray
+    tables: tuple[int, int]  # their addresses
+
+
 @lru_cache(maxsize=None)
-def _constellation(q_m: int) -> tuple[np.ndarray, np.ndarray]:
+def _constellation(q_m: int) -> _Constellation:
     """Q3.12 (re, im) of every q_m-bit label, bit 0 of a group as its MSB."""
     g = (np.arange(1 << q_m)[:, None] >> np.arange(q_m - 1, -1, -1)) & 1
     half = q_m // 2
@@ -160,25 +171,37 @@ def _constellation(q_m: int) -> tuple[np.ndarray, np.ndarray]:
         return (1 - 2 * cols[:, 0]) * mag
 
     points = (axis(g[:, 0::2]) + 1j * axis(g[:, 1::2])) / _NORM[q_m]
-    table = (_to_q312(points.real.copy()), _to_q312(points.imag.copy()))
-    for arr in table:
+    re, im = _to_q312(points.real.copy()), _to_q312(points.imag.copy())
+    for arr in (re, im):
         arr.flags.writeable = False
-    return table
+    return _Constellation(re, im, (re.ctypes.data, im.ctypes.data))
 
 
 def modulate(bits: np.ndarray, q_m: int) -> EqualizedSymbols:
-    """Gray-map groups of q_m bits onto the unit-energy constellation."""
+    """Gray-map groups of q_m bits onto the unit-energy constellation.
+
+    Where the compiled kernel can be built, one call into it reads every
+    symbol's point from the same tables.
+    """
     q_m = as_q_m(q_m)
     bits = as_bits(bits)
     if bits.size % q_m:
         raise ValueError("bit count not a multiple of Q_m")
+    points = _constellation(q_m)
+    lib = _native.library()
+    if lib is not None:
+        bits = np.ascontiguousarray(bits)  # held: the kernel reads it through its address
+        n = bits.size // q_m
+        out = np.empty((2, n), dtype=np.int16)  # re, then im
+        at = _native.address(out)
+        lib.modulate(at, at + out.strides[0], _native.address(bits), n, q_m, *points.tables)
+        return EqualizedSymbols(out[0], out[1])
     groups = bits.reshape(-1, q_m)
     labels = groups[:, 0].copy()
     for k in range(1, q_m):
         labels <<= 1
         labels |= groups[:, k]
-    re, im = _constellation(q_m)
-    return EqualizedSymbols(re.take(labels), im.take(labels))
+    return EqualizedSymbols(points.re.take(labels), points.im.take(labels))
 
 
 def awgn(symbols: EqualizedSymbols, sigma2: float, seed) -> EqualizedSymbols:

@@ -137,7 +137,9 @@ class HarqBufferPool:
         """Bind (new packet) or look up (retransmission) a soft buffer.
 
         A full pool refuses a new packet on any unbound id; otherwise an id
-        that is not an integer in [0, POOL_SLOTS) raises ValueError.
+        that is not an integer in [0, POOL_SLOTS) raises ValueError, as does
+        a retransmission given a code where it or the filler count differs
+        from the bound buffer's.
         """
         if is_new_packet:
             if code is None:
@@ -153,8 +155,12 @@ class HarqBufferPool:
         if process_id not in self.bindings:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
         buf = self.bindings[process_id]
-        if code is not None and (buf.code.bg, buf.code.Zc) != (code.bg, code.Zc):
-            raise ValueError("bound buffer dimensions do not match the code")
+        if code is not None:
+            if (buf.code.bg, buf.code.Zc) != (code.bg, code.Zc):
+                raise ValueError("bound buffer dimensions do not match the code")
+            if buf.filler_range != buffer_filler_range(code, filler_count):
+                raise ValueError(f"bound buffer has {len(buf.filler_range)} fillers, "
+                                 f"not {filler_count}")
         return buf
 
     def release(self, process_id: int) -> None:

@@ -6,6 +6,10 @@ the transmission identity as c_init = rnti * 2^15 + q * 2^14 + cell_id.
 No call runs that warm-up: it is folded into 32 register states computed
 once per process, x1's and one x2 state per bit of c_init, from which a
 call starts and generates only the n outputs it returns.
+c_init has no slot term (TS 38.211 7.3.1.1), so every transmission of one
+UE and codeword reads the same sequence: ``sequence`` keeps the last
+``SEQUENCE_CACHE_SIZE`` (c_init, n) results, read-only, and a chain's
+scrambling and descrambling of one identity build its bits once.
 Descrambling operates on LLRs by conditional negation: flipping the
 underlying bit negates the log-ratio, and the symmetric SoftLlr range
 makes negation exact.
@@ -14,6 +18,7 @@ makes negation exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .ldpc import as_bits, as_int, as_softllr
 
 WARMUP = 1600
 _REG_BITS = 31
+SEQUENCE_CACHE_SIZE = 16  # (c_init, n) sequences kept, each n bytes
 
 
 @dataclass(frozen=True)
@@ -88,16 +94,21 @@ def _outputs(state: int, taps: tuple[int, ...], n: int) -> int:
 
 
 def sequence(identity: ScramblingIdentity, n: int) -> np.ndarray:
-    """First n scrambling bits for this identity."""
-    n = as_int(n, "sequence length", 0)
-    c_init = identity.c_init
+    """First n scrambling bits for this identity, as a shared read-only array."""
+    return _sequence(identity.c_init, as_int(n, "sequence length", 0))
+
+
+@lru_cache(maxsize=SEQUENCE_CACHE_SIZE)
+def _sequence(c_init: int, n: int) -> np.ndarray:
     x2 = 0
     for i, state in enumerate(_X2_WARM):
         if c_init >> i & 1:
             x2 ^= state
     bits = _outputs(_X1_WARM, _X1_TAPS, n) ^ _outputs(x2, _X2_TAPS, n)
-    return np.unpackbits(np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8),
-                         count=n, bitorder="little")
+    seq = np.unpackbits(np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8),
+                        count=n, bitorder="little")
+    seq.flags.writeable = False
+    return seq
 
 
 def scramble_bits(bits: np.ndarray, identity: ScramblingIdentity) -> np.ndarray:

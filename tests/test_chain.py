@@ -210,6 +210,19 @@ class TestHarqCombining:
         assert pool.bindings.keys() == before.keys()
         assert all(pool.bindings[pid] is buf for pid, buf in before.items())
 
+    def test_retransmission_with_other_filler_count_rejected(self):
+        # K' = 190 lifts to the same BG2 Zc = 20 as K' = 192, with 10 fillers, not 8
+        cfg = ChainConfig(**HARQ_POINT)
+        other = ChainConfig(**{**HARQ_POINT, "k_prime": 190})
+        (code, fillers), (other_code, other_fillers) = cfg.code(), other.code()
+        assert other_code == code and other_fillers != fillers
+        pool = HarqBufferPool()
+        llrs = np.zeros(cfg.G, np.int8)
+        decode_chain_from_llrs(cfg, llrs, pool, release=False)
+        with pytest.raises(ValueError, match="filler"):
+            decode_chain_from_llrs(other, llrs, pool, new_packet=False)
+        decode_chain_from_llrs(cfg, llrs, pool, new_packet=False)
+
     def test_retransmission_may_change_er_and_qm(self):
         # positions are derived per transmission, so a later round may use
         # a different rate-matched length and modulation order

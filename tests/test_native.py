@@ -26,6 +26,7 @@ from nrphy.llr import (MODULATION_ORDERS, DemapperParams, EqualizedSymbols, llr_
 from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
 from test_ldpc import (OnDecoderPath, max_conf_llrs, random_codeword, reference_encode,
                        zero_extension_blocks)
+from test_llr import all_labels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -264,6 +265,38 @@ class TestStagesEqualNumpy(OnDecoderPath):
             if params.inv_noise == 0xFFFF:
                 assert {-31, 0, 31} <= set(native.tolist())
 
+    @pytest.mark.parametrize("q_m", MODULATION_ORDERS)
+    def test_modulate_bit_exact(self, monkeypatch, q_m):
+        rng = np.random.default_rng(400 + q_m)
+        bits = rng.integers(0, 2, 600 * q_m, dtype=np.uint8)
+        # a view with a stride of two bytes, whose neighbours are its complements
+        spread = np.stack([bits, 1 - bits], axis=1).reshape(-1)
+        view = spread[::2]
+        assert not view.flags.c_contiguous
+        read_only = bits.copy()
+        read_only.flags.writeable = False
+        for label, stream in (("random", bits), ("strided", view), ("read-only", read_only),
+                              ("zeros", np.zeros(600 * q_m, np.uint8)),
+                              ("every label", all_labels(q_m).reshape(-1)),
+                              ("no symbols", np.zeros(0, np.uint8))):
+            native, numpy = on_both_paths(monkeypatch, lambda: modulate(stream, q_m))
+            assert native.re.dtype == numpy.re.dtype == np.int16, label
+            assert np.array_equal(native.re, numpy.re), label
+            assert np.array_equal(native.im, numpy.im), label
+            if label == "strided":
+                assert np.array_equal(native.values(), modulate(bits, q_m).values())
+            if label == "every label":
+                assert len(set(native.values())) == 2 ** q_m
+
+    def test_address_is_the_data_pointer(self):
+        # a writable array's is read through a ctypes view of its buffer; a
+        # read-only or empty one's, which that view refuses, through .ctypes
+        writable = np.arange(8, dtype=np.int16)[2:]
+        read_only = writable.copy()
+        read_only.flags.writeable = False
+        for array in (writable, read_only, np.zeros(0, np.uint8)):
+            assert _native.address(array) == array.ctypes.data
+
     def test_demap_of_no_symbols(self, monkeypatch):
         sym = EqualizedSymbols(np.zeros(0, np.int16), np.zeros(0, np.int16))
         native, numpy = on_both_paths(
@@ -295,16 +328,18 @@ class TestStagesEqualNumpy(OnDecoderPath):
             assert {-31, 31} <= set(buffers[0].llrs.tolist())
 
 
-# Defines run_stages(): every kernel stage on fixed inputs, the decode and the encode twice.
+# Defines run_stages(): every kernel stage on fixed inputs, the decode and the encode
+# twice, the modulation at every order.
 STAGES = """
 import numpy as np
 from nrphy.ldpc import BaseGraphId, InfoBlock, build_code, ldpc_decode, ldpc_encode
-from nrphy.llr import DemapperParams, EqualizedSymbols, llr_estimate
+from nrphy.llr import DemapperParams, EqualizedSymbols, llr_estimate, modulate
 from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
 code = build_code(BaseGraphId.BG2, 20)
 rng = np.random.default_rng(5)
 llr = rng.integers(-31, 32, code.N_full).astype(np.int8)
 symbols = EqualizedSymbols(*rng.integers(-32768, 32768, (2, 300)).astype(np.int16))
+tx_bits = rng.integers(0, 2, 300 * 8, dtype=np.uint8)
 received = rng.integers(-31, 32, 2 * code.N_cb).astype(np.int8)
 infos = [np.zeros(code.K, np.uint8) for _ in range(2)]
 infos[0][:code.K - 24] = rng.integers(0, 2, code.K - 24)
@@ -317,6 +352,8 @@ def run_stages():
     return {
         "results": [[r.hard_bits.tolist(), r.iterations_used, r.termination_reason.value]
                     for r in results],
+        "modulated": [[s.re.tolist(), s.im.tolist()]
+                      for s in (modulate(tx_bits, q_m) for q_m in (2, 4, 6, 8))],
         "demapped": llr_estimate(symbols, DemapperParams.for_noise(8, 0.01)).tolist(),
         "combined": buf.llrs.tolist(),
         "encoded": [ldpc_encode(code, InfoBlock(bits, fillers)).bits.tolist()
@@ -363,8 +400,8 @@ def assert_numpy_fallback(env, reference_results, preamble=""):
     code, stdout, stderr = run_decode(env, preamble)
     assert code == 0, stderr
     warned, results = decoded(stdout)
-    assert len(warned) == 1 and "encoding" in warned[0] and "decoding with NumPy" in warned[0], \
-        warned
+    assert len(warned) == 1 and "encoding, modulating" in warned[0] \
+        and "decoding with NumPy" in warned[0], warned
     assert results == reference_results
     return warned[0]
 

@@ -230,6 +230,16 @@ class TestHarqPool:
         with pytest.raises(ValueError, match="do not match"):
             pool.acquire(0, False, build_code(BaseGraphId.BG2, 4))
 
+    def test_retransmission_with_other_filler_count_rejected(self):
+        # K' = 8448 and 8348 both lift BG1 to Zc = 384; the bound buffer keeps
+        # its own filler positions, which the other count would combine into
+        code = build_code(BaseGraphId.BG1, 384)
+        pool = HarqBufferPool()
+        bound = pool.acquire(0, True, code, 0)
+        with pytest.raises(ValueError, match="filler"):
+            pool.acquire(0, False, code, 100)
+        assert pool.acquire(0, False, code, 0) is bound
+
     @pytest.mark.parametrize("pid", [-1, 16, 2.5, True, np.bool_(True)], ids=repr)
     def test_process_id_outside_the_pool_rejected(self, small_code, pid):
         pool = HarqBufferPool()

@@ -8,7 +8,9 @@ import pytest
 from nrphy.scramble import (
     _X1_WARM,
     _X2_WARM,
+    SEQUENCE_CACHE_SIZE,
     ScramblingIdentity,
+    _sequence,
     descramble_llrs,
     scramble_bits,
     sequence,
@@ -132,6 +134,42 @@ class TestGoldSequence:
     def test_non_integer_length_rejected(self, n):
         with pytest.raises(ValueError, match="length must be an integer"):
             sequence(ScramblingIdentity(9, 1, 500), n)
+
+
+class TestSequenceCache:
+    def test_result_is_read_only(self):
+        ident = ScramblingIdentity(77, 1, 12)
+        seq = sequence(ident, 300)
+        with pytest.raises(ValueError, match="read-only"):
+            seq[:] = 1 - seq
+        assert np.array_equal(sequence(ident, 300), gold_oracle(ident.c_init, 300))
+
+    def test_identities_and_lengths_never_share_bits(self):
+        # every (identity, length) in an interleaved order, twice: each call
+        # returns its own oracle bits, whatever was asked for just before
+        lengths = (1, 31, 256, 257, 4096)
+        oracles = {i.c_init: gold_oracle(i.c_init, max(lengths)) for i in IDENTITIES}
+        rng = np.random.default_rng(11)
+        pairs = [(i, n) for i in IDENTITIES for n in lengths] * 2
+        for k in rng.permutation(len(pairs)):
+            ident, n = pairs[k]
+            assert np.array_equal(sequence(ident, n), oracles[ident.c_init][:n]), \
+                (ident, n)
+
+    def test_cache_holds_at_most_its_size(self):
+        for rnti in range(SEQUENCE_CACHE_SIZE + 5):
+            sequence(ScramblingIdentity(rnti, 0, 500), 64)
+        info = _sequence.cache_info()
+        assert info.maxsize == SEQUENCE_CACHE_SIZE
+        assert info.currsize <= SEQUENCE_CACHE_SIZE
+
+    def test_scrambled_outputs_are_fresh_and_writable(self):
+        ident = ScramblingIdentity(8, 0, 8)
+        seq = sequence(ident, 64).copy()
+        for out in (scramble_bits(np.zeros(64, np.uint8), ident),
+                    descramble_llrs(np.ones(64, np.int8), ident)):
+            out[:] = 0
+        assert np.array_equal(sequence(ident, 64), seq)
 
 
 class TestScrambleBits:
