@@ -24,6 +24,9 @@ Each stage calls its function where ``library()`` returns the library, and
 runs NumPy otherwise; no setting picks the path. ``library()`` builds or
 loads the library once per process, and where it cannot, it warns once and
 returns None. ``ctypes`` releases the GIL for each call's length.
+``llr.modulate``, called once per transmission with as few as 128
+symbols, passes its arrays through ``address``, which reads a writable
+array's address for less than ``array.ctypes.data`` costs.
 
 The source is compiled with the C compiler named by ``CC`` (else ``cc``),
 for the host CPU, into ``NRPHY_CACHE_DIR`` (else ``~/.cache/nrphy``). The
