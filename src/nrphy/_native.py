@@ -24,9 +24,6 @@ Each stage calls its function where ``library()`` returns the library, and
 runs NumPy otherwise; no setting picks the path. ``library()`` builds or
 loads the library once per process, and where it cannot, it warns once and
 returns None. ``ctypes`` releases the GIL for each call's length.
-``llr.modulate``, called once per transmission with as few as 128
-symbols, passes its arrays through ``address``, which reads a writable
-array's address for less than ``array.ctypes.data`` costs.
 
 The source is compiled with the C compiler named by ``CC`` (else ``cc``),
 for the host CPU, into ``NRPHY_CACHE_DIR`` (else ``~/.cache/nrphy``). The
@@ -132,15 +129,3 @@ def library() -> ctypes.CDLL | None:
                       stacklevel=3)
         return None
 
-
-def address(array) -> int:
-    """The address of a C-contiguous array's data, which must outlive the call it is passed to.
-
-    A writable, non-empty array's address is read through a ``ctypes`` view
-    of its buffer, about 0.5 µs, where ``array.ctypes.data`` builds an
-    object each time, about 1.3 µs; any other array is read that way.
-    """
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    except (TypeError, ValueError):  # read-only, or no byte to view
-        return array.ctypes.data

@@ -193,8 +193,8 @@ def modulate(bits: np.ndarray, q_m: int) -> EqualizedSymbols:
         bits = np.ascontiguousarray(bits)  # held: the kernel reads it through its address
         n = bits.size // q_m
         out = np.empty((2, n), dtype=np.int16)  # re, then im
-        at = _native.address(out)
-        lib.modulate(at, at + out.strides[0], _native.address(bits), n, q_m, *points.tables)
+        at = out.ctypes.data
+        lib.modulate(at, at + out.strides[0], bits.ctypes.data, n, q_m, *points.tables)
         return EqualizedSymbols(out[0], out[1])
     groups = bits.reshape(-1, q_m)
     labels = groups[:, 0].copy()

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -288,14 +289,26 @@ class TestStagesEqualNumpy(OnDecoderPath):
             if label == "every label":
                 assert len(set(native.values())) == 2 ** q_m
 
-    def test_address_is_the_data_pointer(self):
-        # a writable array's is read through a ctypes view of its buffer; a
-        # read-only or empty one's, which that view refuses, through .ctypes
-        writable = np.arange(8, dtype=np.int16)[2:]
-        read_only = writable.copy()
-        read_only.flags.writeable = False
-        for array in (writable, read_only, np.zeros(0, np.uint8)):
-            assert _native.address(array) == array.ctypes.data
+    def test_modulate_holds_its_contiguous_copy_through_the_call(self, monkeypatch):
+        # the kernel reads a strided view's copy by address, so the copy must
+        # outlive the call; freed memory often still holds the right bits
+        kernel, contiguous, copies = _native.library(), np.ascontiguousarray, []
+
+        def tracked(array, *args, **kwargs):
+            copy = contiguous(array, *args, **kwargs)
+            copies.append(weakref.ref(copy))
+            return copy
+
+        class Held:
+            def modulate(self, *args):
+                assert copies[-1]() is not None  # the bits' copy, made just before
+                kernel.modulate(*args)
+
+        monkeypatch.setattr(np, "ascontiguousarray", tracked)
+        monkeypatch.setattr(_native, "library", Held)
+        bits = np.arange(32, dtype=np.uint8)[::2] & 1
+        view = np.stack([bits, bits], axis=1).reshape(-1)[::2]
+        assert np.array_equal(modulate(view, 2).values(), modulate(bits, 2).values())
 
     def test_demap_of_no_symbols(self, monkeypatch):
         sym = EqualizedSymbols(np.zeros(0, np.int16), np.zeros(0, np.int16))
