@@ -47,6 +47,7 @@ from .rate_adapt import (
     materialize_decoder_input,
     rate_match,
     rate_unmatch_combine,
+    receive_block,
 )
 from .scramble import ScramblingIdentity, descramble_llrs, scramble_bits
 

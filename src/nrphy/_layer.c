@@ -2,10 +2,13 @@
  * nrphy's compiled kernel, bit-exact with its NumPy forms, which define it:
  * encode (ldpc.py's ldpc_encode), of which one call encodes one code block,
  * modulate (llr.py's modulate), which reads each symbol's point from its
- * order's two Q3.12 tables, demap (llr.py's llr_estimate), combine
- * (rate_adapt.py's rate_unmatch_combine) and decode, the layered offset
- * min-sum decoder (ldpc.py), of which one call decodes one code block,
- * termination included. encode reads decode's table, described below.
+ * order's two Q3.12 tables, demap (llr.py's llr_estimate), receive
+ * (rate_adapt.py's receive_block), which deinterleaves, combines and lays
+ * out one code block's decoder input, adding each piece of the block that
+ * falls in one contiguous run of the circular buffer at stride Q_m, and
+ * decode, the layered offset min-sum decoder (ldpc.py), of which one call
+ * decodes one code block, termination included. encode reads decode's
+ * table, described below.
  *
  * A layer's block is (degree, stride) int16, row-major: row e holds edge e
  * of every lane, and each lane is one check node, as on a circulant-shift
@@ -15,7 +18,8 @@
  * only table is each edge's (column-block start, shift) pair: a negative
  * start marks padding, where a row has fewer edges than its layer. A layer
  * of extension rows whose own parity blocks were never sent is dead: it
- * runs a read-only step that writes only those blocks. The parity check
+ * runs a read-only step that writes only those blocks, folding its other
+ * edges CHUNK lanes at a time as a live layer does. The parity check
  * XORs the same rotated blocks of the hard decisions, as encode XORs them
  * of the codeword. decode allocates its own working memory per call; it
  * and encode take the code as the same arguments, edges to Zc. Each lane
@@ -201,29 +205,6 @@ static void layer(int16_t *restrict post, const int32_t *restrict edges, int16_t
     }
 }
 
-/* Fold n values of q into each lane's smallest |q| and the XOR of its q. */
-static void fold_min_sign(const int16_t *restrict q, int16_t *restrict min,
-                          int16_t *restrict sx, int n)
-{
-    for (int l = 0; l < n; l++) {
-        int16_t a = (int16_t)(q[l] < 0 ? -q[l] : q[l]);
-        min[l] = a < min[l] ? a : min[l];
-        sx[l] ^= q[l];
-    }
-}
-
-/* The smallest |q| less the offset, floored at 0, negated where the sign
- * XOR is negative: check_node's message to an edge whose own q is 0. */
-static void own_posteriors(int16_t *restrict post, const int16_t *restrict min,
-                           const int16_t *restrict sx, int n)
-{
-    for (int l = 0; l < n; l++) {
-        int16_t m = (int16_t)(min[l] > OFFSET ? min[l] - OFFSET : 0);
-        int16_t s = (int16_t)(sx[l] >> 15);
-        post[l] = (int16_t)((m ^ s) - s);
-    }
-}
-
 /* Whether a layer is dead: each of its rows is an extension row, whose one
  * edge at or past extension (its own block, at shift 0, read by no other
  * row) holds all-zero LLRs. rows is lanes / Zc and blocks the layer's
@@ -243,29 +224,51 @@ static int is_dead(const int8_t *llr, const int32_t *edges, int blocks, int rows
  * iteration, so the row sends 0 to its other edges, which keep their
  * posteriors, and the own block's posterior is its message alone: the
  * smallest |q| of the other edges less the offset, with the XOR of their
- * signs. So the step folds the other edges straight from post and writes
- * only the own blocks; it reads and writes no messages, and padding, which
- * reads +127, is skipped. work holds 2 * lanes int16. */
-static void dead_step(int16_t *post, const int32_t *edges, int16_t *work, int degree,
-                      int lanes, int extension, int Zc)
+ * signs. So the step copies the other edges straight from post into q, as
+ * layer does, sets the own blocks and padding to +127, which changes
+ * neither the smallest |q| (every row has another edge, |q| <= 127) nor
+ * the sign, and folds q CHUNK lanes at a time in registers. Each chunk's
+ * messages go to row 0 of q, whose lanes no later chunk reads, and each
+ * own block (at shift 0) is copied from there. It reads and writes no
+ * messages. */
+static void dead_step(int16_t *restrict post, const int32_t *restrict edges,
+                      int16_t *restrict q, int degree, int rows, int extension, int Zc)
 {
-    int rows = lanes / Zc;
-    int16_t *min = work, *sx = work + lanes;
-    for (int l = 0; l < lanes; l++) {
-        min[l] = INT16_MAX;
-        sx[l] = 0;
-    }
+    int stride = padded(rows * Zc);
     for (int b = 0; b < degree * rows; b++) {
-        int start = edges[2 * b], s = edges[2 * b + 1], j = b % rows * Zc;
-        if (start < 0 || start >= extension)
+        int start = edges[2 * b], s = edges[2 * b + 1], at = b / rows * stride + b % rows * Zc;
+        if (start < 0 || start >= extension) {
+            for (int t = 0; t < Zc; t++)
+                q[at + t] = LLR_MAX;
             continue;
-        fold_min_sign(post + start + s, min + j, sx + j, Zc - s);
-        fold_min_sign(post + start, min + j + Zc - s, sx + j + Zc - s, s);
+        }
+        memcpy(q + at, post + start + s, (size_t)(Zc - s) * sizeof *q);
+        memcpy(q + at + Zc - s, post + start, (size_t)s * sizeof *q);
+    }
+    for (int c = 0; c < stride; c += CHUNK) {
+        int16_t min[CHUNK], sx[CHUNK];
+        for (int l = 0; l < CHUNK; l++) {
+            min[l] = INT16_MAX;
+            sx[l] = 0;
+        }
+        for (int e = 0; e < degree; e++) {
+            const int16_t *qe = q + e * stride + c;
+            for (int l = 0; l < CHUNK; l++) {
+                int16_t a = (int16_t)(qe[l] < 0 ? -qe[l] : qe[l]);
+                min[l] = a < min[l] ? a : min[l];
+                sx[l] ^= qe[l];
+            }
+        }
+        for (int l = 0; l < CHUNK; l++) {
+            int16_t m = (int16_t)(min[l] > OFFSET ? min[l] - OFFSET : 0);
+            int16_t s = (int16_t)(sx[l] >> 15);
+            q[c + l] = (int16_t)((m ^ s) - s);
+        }
     }
     for (int b = 0; b < degree * rows; b++) {
-        int start = edges[2 * b], j = b % rows * Zc;
+        int start = edges[2 * b];
         if (start >= extension)
-            own_posteriors(post + start, min + j, sx + j, Zc);
+            memcpy(post + start, q + b % rows * Zc, (size_t)Zc * sizeof *q);
     }
 }
 
@@ -313,10 +316,9 @@ static int parity_holds(const uint8_t *hard, const int32_t *edges, const int32_t
  * whose rows all own a block that is all zero at entry is dead, decided
  * once, and runs dead_step at its place in every iteration. The
  * posteriors, every layer's (degree, padded(lanes)) messages, zeroed, and
- * a scratch block as large as the largest, which a dead step uses as its
- * work (every row has two edges or more, so it holds 2 * lanes), are one
- * calloc, each followed by CHUNK lanes of slack for sub_run's whole
- * chunks, and freed before returning. The parity check
+ * a scratch block q as large as the largest, which live and dead steps
+ * share, are one calloc, each followed by CHUNK lanes of slack for
+ * sub_run's whole chunks, and freed before returning. The parity check
  * XORs hard, as encode XORs the codeword. Returns the termination reason,
  * or NO_MEMORY, and sets *iterations to the number run. */
 int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t *shape,
@@ -345,7 +347,7 @@ int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t
         for (int i = 0; i < layers; i++) {
             int degree = shape[2 * i], lanes = shape[2 * i + 1];
             if (dead[i])
-                dead_step(post, e, q, degree, lanes, extension, Zc);
+                dead_step(post, e, q, degree, lanes / Zc, extension, Zc);
             else
                 layer(post, e, q, m, degree, lanes / Zc, Zc);
             e += 2 * degree * (lanes / Zc);
@@ -488,32 +490,74 @@ void demap(int8_t *out, const int16_t *re, const int16_t *im, int n, int q_m, in
     }
 }
 
-/* Combining: rate_unmatch_combine's saturating scatter-add */
+/* Receiving: rate_adapt.py's receive_block, one code block per call */
 
-#define COMBINE_CHUNK 4096 /* positions gathered at a time */
-
-/* Add count LLRs to buf at positions idx, in arrival order, saturating each
- * sum at +/-31; buf may hold any int8. No position repeats within a cycle
- * of idx, so each piece of a cycle is gathered, added and scattered back
- * whole, and a position a later cycle reads again holds the earlier sum.
- * Separate loops let the add vectorize; the gather and scatter cannot. */
-void combine(int8_t *buf, const int8_t *llrs, const int64_t *idx, int count, int cycle)
+/* buf[t] += x[t * stride] for t < n, saturating at +/-31; buf may hold any
+ * int8. Every call site passes stride as a constant, so the loads unroll. */
+static inline __attribute__((always_inline)) void
+add_strided(int8_t *restrict buf, const int8_t *restrict x, int n, int stride)
 {
-    int8_t acc[COMBINE_CHUNK];
-    for (int start = 0; start < count; start += cycle) {
-        int end = count - start < cycle ? count : start + cycle;
-        for (int lo = start; lo < end; lo += COMBINE_CHUNK) {
-            int len = end - lo < COMBINE_CHUNK ? end - lo : COMBINE_CHUNK;
-            const int64_t *pos = idx + lo;
-            for (int j = 0; j < len; j++)
-                acc[j] = buf[pos[j]];
-            const int8_t *x = llrs + lo;
-            for (int j = 0; j < len; j++) {
-                int v = acc[j] + x[j];
-                acc[j] = (int8_t)(v > SOFT_MAX ? SOFT_MAX : v < -SOFT_MAX ? -SOFT_MAX : v);
+    for (int t = 0; t < n; t++) {
+        int v = buf[t] + x[t * stride];
+        buf[t] = (int8_t)(v > SOFT_MAX ? SOFT_MAX : v < -SOFT_MAX ? -SOFT_MAX : v);
+    }
+}
+
+/* One pass over the circular buffer of n_cb values from k0, wrapping at
+ * n_cb and skipping the fillers [fs, fe), as (start, stop) runs in read
+ * order: each half, [k0, n_cb) and [0, k0), less the fillers, two pieces
+ * per half of which the empty ones are dropped. Returns the count, at most
+ * 3; rate_adapt.py's _cycle_runs defines them. */
+static int cycle_runs(int run[4][2], int n_cb, int k0, int fs, int fe)
+{
+    int count = 0;
+    if (fs == fe)
+        fs = fe = n_cb;
+    const int half[2][2] = {{k0, n_cb}, {0, k0}};
+    for (int h = 0; h < 2; h++) {
+        int lo = half[h][0], hi = half[h][1];
+        const int piece[2][2] = {{lo, hi < fs ? hi : fs}, {lo > fe ? lo : fe, hi}};
+        for (int p = 0; p < 2; p++)
+            if (piece[p][0] < piece[p][1]) {
+                run[count][0] = piece[p][0];
+                run[count++][1] = piece[p][1];
             }
-            for (int j = 0; j < len; j++)
-                buf[pos[j]] = acc[j];
+    }
+    return count;
+}
+
+/* Combine one code block's e_r LLRs, in interleaved order, into its soft
+ * buffer buf of n_cb values and write the decoder's n = head + n_cb input
+ * to out. Deinterleaved value j is slice i = j / k, k = e_r / q_m, read at
+ * llrs[(j - i * k) * q_m + i]; it adds to the j-th position of the passes
+ * over the buffer from k0, so each piece that stays in one run and one
+ * slice is one strided saturating add, and a later pass adds to the sums
+ * of the earlier ones. Then out holds head zeros (the punctured
+ * columns), the buffer, and -31 over the fillers [fs, fe). q_m is 2, 4, 6
+ * or 8 and divides e_r, 0 <= k0 < n_cb and 0 <= fs <= fe < n_cb, as
+ * receive_block's arguments guarantee. */
+void receive(int8_t *out, int8_t *buf, const int8_t *llrs, int e_r, int q_m, int n_cb, int k0,
+             int fs, int fe, int head)
+{
+    int run[4][2], runs = cycle_runs(run, n_cb, k0, fs, fe), k = e_r / q_m;
+    for (int j = 0, r = 0, at = run[0][0]; j < e_r;) {
+        int i = j / k, slice_end = (i + 1) * k;
+        int n = run[r][1] - at < slice_end - j ? run[r][1] - at : slice_end - j;
+        const int8_t *x = llrs + (j - i * k) * q_m + i;
+        switch (q_m) {
+        case 2: add_strided(buf + at, x, n, 2); break;
+        case 4: add_strided(buf + at, x, n, 4); break;
+        case 6: add_strided(buf + at, x, n, 6); break;
+        case 8: add_strided(buf + at, x, n, 8); break;
+        }
+        j += n;
+        at += n;
+        if (at == run[r][1]) {
+            r = (r + 1) % runs;
+            at = run[r][0];
         }
     }
+    memset(out, 0, (size_t)head);
+    memcpy(out + head, buf, (size_t)n_cb);
+    memset(out + head + fs, -SOFT_MAX, (size_t)(fe - fs));
 }

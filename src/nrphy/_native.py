@@ -9,16 +9,18 @@ replaces, which stays the fallback and the oracle in the tests:
 - ``modulate``: every symbol's point, read from its order's two Q3.12
   tables by the label its bits make (``llr.modulate``);
 - ``demap``: every symbol's LLRs (``llr.llr_estimate``);
-- ``combine``: the saturating scatter-add of one transmission's LLRs into
-  a soft buffer (``rate_adapt.rate_unmatch_combine``);
+- ``receive``: one code block's deinterleaving, saturating combine into
+  its soft buffer over the circular buffer's contiguous runs, and decoder
+  input, in one call (``rate_adapt.receive_block``);
 - ``decode``: a code block's whole layered decode, from its LLRs to its
   hard decisions, in memory it allocates per call (-1 where it cannot),
   from one table of each edge's (column-block start, shift) pair. Its
   lane loops saturate in int16 and run the check node 32 lanes at a time,
   its state in registers; a layer whose rows all own a never-sent
-  (all-zero) block runs a read-only step that writes only those blocks,
-  and the parity check XORs the rotated blocks of the hard decisions, as
-  ``encode`` does those of the codeword (``ldpc.ldpc_decode``).
+  (all-zero) block runs a read-only step that folds the other edges the
+  same way and writes only those blocks, and the parity check XORs the
+  rotated blocks of the hard decisions, as ``encode`` does those of the
+  codeword (``ldpc.ldpc_decode``).
 
 Each stage calls its function where ``library()`` returns the library, and
 runs NumPy otherwise; no setting picks the path. ``library()`` builds or
@@ -32,7 +34,7 @@ compiler's version and the host CPU, so a cache hit is one ``dlopen``, and
 it is written under a temporary name and renamed into place, so processes
 that build at once leave one file. ``hashlib`` and ``subprocess`` are
 imported only to build, so a process that never encodes, modulates,
-demaps, combines or decodes does not load them.
+demaps, receives or decodes does not load them.
 """
 
 from __future__ import annotations
@@ -111,8 +113,8 @@ def _build() -> ctypes.CDLL:
     lib.modulate.restype = None
     lib.demap.argtypes = (ptr,) * 3 + (count,) * 7
     lib.demap.restype = None
-    lib.combine.argtypes = (ptr,) * 3 + (count,) * 2
-    lib.combine.restype = None
+    lib.receive.argtypes = (ptr,) * 3 + (count,) * 7
+    lib.receive.restype = None
     lib.encode.argtypes = (ptr, *tables, ptr, count)
     lib.encode.restype = None
     return lib
@@ -125,7 +127,7 @@ def library() -> ctypes.CDLL | None:
         return _build()
     except _BuildError as exc:
         warnings.warn(f"nrphy: native kernel unavailable ({exc}); encoding, modulating, "
-                      "demapping, combining and decoding with NumPy", RuntimeWarning,
+                      "demapping, receiving and decoding with NumPy", RuntimeWarning,
                       stacklevel=3)
         return None
 

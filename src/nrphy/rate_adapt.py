@@ -7,14 +7,14 @@ decode path scatters received LLRs back to their buffer positions with
 saturating addition, so retransmissions with different redundancy
 versions combine into a lower-rate observation. The pool holds at most
 sixteen buffers, one per bound process, each sized for its code.
-Encoder and combiner of every block read the same positions for a given
-transmission layout, so each selection is built once and shared read-only.
+Encoder and combiner read the same positions: one pass over the buffer is
+at most three contiguous runs, derived from (N_cb, k0, fillers), and a
+transmission reads them in turn until it has E_r values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,23 +65,37 @@ def buffer_filler_range(code: LiftedLdpcCode, filler_count: int) -> range:
     return range(end - filler_count, end)
 
 
-@lru_cache(maxsize=None)
-def _selection_indices(n_cb: int, k0: int, filler_range: range, count: int) -> np.ndarray:
-    """Buffer positions read/written by ``count`` values, as a read-only array."""
-    usable = np.ones(n_cb, dtype=bool)
-    usable[filler_range.start:filler_range.stop] = False
-    order = np.roll(np.arange(n_cb, dtype=np.int64), -k0)  # the kernel reads int64
-    idx = np.resize(order[usable[order]], count)
-    idx.flags.writeable = False
-    return idx
+def _cycle_runs(n_cb: int, k0: int, filler_range: range) -> list[tuple[int, int]]:
+    """One pass over the buffer from k0, fillers skipped, as (start, stop) runs in order.
+
+    Each half of the pass, [k0, N_cb) and then [0, k0), less the filler
+    range, which splits at most one of them: at most three runs.
+    """
+    fs, fe = (filler_range.start, filler_range.stop) if filler_range else (n_cb, n_cb)
+    return [(a, b) for lo, hi in ((k0, n_cb), (0, k0))
+            for a, b in ((lo, min(hi, fs)), (max(lo, fe), hi)) if a < b]
+
+
+def _selection(code: LiftedLdpcCode, filler_range: range, cfg: RateMatchConfig):
+    """The buffer runs that one transmission's E_r values read or write, in order.
+
+    The pass's runs repeat until E_r values are placed; the last is cut short.
+    """
+    runs, left = _cycle_runs(code.N_cb, k0_start(code, cfg.rv), filler_range), cfg.E_r
+    while left:
+        for a, b in runs:
+            n = min(b - a, left)
+            yield a, a + n
+            left -= n
+            if not left:
+                return
 
 
 def rate_match(codeword: Codeword, filler_range: range, cfg: RateMatchConfig) -> np.ndarray:
     """Select E_r bits from the circular buffer for one transmission."""
     code = codeword.code
     buf = np.asarray(codeword.bits, dtype=np.uint8)[2 * code.Zc:]
-    idx = _selection_indices(code.N_cb, k0_start(code, cfg.rv), filler_range, cfg.E_r)
-    return buf[idx]
+    return np.concatenate([buf[a:b] for a, b in _selection(code, filler_range, cfg)])
 
 
 def interleave(e: np.ndarray, q_m: int) -> np.ndarray:
@@ -168,38 +182,38 @@ class HarqBufferPool:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
 
 
-def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> None:
-    """Scatter-add received LLRs into their buffer positions (saturating).
+def _checked(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> np.ndarray:
+    """``llrs`` as SoftLlrs, once they and the buffer are checked.
 
-    Positions hit more than once by one transmission (wrap-around
-    repetition) accumulate every copy, in arrival order. The buffer's
-    ``llrs`` must be a writable, C-contiguous int8 array of N_cb values,
-    else ValueError. The compiled kernel does the same in one call where
-    it can be built.
+    ValueError unless ``llrs`` are E_r SoftLlrs and the buffer's ``llrs`` is
+    a writable, C-contiguous int8 array of N_cb values, which a combine
+    writes in place.
     """
-    raw = np.ascontiguousarray(as_softllr(llrs))
+    raw = as_softllr(llrs)
     if raw.shape != (cfg.E_r,):
         raise ValueError("LLR count must equal E_r")
-    code = buffer.code
-    buf = buffer.llrs
-    if not (isinstance(buf, np.ndarray) and buf.dtype == np.int8 and buf.shape == (code.N_cb,)
+    buf, n_cb = buffer.llrs, buffer.code.N_cb
+    if not (isinstance(buf, np.ndarray) and buf.dtype == np.int8 and buf.shape == (n_cb,)
             and buf.flags.c_contiguous and buf.flags.writeable):
         raise ValueError(f"soft buffer must be a writable, contiguous int8 array of "
-                         f"N_cb = {code.N_cb} LLRs")
-    idx = _selection_indices(code.N_cb, k0_start(code, cfg.rv),
-                             buffer.filler_range, cfg.E_r)
-    cycle = code.N_cb - len(buffer.filler_range)
-    lib = _native.library()
-    if lib is not None:
-        lib.combine(buf.ctypes.data, raw.ctypes.data, idx.ctypes.data, cfg.E_r, cycle)
-        return
-    # Within one pass over the buffer every position is unique, so each
-    # chunk is an exact element-wise saturating add in arrival order. The
-    # sum is int16, so any int8 the public buffer holds saturates too.
-    for start in range(0, cfg.E_r, cycle):
-        pos = idx[start:start + cycle]
-        acc = np.add(buf[pos], raw[start:start + cycle], dtype=np.int16)
-        buf[pos] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
+                         f"N_cb = {n_cb} LLRs")
+    return raw
+
+
+def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> None:
+    """Add received LLRs into their buffer positions (saturating), run by run.
+
+    Positions hit more than once by one transmission (wrap-around
+    repetition) accumulate every copy, in arrival order. The sum is int16,
+    so any int8 the public buffer holds saturates too. ValueError as
+    :func:`_checked` says.
+    """
+    raw = _checked(buffer, llrs, cfg)
+    buf, at = buffer.llrs, 0
+    for a, b in _selection(buffer.code, buffer.filler_range, cfg):
+        acc = np.add(buf[a:b], raw[at:at + b - a], dtype=np.int16)
+        buf[a:b] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
+        at += b - a
 
 
 def materialize_decoder_input(buffer: SoftBuffer) -> np.ndarray:
@@ -209,4 +223,26 @@ def materialize_decoder_input(buffer: SoftBuffer) -> np.ndarray:
     out[2 * code.Zc:] = buffer.llrs
     out[2 * code.Zc + buffer.filler_range.start:
         2 * code.Zc + buffer.filler_range.stop] = FILLER_LLR_RAW
+    return out
+
+
+def receive_block(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> np.ndarray:
+    """Combine one code block's received LLRs into its soft buffer; return the decoder input.
+
+    ``llrs`` are the block's E_r descrambled LLRs in interleaved order. This is
+    :func:`deinterleave`, then :func:`rate_unmatch_combine`, then
+    :func:`materialize_decoder_input`, which define it; the compiled kernel
+    does all three in one call where it can be built, reading the block at
+    stride Q_m. ValueError as :func:`_checked` says, before anything is written.
+    """
+    raw = _checked(buffer, llrs, cfg)
+    lib = _native.library()
+    if lib is None:
+        rate_unmatch_combine(buffer, deinterleave(raw, cfg.Q_m), cfg)
+        return materialize_decoder_input(buffer)
+    code, fillers = buffer.code, buffer.filler_range
+    raw = np.ascontiguousarray(raw)
+    out = np.empty(code.N_full, dtype=np.int8)
+    lib.receive(out.ctypes.data, buffer.llrs.ctypes.data, raw.ctypes.data, cfg.E_r, cfg.Q_m,
+                code.N_cb, k0_start(code, cfg.rv), fillers.start, fillers.stop, 2 * code.Zc)
     return out

@@ -23,7 +23,7 @@ from nrphy.harness import (
 from nrphy.harness.config import load_config, parse_config_text
 from nrphy.ldpc import ldpc_decode
 from nrphy.llr import awgn, pack_llr_words
-from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
+from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine, receive_block
 from nrphy.scramble import descramble_llrs
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_words.txt")
@@ -397,14 +397,14 @@ class TestBlerMonotonicity:
 
 
 def fastest_benches(cfg, *block_counts):
-    """Per block count, the fastest of three ``run_throughput_bench`` runs.
+    """Per block count, the fastest of five ``run_throughput_bench`` runs.
 
     The runs alternate between the counts, so a host whose speed drifts
     during the test slows every count alike. Each run already times its
     decode passes for at least ``MIN_TIMED_S`` and reports the median, so
     one slow stretch of the host cannot slow every run of one count.
     """
-    runs = [[run_throughput_bench(cfg, n) for n in block_counts] for _ in range(3)]
+    runs = [[run_throughput_bench(cfg, n) for n in block_counts] for _ in range(5)]
     return [min(reports, key=lambda r: r.wall_clock_s) for reports in zip(*runs)]
 
 
@@ -495,14 +495,15 @@ def _softllr_readers():
     cfg = ChainConfig(k_prime=100, e_r=256, target_rate=0.5)
     code, filler = cfg.code()
 
-    def combine(llrs):
+    def combine(llrs, stage=rate_unmatch_combine):
         buf = HarqBufferPool().acquire(0, True, code, filler)
-        rate_unmatch_combine(buf, llrs, RateMatchConfig(E_r=cfg.e_r, rv=0, Q_m=cfg.q_m))
+        stage(buf, llrs, RateMatchConfig(E_r=cfg.e_r, rv=0, Q_m=cfg.q_m))
 
     return {
         "ldpc_decode": (code.N_full, lambda llrs: ldpc_decode(code, llrs)),
         "descramble_llrs": (cfg.G, lambda llrs: descramble_llrs(llrs, cfg.identity)),
         "rate_unmatch_combine": (cfg.e_r, combine),
+        "receive_block": (cfg.e_r, lambda llrs: combine(llrs, receive_block)),
         "pack_llr_words": (7, pack_llr_words),
         "decode_chain_from_llrs": (
             cfg.G, lambda llrs: decode_chain_from_llrs(cfg, llrs, HarqBufferPool())),

@@ -4,6 +4,7 @@ The build tests run a fresh interpreter each, with its own empty cache
 directory, because the kernel is built and loaded once per process.
 """
 
+import itertools
 import json
 import os
 import platform
@@ -24,7 +25,7 @@ from nrphy.ldpc import (LIFTING_SETS, BaseGraphId, InfoBlock, TerminationReason,
                         ldpc_decode, ldpc_encode)
 from nrphy.llr import (MODULATION_ORDERS, DemapperParams, EqualizedSymbols, llr_estimate,
                        modulate)
-from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
+from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, receive_block
 from test_ldpc import (OnDecoderPath, max_conf_llrs, random_codeword, reference_encode,
                        zero_extension_blocks)
 from test_llr import all_labels
@@ -336,9 +337,43 @@ class TestStagesEqualNumpy(OnDecoderPath):
                 llrs = rng.integers(-31, 32, e_r).astype(np.int8)
                 cfg = RateMatchConfig(E_r=e_r, rv=rv, Q_m=2)
                 stages = iter(buffers)
-                on_both_paths(monkeypatch, lambda: rate_unmatch_combine(next(stages), llrs, cfg))
+                native, numpy = on_both_paths(
+                    monkeypatch, lambda: receive_block(next(stages), llrs, cfg))
+                assert np.array_equal(native, numpy), (e_r, rv)
                 assert np.array_equal(buffers[0].llrs, buffers[1].llrs), (e_r, rv)
             assert {-31, 31} <= set(buffers[0].llrs.tolist())
+
+    def test_receive_block_bit_exact(self, monkeypatch):
+        # both base graphs at their smallest, a middle and their largest Zc;
+        # every order and rv, no and the most fillers, E_r below N_cb and
+        # above it; fresh buffers and buffers held at +/-31; the LLRs as a
+        # view with a stride of two, whose neighbours are their negations
+        rng = np.random.default_rng(2026)
+        cases = 0
+        for bg in BaseGraphId:
+            for Zc in (2, 64, 384):
+                code = build_code(bg, Zc)
+                for fillers, q_m, rv, e_r, held in itertools.product(
+                        (0, code.K - 2 * Zc), MODULATION_ORDERS, range(4),
+                        (code.N_cb // 3, 2 * code.N_cb + 4), (False, True)):
+                    e_r -= e_r % q_m
+                    llrs = rng.integers(-31, 32, e_r).astype(np.int8)
+                    spread = np.stack([llrs, -llrs], axis=1).reshape(-1)
+                    rails = rng.choice(np.array([-31, 31], np.int8), code.N_cb)
+                    buffers = [HarqBufferPool().acquire(0, True, code, fillers)
+                               for _ in range(2)]
+                    for buf in buffers:
+                        buf.llrs[:] = rails if held else 0
+                    cfg = RateMatchConfig(E_r=e_r, rv=rv, Q_m=q_m)
+                    stages = iter(buffers)
+                    native, numpy = on_both_paths(
+                        monkeypatch, lambda: receive_block(next(stages), spread[::2], cfg))
+                    label = f"{bg.name} Zc={Zc} F={fillers} Q_m={q_m} rv={rv} E_r={e_r} {held=}"
+                    assert native.dtype == numpy.dtype == np.int8, label
+                    assert np.array_equal(native, numpy), label
+                    assert np.array_equal(buffers[0].llrs, buffers[1].llrs), label
+                    cases += 1
+        assert cases == 2 * 3 * 2 * 4 * 4 * 2 * 2
 
 
 # Defines run_stages(): every kernel stage on fixed inputs, the decode and the encode
@@ -347,7 +382,7 @@ STAGES = """
 import numpy as np
 from nrphy.ldpc import BaseGraphId, InfoBlock, build_code, ldpc_decode, ldpc_encode
 from nrphy.llr import DemapperParams, EqualizedSymbols, llr_estimate, modulate
-from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, rate_unmatch_combine
+from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, receive_block
 code = build_code(BaseGraphId.BG2, 20)
 rng = np.random.default_rng(5)
 llr = rng.integers(-31, 32, code.N_full).astype(np.int8)
@@ -361,7 +396,7 @@ infos[1][:] = rng.integers(0, 2, code.K)
 def run_stages():
     results = [ldpc_decode(code, llr) for _ in range(2)]
     buf = HarqBufferPool().acquire(0, True, code, 24)
-    rate_unmatch_combine(buf, received, RateMatchConfig(E_r=received.size, rv=2, Q_m=2))
+    decoder_input = receive_block(buf, received, RateMatchConfig(E_r=received.size, rv=2, Q_m=4))
     return {
         "results": [[r.hard_bits.tolist(), r.iterations_used, r.termination_reason.value]
                     for r in results],
@@ -369,6 +404,7 @@ def run_stages():
                       for s in (modulate(tx_bits, q_m) for q_m in (2, 4, 6, 8))],
         "demapped": llr_estimate(symbols, DemapperParams.for_noise(8, 0.01)).tolist(),
         "combined": buf.llrs.tolist(),
+        "decoder_input": decoder_input.tolist(),
         "encoded": [ldpc_encode(code, InfoBlock(bits, fillers)).bits.tolist()
                     for bits, fillers in zip(infos, (24, 0))],
     }
@@ -441,16 +477,19 @@ NO_AVX512 = "-mno-avx512f"
 X86_64 = pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                             reason="-mno-avx512f is an x86-64 flag")
 
-# Decodes every sixth of equality_inputs() on the kernel and in NumPy; prints
-# whether the kernel built and the labels of the decodes that differ.
+# Decodes every sixth of equality_inputs() on the kernel and in NumPy, then
+# receives a code block at every order and rv on both; prints whether the
+# kernel built, the counts, and the labels of the decodes and receives that differ.
 WITHOUT_AVX512 = """
 import itertools, json, sys
+import numpy as np
 sys.path.insert(0, sys.argv[1])
 from nrphy import _native
-from nrphy.ldpc import ldpc_decode
+from nrphy.ldpc import BaseGraphId, build_code, ldpc_decode
+from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, receive_block
 from test_native import equality_inputs
 kernel = _native.library
-built, differ, decodes = kernel() is not None, [], 0
+built, differ, decodes, receives = kernel() is not None, [], 0, 0
 for label, code, llr in itertools.islice(equality_inputs(), 0, None, 6):
     _native.library = kernel
     native = ldpc_decode(code, llr)
@@ -460,7 +499,22 @@ for label, code, llr in itertools.islice(equality_inputs(), 0, None, 6):
     if (native.hard_bits.tobytes(), native.iterations_used, native.termination_reason) != \\
        (numpy.hard_bits.tobytes(), numpy.iterations_used, numpy.termination_reason):
         differ.append(label)
-print(json.dumps({"built": built, "decodes": decodes, "differ": differ}))
+code = build_code(BaseGraphId.BG1, 384)
+rng = np.random.default_rng(26)
+for q_m, rv in itertools.product((2, 4, 6, 8), range(4)):
+    llrs = rng.integers(-31, 32, 2 * code.N_cb // 24 * 24).astype(np.int8)
+    cfg = RateMatchConfig(E_r=llrs.size, rv=rv, Q_m=q_m)
+    held = rng.choice(np.array([-31, 31], np.int8), code.N_cb) if rv else 0
+    outputs = []
+    for library in (kernel, lambda: None):
+        _native.library = library
+        buf = HarqBufferPool().acquire(0, True, code, 100)
+        buf.llrs[:] = held
+        outputs.append((receive_block(buf, llrs, cfg).tobytes(), buf.llrs.tobytes()))
+    receives += 1
+    if outputs[0] != outputs[1]:
+        differ.append(f"receive Q_m={q_m} rv={rv}")
+print(json.dumps({"built": built, "decodes": decodes, "receives": receives, "differ": differ}))
 """
 
 
@@ -543,7 +597,8 @@ class TestBuild(OnDecoderPath):
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         out = json.loads(done.stdout)
-        assert out["built"] and out["decodes"] == 96 and out["differ"] == []
+        assert out["built"] and out["decodes"] == 96 and out["receives"] == 16
+        assert out["differ"] == []
         assert len(list(tmp_path.glob("_layer-*.so"))) == 1
 
     def test_other_compiler_flags_get_their_own_cache_file(self, tmp_path):

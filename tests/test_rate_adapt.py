@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nrphy import _native
 from nrphy.errors import PoolExhaustedError, UnknownProcessError
-from nrphy.ldpc import BaseGraphId, InfoBlock, build_code, ldpc_encode, select_lifting
+from nrphy.ldpc import BaseGraphId, Codeword, InfoBlock, build_code, ldpc_encode, select_lifting
 from nrphy.rate_adapt import (
     FILLER_LLR_RAW,
     HarqBufferPool,
@@ -19,8 +19,28 @@ from nrphy.rate_adapt import (
     materialize_decoder_input,
     rate_match,
     rate_unmatch_combine,
-    _selection_indices,
+    receive_block,
+    _cycle_runs,
 )
+
+
+def selection_indices(n_cb, k0, filler_range, count):
+    """The index definition of one transmission's buffer positions, in order.
+
+    The buffer read circularly from k0, fillers skipped, repeated to ``count``.
+    """
+    usable = np.ones(n_cb, dtype=bool)
+    usable[filler_range.start:filler_range.stop] = False
+    order = np.roll(np.arange(n_cb), -k0)
+    return np.resize(order[usable[order]], count)
+
+
+def combine_oracle(held, llrs, idx):
+    """``held`` after adding ``llrs`` at ``idx`` in order, each sum saturated at +/-31."""
+    out = held.astype(np.int64)
+    for p, v in zip(idx.tolist(), llrs.tolist()):
+        out[p] = min(max(out[p] + v, -31), 31)
+    return out
 
 
 @pytest.fixture
@@ -360,6 +380,52 @@ class TestRateUnmatchCombine:
         assert np.array_equal(outputs[0], outputs[1])
 
 
+def selection_cases():
+    """(label, code, filler range, cfg): every rv, filler counts of 0, some and
+    K - 2Zc, E_r below, equal to and above N_cb, on both base graphs."""
+    for bg, Zc in ((BaseGraphId.BG1, 2), (BaseGraphId.BG1, 13), (BaseGraphId.BG2, 2),
+                   (BaseGraphId.BG2, 20)):
+        code = build_code(bg, Zc)
+        max_fillers = code.K - 2 * Zc
+        for fillers in (0, max_fillers // 3, max_fillers):
+            fr = buffer_filler_range(code, fillers)
+            for e_r in (2 * (code.N_cb // 5), code.N_cb, 2 * code.N_cb + 6):
+                for rv in range(4):
+                    label = f"{bg.name} Zc={Zc} fillers={fillers} E_r={e_r} rv={rv}"
+                    yield label, code, fr, RateMatchConfig(E_r=e_r, rv=rv, Q_m=2)
+
+
+class TestSelectionRuns:
+    """Rate matching and combining read the circular buffer as contiguous runs."""
+
+    def test_runs_are_one_pass_of_the_index_definition(self):
+        for label, code, fr, cfg in selection_cases():
+            runs = _cycle_runs(code.N_cb, k0_start(code, cfg.rv), fr)
+            assert 1 <= len(runs) <= 3, label
+            cycle = np.concatenate([np.arange(a, b) for a, b in runs])
+            assert np.array_equal(cycle, selection_indices(code.N_cb, k0_start(code, cfg.rv),
+                                                           fr, code.N_cb - len(fr))), label
+
+    def test_rate_match_reads_the_indexed_positions(self):
+        rng = np.random.default_rng(31)
+        for label, code, fr, cfg in selection_cases():
+            bits = rng.integers(0, 2, code.N_full).astype(np.uint8)
+            out = rate_match(Codeword(bits, code), fr, cfg)
+            idx = selection_indices(code.N_cb, k0_start(code, cfg.rv), fr, cfg.E_r)
+            assert np.array_equal(out, bits[2 * code.Zc:][idx]), label
+
+    def test_combine_adds_at_the_indexed_positions(self):
+        rng = np.random.default_rng(32)
+        for label, code, fr, cfg in selection_cases():
+            buf = HarqBufferPool().acquire(0, True, code, len(fr))
+            held = rng.integers(-31, 32, code.N_cb).astype(np.int8)
+            buf.llrs[:] = held
+            llrs = rng.integers(-31, 32, cfg.E_r).astype(np.int8)
+            rate_unmatch_combine(buf, llrs, cfg)
+            idx = selection_indices(code.N_cb, k0_start(code, cfg.rv), fr, cfg.E_r)
+            assert np.array_equal(buf.llrs, combine_oracle(held, llrs, idx)), label
+
+
 class TestRateMatchUnmatchAdjoint:
     @pytest.mark.parametrize("rv", [0, 1, 2, 3])
     @pytest.mark.parametrize("e_r", [24, 120, 1200])
@@ -394,10 +460,7 @@ class TestRateMatchUnmatchAdjoint:
         order = np.concatenate([np.arange(k0, code.N_cb), np.arange(0, k0)])
         order = order[usable[order]]
         touched[order[np.arange(e_r) % len(order)]] = True
-        # encoder and combiner share one read-only selection per transmission
-        idx = _selection_indices(code.N_cb, k0, fr, e_r)
-        assert idx is _selection_indices(code.N_cb, k0, fr, e_r)
-        assert not idx.flags.writeable
+        idx = selection_indices(code.N_cb, k0, fr, e_r)
         assert np.array_equal(idx, order[np.arange(e_r) % len(order)])
 
         body = full[2 * code.Zc:]
@@ -410,6 +473,46 @@ class TestRateMatchUnmatchAdjoint:
         assert np.array_equal(sent > 0, sent_bits == 1)
         # untouched non-filler positions remain erased
         assert not body[~touched & ~filler_mask].any()
+
+
+class TestReceiveBlock:
+    def test_numpy_body_is_the_three_stages(self, small_code, monkeypatch):
+        monkeypatch.setattr(_native, "library", lambda: None)
+        rng = np.random.default_rng(33)
+        cfg = RateMatchConfig(E_r=3 * small_code.N_cb // 2 // 4 * 4, rv=2, Q_m=4)
+        llrs = rng.integers(-31, 32, cfg.E_r).astype(np.int8)
+        bufs = [HarqBufferPool().acquire(0, True, small_code, 0) for _ in range(2)]
+        got = receive_block(bufs[0], llrs, cfg)
+        rate_unmatch_combine(bufs[1], deinterleave(llrs, 4), cfg)
+        assert np.array_equal(got, materialize_decoder_input(bufs[1]))
+        assert np.array_equal(bufs[0].llrs, bufs[1].llrs)
+
+    @pytest.mark.parametrize("path", ["native", "numpy"])
+    @pytest.mark.parametrize("make", [
+        lambda held, n: _read_only(held[:n]),
+        lambda held, n: held[::2],
+        lambda held, n: held[:n].view(np.uint8),
+        lambda held, n: held.view(np.int16),
+        lambda held, n: held[:n - 1],
+        lambda held, n: held[:n + 1],
+    ], ids=["read-only", "strided", "uint8", "int16", "short", "long"])
+    def test_rejects_a_buffer_before_writing_it(self, small_code, monkeypatch, path, make):
+        # each buffer is a view of held: the kernel would write through its address
+        if path == "numpy":
+            monkeypatch.setattr(_native, "library", lambda: None)
+        held = np.full(2 * small_code.N_cb, 5, np.int8)
+        buf = HarqBufferPool().acquire(0, True, small_code, 0)
+        buf.llrs = make(held, small_code.N_cb)
+        assert np.shares_memory(buf.llrs, held)
+        with pytest.raises(ValueError, match="soft buffer"):
+            receive_block(buf, np.full(40, 3, np.int8), RateMatchConfig(40, 0, 2))
+        assert np.all(held == 5)
+
+
+def _read_only(array):
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 class TestMaterialize:
