@@ -15,6 +15,7 @@ transmission reads them in turn until it has E_r values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,26 +77,31 @@ def _cycle_runs(n_cb: int, k0: int, filler_range: range) -> list[tuple[int, int]
             for a, b in ((lo, min(hi, fs)), (max(lo, fe), hi)) if a < b]
 
 
-def _selection(code: LiftedLdpcCode, filler_range: range, cfg: RateMatchConfig):
-    """The buffer runs that one transmission's E_r values read or write, in order.
+@lru_cache(maxsize=None)
+def _selection(n_cb: int, k0: int, filler_range: range,
+               count: int) -> tuple[tuple[int, int], ...]:
+    """The buffer runs that ``count`` values read or write, in order.
 
-    The pass's runs repeat until E_r values are placed; the last is cut short.
+    The pass's runs repeat until ``count`` values are placed; the last is
+    cut short. A few integers per transmission layout, built once.
     """
-    runs, left = _cycle_runs(code.N_cb, k0_start(code, cfg.rv), filler_range), cfg.E_r
-    while left:
+    runs, pieces = _cycle_runs(n_cb, k0, filler_range), []
+    while count:
         for a, b in runs:
-            n = min(b - a, left)
-            yield a, a + n
-            left -= n
-            if not left:
-                return
+            n = min(b - a, count)
+            pieces.append((a, a + n))
+            count -= n
+            if not count:
+                break
+    return tuple(pieces)
 
 
 def rate_match(codeword: Codeword, filler_range: range, cfg: RateMatchConfig) -> np.ndarray:
     """Select E_r bits from the circular buffer for one transmission."""
     code = codeword.code
     buf = np.asarray(codeword.bits, dtype=np.uint8)[2 * code.Zc:]
-    return np.concatenate([buf[a:b] for a, b in _selection(code, filler_range, cfg)])
+    pieces = _selection(code.N_cb, k0_start(code, cfg.rv), filler_range, cfg.E_r)
+    return np.concatenate([buf[a:b] for a, b in pieces])
 
 
 def interleave(e: np.ndarray, q_m: int) -> np.ndarray:
@@ -209,8 +215,8 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchCon
     :func:`_checked` says.
     """
     raw = _checked(buffer, llrs, cfg)
-    buf, at = buffer.llrs, 0
-    for a, b in _selection(buffer.code, buffer.filler_range, cfg):
+    buf, at, code = buffer.llrs, 0, buffer.code
+    for a, b in _selection(code.N_cb, k0_start(code, cfg.rv), buffer.filler_range, cfg.E_r):
         acc = np.add(buf[a:b], raw[at:at + b - a], dtype=np.int16)
         buf[a:b] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
         at += b - a
