@@ -2,6 +2,7 @@
 
 import math
 import os
+import statistics
 from datetime import timedelta
 
 import numpy as np
@@ -223,6 +224,39 @@ class TestHarqCombining:
             decode_chain_from_llrs(other, llrs, pool, new_packet=False)
         decode_chain_from_llrs(cfg, llrs, pool, new_packet=False)
 
+    def test_rebound_receive_stages_see_every_block_bit_exact(self, monkeypatch):
+        # a caller that rebinds the chain's stage names (perfbench's traced
+        # run) gets one call per stage and block, and the same outcome
+        from nrphy.harness import chain
+        cfg = ChainConfig(**{**HARQ_POINT, "blocks": 3})
+        payload = random_payload(cfg, 6)
+        symbols = [awgn(encode_chain(cfg, payload, rv_round=r).symbols, cfg.sigma2, 60 + r)
+                   for r in range(2)]
+
+        def two_rounds():
+            pool = HarqBufferPool()
+            outs = [decode_chain(cfg, symbols[r], pool, rv_round=r,
+                                 new_packet=r == 0, release=False)
+                    for r in range(2)]
+            return outs, [pool.bindings[pid].llrs.copy() for pid in sorted(pool.bindings)]
+
+        fused_outs, fused_bufs = two_rounds()
+        calls = []
+        for name in ("deinterleave", "rate_unmatch_combine", "materialize_decoder_input"):
+            def counted(*args, _fn=getattr(chain, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(chain, name, counted)
+        staged_outs, staged_bufs = two_rounds()
+        assert len(calls) == 3 * 2 * cfg.blocks
+        for fused, staged in zip(fused_outs, staged_outs):
+            assert np.array_equal(fused.payload, staged.payload)
+            for a, b in zip(fused.results, staged.results):
+                assert np.array_equal(a.hard_bits, b.hard_bits)
+                assert (a.iterations_used, a.termination_reason) == (
+                    b.iterations_used, b.termination_reason)
+        assert all(np.array_equal(a, b) for a, b in zip(fused_bufs, staged_bufs))
+
     def test_retransmission_may_change_er_and_qm(self):
         # positions are derived per transmission, so a later round may use
         # a different rate-matched length and modulation order
@@ -396,16 +430,16 @@ class TestBlerMonotonicity:
         assert blers[0] > blers[-1]
 
 
-def fastest_benches(cfg, *block_counts):
-    """Per block count, the fastest of five ``run_throughput_bench`` runs.
+def bench_rounds(cfg, *block_counts):
+    """Five rounds of ``run_throughput_bench``, one run per block count each.
 
-    The runs alternate between the counts, so a host whose speed drifts
-    during the test slows every count alike. Each run already times its
-    decode passes for at least ``MIN_TIMED_S`` and reports the median, so
-    one slow stretch of the host cannot slow every run of one count.
+    Each run already times its decode passes for at least ``MIN_TIMED_S``
+    and reports the median. The runs of one round follow each other, so a
+    ratio within a round compares one host speed; the tests take the median
+    ratio over the rounds, so a host that speeds up or slows down between
+    rounds (1.6x was seen between two rounds) moves at most one of the five.
     """
-    runs = [[run_throughput_bench(cfg, n) for n in block_counts] for _ in range(5)]
-    return [min(reports, key=lambda r: r.wall_clock_s) for reports in zip(*runs)]
+    return [[run_throughput_bench(cfg, n) for n in block_counts] for _ in range(5)]
 
 
 class TestBenchmark:
@@ -413,10 +447,12 @@ class TestBenchmark:
         # measurement property: per-block rate roughly independent of the
         # batch size; jitter measured at up to ~12%, asserted at 25%
         cfg = ChainConfig()
-        r20, r40 = fastest_benches(cfg, 20, 40)
-        assert r20.bler == 0 and r40.bler == 0
-        ratio = r20.throughput_mbps / r40.throughput_mbps
+        rounds = bench_rounds(cfg, 20, 40)
+        assert all(r.bler == 0 for r in sum(rounds, []))
+        ratio = statistics.median(r20.throughput_mbps / r40.throughput_mbps
+                                  for r20, r40 in rounds)
         assert 0.75 < ratio < 1.33, ratio
+        r20, r40 = rounds[0]
         assert any("899.9" in n for n in r20.notes)
         assert any("900.1" in n for n in r40.notes)
 
@@ -431,8 +467,9 @@ class TestBenchmark:
 
     def test_elapsed_roughly_linear_in_blocks(self):
         cfg = ChainConfig()
-        r10, r40 = fastest_benches(cfg, 10, 40)
-        assert 2.5 < r40.wall_clock_s / r10.wall_clock_s < 6.5
+        ratio = statistics.median(r40.wall_clock_s / r10.wall_clock_s
+                                  for r10, r40 in bench_rounds(cfg, 10, 40))
+        assert 2.5 < ratio < 6.5, ratio
 
 
 class TestConfigParsing:
