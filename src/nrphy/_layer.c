@@ -534,8 +534,9 @@ static int cycle_runs(int run[4][2], int n_cb, int k0, int fs, int fe)
  * slice is one strided saturating add, and a later pass adds to the sums
  * of the earlier ones. Then out holds head zeros (the punctured
  * columns), the buffer, and -31 over the fillers [fs, fe). q_m is 2, 4, 6
- * or 8 and divides e_r, 0 <= k0 < n_cb and 0 <= fs <= fe < n_cb, as
- * receive_block's arguments guarantee. */
+ * or 8 and divides e_r, as RateMatchConfig checks, and 0 <= k0 < n_cb.
+ * receive_block rejects a buffer whose fillers are not buffer_filler_range's
+ * and passes that range's bounds, so 0 <= fs <= fe = K - 2 Zc < n_cb. */
 void receive(int8_t *out, int8_t *buf, const int8_t *llrs, int e_r, int q_m, int n_cb, int k0,
              int fs, int fe, int head)
 {

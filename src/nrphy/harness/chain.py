@@ -34,19 +34,10 @@ from ..rate_adapt import (
 from ..scramble import descramble_llrs, scramble_bits
 from .config import ChainConfig
 
-# The stages receive_block composes, as imported; see _receive_stages_rebound.
+# The stages receive_block composes, as imported. perfbench's traced run
+# times each stage by rebinding its name here; while one is rebound, the
+# chain calls the three through these names, so every block is timed.
 _RECEIVE_STAGES = (deinterleave, rate_unmatch_combine, materialize_decoder_input)
-
-
-def _receive_stages_rebound() -> bool:
-    """Whether a caller has rebound one of this module's receive stage names.
-
-    perfbench's traced run wraps each name in a timer. The chain then calls
-    the three stages one at a time through those names, so the rebinding sees
-    every block; otherwise it makes the one ``receive_block`` call.
-    """
-    current = (deinterleave, rate_unmatch_combine, materialize_decoder_input)
-    return any(fn is not own for fn, own in zip(current, _RECEIVE_STAGES))
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,7 @@ def decode_chain_from_llrs(
     rm_cfg = RateMatchConfig(E_r=cfg.e_r, rv=rv, Q_m=cfg.q_m)
 
     descrambled = descramble_llrs(llrs, cfg.identity)
-    staged = _receive_stages_rebound()
+    staged = (deinterleave, rate_unmatch_combine, materialize_decoder_input) != _RECEIVE_STAGES
     results: list[DecodeResult] = []
     payload = np.empty(cfg.k_prime * cfg.blocks, dtype=np.uint8)
     for b in range(cfg.blocks):

@@ -66,6 +66,21 @@ def buffer_filler_range(code: LiftedLdpcCode, filler_count: int) -> range:
     return range(end - filler_count, end)
 
 
+def _fillers(code: LiftedLdpcCode, filler_range: range) -> range:
+    """``buffer_filler_range(code, n)`` for the n positions ``filler_range`` holds.
+
+    ValueError unless ``filler_range`` is that range or empty: a code's
+    fillers end its systematic columns, and any other range would let the
+    runs or the kernel's writes leave the buffer.
+    """
+    if isinstance(filler_range, range):
+        fillers = buffer_filler_range(code, len(filler_range))
+        if not filler_range or filler_range == fillers:
+            return fillers
+    raise ValueError(f"filler range {filler_range!r} is neither empty nor the last "
+                     f"positions of the K - 2Zc = {code.K - 2 * code.Zc} systematic ones")
+
+
 def _cycle_runs(n_cb: int, k0: int, filler_range: range) -> list[tuple[int, int]]:
     """One pass over the buffer from k0, fillers skipped, as (start, stop) runs in order.
 
@@ -97,10 +112,14 @@ def _selection(n_cb: int, k0: int, filler_range: range,
 
 
 def rate_match(codeword: Codeword, filler_range: range, cfg: RateMatchConfig) -> np.ndarray:
-    """Select E_r bits from the circular buffer for one transmission."""
+    """Select E_r bits from the circular buffer for one transmission.
+
+    ValueError as :func:`_fillers` says for ``filler_range``.
+    """
     code = codeword.code
+    fillers = _fillers(code, filler_range)
     buf = np.asarray(codeword.bits, dtype=np.uint8)[2 * code.Zc:]
-    pieces = _selection(code.N_cb, k0_start(code, cfg.rv), filler_range, cfg.E_r)
+    pieces = _selection(code.N_cb, k0_start(code, cfg.rv), fillers, cfg.E_r)
     return np.concatenate([buf[a:b] for a, b in pieces])
 
 
@@ -188,13 +207,15 @@ class HarqBufferPool:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
 
 
-def _checked(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> np.ndarray:
-    """``llrs`` as SoftLlrs, once they and the buffer are checked.
+def _checked(buffer: SoftBuffer, llrs: np.ndarray,
+             cfg: RateMatchConfig) -> tuple[np.ndarray, range]:
+    """``llrs`` as SoftLlrs and the buffer's fillers, once both are checked.
 
-    ValueError unless ``llrs`` are E_r SoftLlrs and the buffer's ``llrs`` is
-    a writable, C-contiguous int8 array of N_cb values, which a combine
-    writes in place.
+    ValueError unless ``llrs`` are E_r SoftLlrs, the buffer's ``llrs`` is a
+    writable, C-contiguous int8 array of N_cb values, which a combine writes
+    in place, and its ``filler_range`` passes :func:`_fillers`.
     """
+    fillers = _fillers(buffer.code, buffer.filler_range)
     raw = as_softllr(llrs)
     if raw.shape != (cfg.E_r,):
         raise ValueError("LLR count must equal E_r")
@@ -203,7 +224,7 @@ def _checked(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> np.n
             and buf.flags.c_contiguous and buf.flags.writeable):
         raise ValueError(f"soft buffer must be a writable, contiguous int8 array of "
                          f"N_cb = {n_cb} LLRs")
-    return raw
+    return raw, fillers
 
 
 def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> None:
@@ -214,21 +235,24 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchCon
     so any int8 the public buffer holds saturates too. ValueError as
     :func:`_checked` says.
     """
-    raw = _checked(buffer, llrs, cfg)
+    raw, fillers = _checked(buffer, llrs, cfg)
     buf, at, code = buffer.llrs, 0, buffer.code
-    for a, b in _selection(code.N_cb, k0_start(code, cfg.rv), buffer.filler_range, cfg.E_r):
+    for a, b in _selection(code.N_cb, k0_start(code, cfg.rv), fillers, cfg.E_r):
         acc = np.add(buf[a:b], raw[at:at + b - a], dtype=np.int16)
         buf[a:b] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
         at += b - a
 
 
 def materialize_decoder_input(buffer: SoftBuffer) -> np.ndarray:
-    """Full N_full LLR vector: zero punctured head, minimum-LLR fillers."""
+    """Full N_full LLR vector: zero punctured head, minimum-LLR fillers.
+
+    ValueError as :func:`_fillers` says for the buffer's ``filler_range``.
+    """
     code = buffer.code
+    fillers = _fillers(code, buffer.filler_range)
     out = np.zeros(code.N_full, dtype=np.int8)
     out[2 * code.Zc:] = buffer.llrs
-    out[2 * code.Zc + buffer.filler_range.start:
-        2 * code.Zc + buffer.filler_range.stop] = FILLER_LLR_RAW
+    out[2 * code.Zc + fillers.start:2 * code.Zc + fillers.stop] = FILLER_LLR_RAW
     return out
 
 
@@ -241,12 +265,12 @@ def receive_block(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) ->
     does all three in one call where it can be built, reading the block at
     stride Q_m. ValueError as :func:`_checked` says, before anything is written.
     """
-    raw = _checked(buffer, llrs, cfg)
+    raw, fillers = _checked(buffer, llrs, cfg)
     lib = _native.library()
     if lib is None:
         rate_unmatch_combine(buffer, deinterleave(raw, cfg.Q_m), cfg)
         return materialize_decoder_input(buffer)
-    code, fillers = buffer.code, buffer.filler_range
+    code = buffer.code
     raw = np.ascontiguousarray(raw)
     out = np.empty(code.N_full, dtype=np.int8)
     lib.receive(out.ctypes.data, buffer.llrs.ctypes.data, raw.ctypes.data, cfg.E_r, cfg.Q_m,

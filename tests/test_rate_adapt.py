@@ -509,6 +509,48 @@ class TestReceiveBlock:
         assert np.all(held == 5)
 
 
+    # small_code: N_cb = 100 and K - 2Zc = 16, where the fillers end
+    BAD_FILLERS = [range(0, 200), range(0, 100), range(0, 17), range(15, 17), range(5, 8),
+                   range(12, 16, 2), [15]]
+
+    @pytest.mark.parametrize("path", ["native", "numpy"])
+    @pytest.mark.parametrize("fillers", BAD_FILLERS, ids=repr)
+    def test_rejects_fillers_before_writing_the_buffer(self, small_code, monkeypatch,
+                                                        path, fillers):
+        if path == "numpy":
+            monkeypatch.setattr(_native, "library", lambda: None)
+        buf = HarqBufferPool().acquire(0, True, small_code, 0)
+        buf.llrs[:] = 5
+        buf.filler_range = fillers
+        cfg = RateMatchConfig(40, 0, 2)
+        for stage in (receive_block, rate_unmatch_combine):
+            with pytest.raises(ValueError, match="filler"):
+                stage(buf, np.full(40, 3, np.int8), cfg)
+        with pytest.raises(ValueError, match="filler"):
+            materialize_decoder_input(buf)
+        assert np.all(buf.llrs == 5)
+
+    @pytest.mark.parametrize("fillers", BAD_FILLERS, ids=repr)
+    def test_rate_match_rejects_fillers(self, small_codeword, fillers):
+        with pytest.raises(ValueError, match="filler"):
+            rate_match(small_codeword, fillers, RateMatchConfig(40, 0, 2))
+
+    @pytest.mark.parametrize("path", ["native", "numpy"])
+    def test_any_empty_range_is_no_fillers(self, small_code, small_codeword, monkeypatch, path):
+        if path == "numpy":
+            monkeypatch.setattr(_native, "library", lambda: None)
+        cfg = RateMatchConfig(E_r=160, rv=1, Q_m=4)
+        llrs = np.random.default_rng(8).integers(-31, 32, cfg.E_r).astype(np.int8)
+        outs = []
+        for fillers in (range(0), range(10, 0), range(16, 16)):
+            buf = HarqBufferPool().acquire(0, True, small_code, 0)
+            buf.filler_range = fillers
+            outs.append((rate_match(small_codeword, fillers, cfg),
+                         receive_block(buf, llrs, cfg), buf.llrs))
+        for out in outs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(outs[0], out))
+
+
 def _read_only(array):
     view = array.view()
     view.flags.writeable = False
