@@ -198,6 +198,21 @@ class TestHarqCombining:
         assert all(dec.block_ok)
         assert np.array_equal(dec.payload, payload)
 
+    @pytest.mark.parametrize("rv_round", [1.5, True, -1, "1"], ids=repr)
+    def test_rv_round_not_a_non_negative_integer_rejected(self, rv_round):
+        # 1.5 once raised TypeError, and True and -1 picked an rv
+        cfg = ChainConfig(**HARQ_POINT)
+        payload = random_payload(cfg)
+        symbols = encode_chain(cfg, payload).symbols
+        pool = HarqBufferPool()
+        with pytest.raises(ValueError, match="rv_round"):
+            encode_chain(cfg, payload, rv_round)
+        with pytest.raises(ValueError, match="rv_round"):
+            decode_chain(cfg, symbols, pool, rv_round)
+        with pytest.raises(ValueError, match="rv_round"):
+            decode_chain_from_llrs(cfg, np.zeros(cfg.G, np.int8), pool, rv_round)
+        assert not pool.bindings
+
     @pytest.mark.parametrize("foreign", [(), (9,)])
     def test_failed_round_leaves_pool_as_it_was(self, foreign):
         # three blocks need three soft buffers; block 2 finds none free

@@ -121,6 +121,19 @@ class TestRateMatch:
         expect = np.tile(cw.bits[2 * code.Zc:][usable], 2)
         assert np.array_equal(out, expect)
 
+    @pytest.mark.parametrize("bits", [
+        np.zeros(100, np.uint8),
+        np.zeros(1041, np.uint8),
+        np.full(1040, 2.7),
+        np.full(1040, 2, np.uint8),
+        np.zeros((2, 520), np.uint8),
+    ], ids=["short", "long", "float", "two", "2-D"])
+    def test_rejects_a_codeword_that_is_not_n_full_bits(self, bits):
+        # BG2 Zc=20: N_full = 1040; a short codeword once gave fewer than E_r bits
+        code = build_code(BaseGraphId.BG2, 20)
+        with pytest.raises(ValueError, match="bits"):
+            rate_match(Codeword(bits, code), range(0), RateMatchConfig(256, 0, 2))
+
 
 class TestInterleave:
     def test_enumerated_pattern_qm2(self):
@@ -162,6 +175,12 @@ class TestInterleave:
         # 120 is a multiple of every order here, so only the order itself is wrong
         with pytest.raises(ValueError, match="Q_m"):
             stage(np.arange(120), q_m)
+
+    @pytest.mark.parametrize("stage", [interleave, deinterleave])
+    @pytest.mark.parametrize("shape", [(4, 2), (8, 1), ()], ids=str)
+    def test_rejects_input_that_is_not_one_dimensional(self, stage, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            stage(np.zeros(shape, np.int8), 2)
 
     @pytest.mark.parametrize("q_m", [2, 4, 6, 8])
     @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
@@ -269,6 +288,24 @@ class TestHarqPool:
         with pytest.raises(ValueError, match="process id"):
             pool.acquire(pid, False)
         assert list(pool.bindings) == [1]
+
+    @pytest.mark.parametrize("pid", [True, 1.0, np.bool_(True), -1, 16, "x"], ids=repr)
+    def test_release_checks_the_process_id(self, small_code, pid):
+        # True and 1.0 once released process 1
+        pool = HarqBufferPool()
+        pool.acquire(1, True, small_code, 0)
+        with pytest.raises(ValueError, match="process id"):
+            pool.release(pid)
+        assert list(pool.bindings) == [1]
+
+    @pytest.mark.parametrize("pid", [99, "x", True, -1, 2.5], ids=repr)
+    def test_full_pool_checks_the_process_id_first(self, small_code, pid):
+        # a full pool once answered these with PoolExhaustedError
+        pool = HarqBufferPool(num_slots=1)
+        pool.acquire(0, True, small_code, 0)
+        with pytest.raises(ValueError, match="process id"):
+            pool.acquire(pid, True, small_code, 0)
+        assert list(pool.bindings) == [0]
 
     def test_partition_invariant_under_random_ops(self, small_code):
         rng = np.random.default_rng(5)
@@ -586,6 +623,20 @@ class TestMaterialize:
             buffer_filler_range(code, filler_count)
         with pytest.raises(ValueError, match="filler"):
             HarqBufferPool().acquire(0, True, code, filler_count)
+
+    @pytest.mark.parametrize("filler_count", [True, np.bool_(True), 2.0, "3", None], ids=repr)
+    def test_filler_count_that_is_not_an_integer_rejected(self, filler_count):
+        # True was once one filler, and 2.0 raised TypeError
+        code = build_code(BaseGraphId.BG2, 20)
+        with pytest.raises(ValueError, match="filler count"):
+            buffer_filler_range(code, filler_count)
+        pool = HarqBufferPool()
+        with pytest.raises(ValueError, match="filler count"):
+            pool.acquire(0, True, code, filler_count)
+        bound = pool.acquire(0, True, code, 1)
+        with pytest.raises(ValueError, match="filler count"):
+            pool.acquire(0, False, code, filler_count)
+        assert pool.acquire(0, False, code, 1) is bound
 
     def test_no_fillers_full_rate(self, small_code):
         pool = HarqBufferPool()
