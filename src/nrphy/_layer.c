@@ -4,8 +4,9 @@
  * modulate (llr.py's modulate), which reads each symbol's point from its
  * order's two Q3.12 tables, demap (llr.py's llr_estimate), receive
  * (rate_adapt.py's receive_block), which deinterleaves, combines and lays
- * out one code block's decoder input, adding each piece of the block that
- * falls in one contiguous run of the circular buffer at stride Q_m, and
+ * out one code block's decoder input, adding the block at stride Q_m into
+ * each contiguous piece of the circular buffer that rate_adapt.py's
+ * _selection lists for the transmission, and
  * decode, the layered offset min-sum decoder (ldpc.py), of which one call
  * decodes one code block, termination included. encode reads decode's
  * table, described below.
@@ -503,61 +504,37 @@ add_strided(int8_t *restrict buf, const int8_t *restrict x, int n, int stride)
     }
 }
 
-/* One pass over the circular buffer of n_cb values from k0, wrapping at
- * n_cb and skipping the fillers [fs, fe), as (start, stop) runs in read
- * order: each half, [k0, n_cb) and [0, k0), less the fillers, two pieces
- * per half of which the empty ones are dropped. Returns the count, at most
- * 3; rate_adapt.py's _cycle_runs defines them. */
-static int cycle_runs(int run[4][2], int n_cb, int k0, int fs, int fe)
-{
-    int count = 0;
-    if (fs == fe)
-        fs = fe = n_cb;
-    const int half[2][2] = {{k0, n_cb}, {0, k0}};
-    for (int h = 0; h < 2; h++) {
-        int lo = half[h][0], hi = half[h][1];
-        const int piece[2][2] = {{lo, hi < fs ? hi : fs}, {lo > fe ? lo : fe, hi}};
-        for (int p = 0; p < 2; p++)
-            if (piece[p][0] < piece[p][1]) {
-                run[count][0] = piece[p][0];
-                run[count++][1] = piece[p][1];
-            }
-    }
-    return count;
-}
-
 /* Combine one code block's e_r LLRs, in interleaved order, into its soft
  * buffer buf of n_cb values and write the decoder's n = head + n_cb input
- * to out. Deinterleaved value j is slice i = j / k, k = e_r / q_m, read at
- * llrs[(j - i * k) * q_m + i]; it adds to the j-th position of the passes
- * over the buffer from k0, so each piece that stays in one run and one
- * slice is one strided saturating add, and a later pass adds to the sums
- * of the earlier ones. Then out holds head zeros (the punctured
- * columns), the buffer, and -31 over the fillers [fs, fe). q_m is 2, 4, 6
- * or 8 and divides e_r, as RateMatchConfig checks, and 0 <= k0 < n_cb.
- * receive_block rejects a buffer whose fillers are not buffer_filler_range's
- * and passes that range's bounds, so 0 <= fs <= fe = K - 2 Zc < n_cb. */
-void receive(int8_t *out, int8_t *buf, const int8_t *llrs, int e_r, int q_m, int n_cb, int k0,
-             int fs, int fe, int head)
+ * to out. pieces holds (start, stop) pairs of buffer positions, in the
+ * order the deinterleaved values fill them, summing to e_r: rate_adapt.py's
+ * _selection builds them once per transmission layout, and rate_match and
+ * the NumPy combine read the same. Deinterleaved value j is slice
+ * i = j / k, k = e_r / q_m, read at llrs[(j - i * k) * q_m + i], so each
+ * part of a piece that stays in one slice is one strided saturating add,
+ * and a piece that wraps onto earlier ones adds to their sums. Then out
+ * holds head zeros (the punctured columns), the buffer, and -31 over the
+ * fillers [fs, fe). q_m is 2, 4, 6 or 8 and divides e_r, as
+ * RateMatchConfig checks; receive_block passes buffer_filler_range's
+ * bounds for the buffer's checked count, so 0 <= fs <= fe = K - 2 Zc < n_cb. */
+void receive(int8_t *out, int8_t *buf, const int8_t *llrs, int e_r, int q_m,
+             const int32_t *pieces, int n_cb, int fs, int fe, int head)
 {
-    int run[4][2], runs = cycle_runs(run, n_cb, k0, fs, fe), k = e_r / q_m;
-    for (int j = 0, r = 0, at = run[0][0]; j < e_r;) {
-        int i = j / k, slice_end = (i + 1) * k;
-        int n = run[r][1] - at < slice_end - j ? run[r][1] - at : slice_end - j;
-        const int8_t *x = llrs + (j - i * k) * q_m + i;
-        switch (q_m) {
-        case 2: add_strided(buf + at, x, n, 2); break;
-        case 4: add_strided(buf + at, x, n, 4); break;
-        case 6: add_strided(buf + at, x, n, 6); break;
-        case 8: add_strided(buf + at, x, n, 8); break;
+    const int k = e_r / q_m;
+    for (int j = 0; j < e_r; pieces += 2)
+        for (int at = pieces[0], stop = pieces[1]; at < stop;) {
+            int i = j / k, slice_end = (i + 1) * k;
+            int n = stop - at < slice_end - j ? stop - at : slice_end - j;
+            const int8_t *x = llrs + (j - i * k) * q_m + i;
+            switch (q_m) {
+            case 2: add_strided(buf + at, x, n, 2); break;
+            case 4: add_strided(buf + at, x, n, 4); break;
+            case 6: add_strided(buf + at, x, n, 6); break;
+            case 8: add_strided(buf + at, x, n, 8); break;
+            }
+            j += n;
+            at += n;
         }
-        j += n;
-        at += n;
-        if (at == run[r][1]) {
-            r = (r + 1) % runs;
-            at = run[r][0];
-        }
-    }
     memset(out, 0, (size_t)head);
     memcpy(out + head, buf, (size_t)n_cb);
     memset(out + head + fs, -SOFT_MAX, (size_t)(fe - fs));

@@ -10,8 +10,9 @@ replaces, which stays the fallback and the oracle in the tests:
   tables by the label its bits make (``llr.modulate``);
 - ``demap``: every symbol's LLRs (``llr.llr_estimate``);
 - ``receive``: one code block's deinterleaving, saturating combine into
-  its soft buffer over the circular buffer's contiguous runs, and decoder
-  input, in one call (``rate_adapt.receive_block``);
+  its soft buffer over the contiguous pieces of the circular buffer that
+  ``rate_adapt._selection`` lists in a table, and decoder input, in one
+  call (``rate_adapt.receive_block``);
 - ``decode``: a code block's whole layered decode, from its LLRs to its
   hard decisions, in memory it allocates per call (-1 where it cannot),
   from one table of each edge's (column-block start, shift) pair. Its
@@ -113,7 +114,7 @@ def _build() -> ctypes.CDLL:
     lib.modulate.restype = None
     lib.demap.argtypes = (ptr,) * 3 + (count,) * 7
     lib.demap.restype = None
-    lib.receive.argtypes = (ptr,) * 3 + (count,) * 7
+    lib.receive.argtypes = (ptr,) * 3 + (count,) * 2 + (ptr,) + (count,) * 4
     lib.receive.restype = None
     lib.encode.argtypes = (ptr, *tables, ptr, count)
     lib.encode.restype = None

@@ -17,13 +17,12 @@ import numpy as np
 
 from .. import llr as llr_mod
 from ..errors import ConfigError, PoolExhaustedError, UnknownProcessError
-from ..ldpc import DecodeResult, InfoBlock, as_bits, ldpc_decode, ldpc_encode
+from ..ldpc import DecodeResult, InfoBlock, as_bits, as_int, ldpc_decode, ldpc_encode
 from ..llr import EqualizedSymbols, PackedWordStream, pack_bit_words
 from ..rate_adapt import (
     POOL_SLOTS,
     HarqBufferPool,
     RateMatchConfig,
-    buffer_filler_range,
     deinterleave,
     interleave,
     materialize_decoder_input,
@@ -67,23 +66,27 @@ def _block_process_id(cfg: ChainConfig, block: int) -> int:
     return (cfg.harq_process + block) % POOL_SLOTS
 
 
+def _rate_match_config(cfg: ChainConfig, rv_round: int) -> RateMatchConfig:
+    """Round ``rv_round``'s transmission layout; ValueError unless it is an integer >= 0."""
+    rv = cfg.rv_schedule[as_int(rv_round, "rv_round", 0) % len(cfg.rv_schedule)]
+    return RateMatchConfig(E_r=cfg.e_r, rv=rv, Q_m=cfg.q_m)
+
+
 def encode_chain(cfg: ChainConfig, payload: np.ndarray, rv_round: int = 0) -> EncodeOutput:
     """Run the encode pipeline over ``blocks`` identical-parameter blocks."""
     payload = as_bits(payload)
     if payload.shape != (cfg.k_prime * cfg.blocks,):
         raise ValueError(
             f"payload must be K' x C = {cfg.k_prime * cfg.blocks} bits")
+    rm_cfg = _rate_match_config(cfg, rv_round)
     code, filler = cfg.code()
-    rv = cfg.rv_schedule[rv_round % len(cfg.rv_schedule)]
-    rm_cfg = RateMatchConfig(E_r=cfg.e_r, rv=rv, Q_m=cfg.q_m)
-    fill_range = buffer_filler_range(code, filler)
 
     info = np.zeros((cfg.blocks, code.K), dtype=np.uint8)  # each row's filler tail stays 0
     info[:, :cfg.k_prime] = payload.reshape(cfg.blocks, cfg.k_prime)
     stream = np.empty(cfg.G, dtype=np.uint8)
     for b in range(cfg.blocks):
         cw = ldpc_encode(code, InfoBlock(info[b], filler))
-        e = rate_match(cw, fill_range, rm_cfg)
+        e = rate_match(cw, rm_cfg)
         stream[b * cfg.e_r:(b + 1) * cfg.e_r] = interleave(e, cfg.q_m)
 
     scrambled = scramble_bits(stream, cfg.identity)
@@ -112,9 +115,8 @@ def decode_chain_from_llrs(
         # process ids wrap, so a later block would rebind an earlier block's buffer
         raise ConfigError(f"{cfg.blocks} blocks cannot keep combined state in "
                           f"{POOL_SLOTS} soft buffers")
+    rm_cfg = _rate_match_config(cfg, rv_round)
     code, filler = cfg.code()
-    rv = cfg.rv_schedule[rv_round % len(cfg.rv_schedule)]
-    rm_cfg = RateMatchConfig(E_r=cfg.e_r, rv=rv, Q_m=cfg.q_m)
 
     descrambled = descramble_llrs(llrs, cfg.identity)
     staged = (deinterleave, rate_unmatch_combine, materialize_decoder_input) != _RECEIVE_STAGES

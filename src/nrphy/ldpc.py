@@ -166,8 +166,11 @@ class InfoBlock:
 
 @dataclass(frozen=True)
 class Codeword:
+    """N_full code bits and the filler count of the InfoBlock they encode."""
+
     bits: np.ndarray
     code: LiftedLdpcCode
+    filler_count: int
 
 
 @dataclass(frozen=True)
@@ -382,7 +385,7 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
         cw = np.empty(code.N_full, dtype=np.uint8)
         cw[:code.K] = bits
         lib.encode(cw.ctypes.data, *_layers(code.bg, Zc).tables, *_p0_shifts(code.bg, Zc).table)
-        return Codeword(bits=cw, code=code)
+        return Codeword(cw, code, info.filler_count)
 
     checks = _check_windows(code.bg, Zc)
     doubled, windows = _doubled(code, bits)
@@ -401,7 +404,7 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
     # Each extension row reads the core and its own, still zero, block.
     ext = checks[:code.extension_degree, 4:]
     doubled[kb + 4:-1] = np.bitwise_xor.reduce(windows[ext], axis=0)[:, None]
-    return Codeword(bits=doubled[:-1, 0].reshape(-1), code=code)
+    return Codeword(doubled[:-1, 0].reshape(-1), code, info.filler_count)
 
 
 # ---------------------------------------------------------------------------

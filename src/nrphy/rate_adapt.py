@@ -7,9 +7,9 @@ decode path scatters received LLRs back to their buffer positions with
 saturating addition, so retransmissions with different redundancy
 versions combine into a lower-rate observation. The pool holds at most
 sixteen buffers, one per bound process, each sized for its code.
-Encoder and combiner read the same positions: one pass over the buffer is
-at most three contiguous runs, derived from (N_cb, k0, fillers), and a
-transmission reads them in turn until it has E_r values.
+Encoder, combiner and kernel read the same pieces of the buffer, which
+``_selection`` derives once per (code, rv, filler count, E_r): one pass
+is at most three contiguous runs, read in turn until E_r values are placed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _native
 from .errors import PoolExhaustedError, UnknownProcessError
-from .ldpc import LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_int, as_softllr
+from .ldpc import (LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_bits, as_int,
+                   as_softllr, build_code)
 from .llr import as_q_m
 
 POOL_SLOTS = 16
@@ -57,50 +58,40 @@ def k0_start(code: LiftedLdpcCode, rv: int) -> int:
 def buffer_filler_range(code: LiftedLdpcCode, filler_count: int) -> range:
     """Filler positions in buffer coordinates (systematic tail, minus 2Zc).
 
-    ValueError unless 0 <= filler_count <= K - 2Zc, the range ``select_lifting``
-    gives: more fillers would reach into the punctured head.
+    The one filler check: ValueError unless ``filler_count`` is an integer
+    in [0, K - 2Zc], the range ``select_lifting`` gives: more fillers would
+    reach into the punctured head.
     """
     end = code.K - 2 * code.Zc
-    if not 0 <= filler_count <= end:
-        raise ValueError(f"filler count {filler_count} is outside [0, K - 2Zc = {end}]")
-    return range(end - filler_count, end)
+    return range(end - as_int(filler_count, "filler count", 0, end + 1), end)
 
 
-def _fillers(code: LiftedLdpcCode, filler_range: range) -> range:
-    """``buffer_filler_range(code, n)`` for the n positions ``filler_range`` holds.
+@dataclass(frozen=True)
+class _Selection:
+    """One transmission layout's buffer pieces, built by ``_selection``, and the kernel's view."""
 
-    ValueError unless ``filler_range`` is that range or empty: a code's
-    fillers end its systematic columns, and any other range would let the
-    runs or the kernel's writes leave the buffer.
+    pieces: tuple[tuple[int, int], ...]  # (start, stop) in the order they are read
+    table: np.ndarray  # the same pairs, int32, read-only
+    address: int  # the table's
+
+
+@lru_cache(maxsize=None, typed=True)
+def _selection(bg: BaseGraphId, Zc: int, rv: int, filler_count: int, count: int) -> _Selection:
+    """The buffer pieces that ``count`` values read or write, in order.
+
+    One pass from k0 is each half, [k0, N_cb) and then [0, k0), less the
+    fillers, which split at most one of them: at most three runs, repeated
+    until ``count`` values are placed, the last cut short. Keyed on
+    integers, as a code's hash reads all its rows; typed, so that True and
+    2.0 miss the entries of 1 and 2 and reach :func:`buffer_filler_range`.
     """
-    if isinstance(filler_range, range):
-        fillers = buffer_filler_range(code, len(filler_range))
-        if not filler_range or filler_range == fillers:
-            return fillers
-    raise ValueError(f"filler range {filler_range!r} is neither empty nor the last "
-                     f"positions of the K - 2Zc = {code.K - 2 * code.Zc} systematic ones")
-
-
-def _cycle_runs(n_cb: int, k0: int, filler_range: range) -> list[tuple[int, int]]:
-    """One pass over the buffer from k0, fillers skipped, as (start, stop) runs in order.
-
-    Each half of the pass, [k0, N_cb) and then [0, k0), less the filler
-    range, which splits at most one of them: at most three runs.
-    """
-    fs, fe = (filler_range.start, filler_range.stop) if filler_range else (n_cb, n_cb)
-    return [(a, b) for lo, hi in ((k0, n_cb), (0, k0))
+    code = build_code(bg, Zc)
+    n_cb, k0 = code.N_cb, k0_start(code, rv)
+    fillers = buffer_filler_range(code, filler_count)
+    fs, fe = (fillers.start, fillers.stop) if fillers else (n_cb, n_cb)
+    runs = [(a, b) for lo, hi in ((k0, n_cb), (0, k0))
             for a, b in ((lo, min(hi, fs)), (max(lo, fe), hi)) if a < b]
-
-
-@lru_cache(maxsize=None)
-def _selection(n_cb: int, k0: int, filler_range: range,
-               count: int) -> tuple[tuple[int, int], ...]:
-    """The buffer runs that ``count`` values read or write, in order.
-
-    The pass's runs repeat until ``count`` values are placed; the last is
-    cut short. A few integers per transmission layout, built once.
-    """
-    runs, pieces = _cycle_runs(n_cb, k0, filler_range), []
+    pieces = []
     while count:
         for a, b in runs:
             n = min(b - a, count)
@@ -108,19 +99,35 @@ def _selection(n_cb: int, k0: int, filler_range: range,
             count -= n
             if not count:
                 break
-    return tuple(pieces)
+    table = np.array(pieces, dtype=np.int32)
+    table.flags.writeable = False
+    return _Selection(tuple(pieces), table, table.ctypes.data)
 
 
-def rate_match(codeword: Codeword, filler_range: range, cfg: RateMatchConfig) -> np.ndarray:
+def rate_match(codeword: Codeword, cfg: RateMatchConfig) -> np.ndarray:
     """Select E_r bits from the circular buffer for one transmission.
 
-    ValueError as :func:`_fillers` says for ``filler_range``.
+    ValueError unless the codeword is N_full bits of 0 or 1, or as
+    :func:`buffer_filler_range` says for its filler count.
     """
     code = codeword.code
-    fillers = _fillers(code, filler_range)
-    buf = np.asarray(codeword.bits, dtype=np.uint8)[2 * code.Zc:]
-    pieces = _selection(code.N_cb, k0_start(code, cfg.rv), fillers, cfg.E_r)
+    bits = as_bits(codeword.bits)
+    if bits.size != code.N_full:
+        raise ValueError(f"codeword must be N_full = {code.N_full} bits, not {bits.size}")
+    buf = bits[2 * code.Zc:]
+    pieces = _selection(code.bg, code.Zc, cfg.rv, codeword.filler_count, cfg.E_r).pieces
     return np.concatenate([buf[a:b] for a, b in pieces])
+
+
+def _as_slices(values, q_m: int) -> tuple[np.ndarray, int]:
+    """``values`` as a 1-D array and ``q_m`` as a modulation order that divides its length."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"input must be 1-D, not {values.ndim}-D")
+    q_m = as_q_m(q_m)
+    if len(values) % q_m:
+        raise ValueError("Q_m must divide E_r")
+    return values, q_m
 
 
 def interleave(e: np.ndarray, q_m: int) -> np.ndarray:
@@ -130,10 +137,7 @@ def interleave(e: np.ndarray, q_m: int) -> np.ndarray:
     from bit i, one strided copy per slice: a transposed copy of uint8 is
     several times slower.
     """
-    e = np.asarray(e)
-    q_m = as_q_m(q_m)
-    if len(e) % q_m:
-        raise ValueError("Q_m must divide E_r")
+    e, q_m = _as_slices(e, q_m)
     out = np.empty(len(e), e.dtype)
     k = len(e) // q_m
     for i in range(q_m):
@@ -143,20 +147,17 @@ def interleave(e: np.ndarray, q_m: int) -> np.ndarray:
 
 def deinterleave(llrs: np.ndarray, q_m: int) -> np.ndarray:
     """Exact inverse permutation of :func:`interleave`."""
-    llrs = np.asarray(llrs)
-    q_m = as_q_m(q_m)
-    if len(llrs) % q_m:
-        raise ValueError("Q_m must divide E_r")
+    llrs, q_m = _as_slices(llrs, q_m)
     return llrs.reshape(-1, q_m).T.reshape(-1)
 
 
 @dataclass
 class SoftBuffer:
-    """One process's N_cb soft values, the code they belong to and its fillers."""
+    """One process's N_cb soft values, the code they belong to and its filler count."""
 
     code: LiftedLdpcCode
     llrs: np.ndarray
-    filler_range: range
+    filler_count: int
 
 
 class HarqBufferPool:
@@ -175,69 +176,73 @@ class HarqBufferPool:
                 code: LiftedLdpcCode = None, filler_count: int = 0) -> SoftBuffer:
         """Bind (new packet) or look up (retransmission) a soft buffer.
 
-        A full pool refuses a new packet on any unbound id; otherwise an id
-        that is not an integer in [0, POOL_SLOTS) raises ValueError, as does
-        a retransmission given a code where it or the filler count differs
-        from the bound buffer's.
+        An id that is not an integer in [0, POOL_SLOTS) raises ValueError
+        before anything else. A full pool refuses a new packet on any unbound
+        id; a retransmission given a code raises ValueError where it or the
+        filler count, checked by :func:`buffer_filler_range`, differs from
+        the bound buffer's.
         """
+        process_id = as_int(process_id, "process id", 0, POOL_SLOTS)
         if is_new_packet:
             if code is None:
                 raise ValueError("new packet requires the code dimensions")
+            fillers = len(buffer_filler_range(code, filler_count))
             if process_id not in self.bindings and len(self.bindings) == self.num_slots:
                 raise PoolExhaustedError(f"all {self.num_slots} soft buffers are bound")
-            process_id = as_int(process_id, "process id", 0, POOL_SLOTS)
-            buf = SoftBuffer(code, np.zeros(code.N_cb, dtype=np.int8),
-                             buffer_filler_range(code, filler_count))
+            buf = SoftBuffer(code, np.zeros(code.N_cb, dtype=np.int8), fillers)
             self.bindings[process_id] = buf
             return buf
-        process_id = as_int(process_id, "process id", 0, POOL_SLOTS)
         if process_id not in self.bindings:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
         buf = self.bindings[process_id]
         if code is not None:
             if (buf.code.bg, buf.code.Zc) != (code.bg, code.Zc):
                 raise ValueError("bound buffer dimensions do not match the code")
-            if buf.filler_range != buffer_filler_range(code, filler_count):
-                raise ValueError(f"bound buffer has {len(buf.filler_range)} fillers, "
+            if buf.filler_count != len(buffer_filler_range(code, filler_count)):
+                raise ValueError(f"bound buffer has {buf.filler_count} fillers, "
                                  f"not {filler_count}")
         return buf
 
     def release(self, process_id: int) -> None:
+        """Unbind a process's buffer; ValueError for an id ``acquire`` would refuse."""
+        process_id = as_int(process_id, "process id", 0, POOL_SLOTS)
         if self.bindings.pop(process_id, None) is None:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
 
 
 def _checked(buffer: SoftBuffer, llrs: np.ndarray,
-             cfg: RateMatchConfig) -> tuple[np.ndarray, range]:
-    """``llrs`` as SoftLlrs and the buffer's fillers, once both are checked.
+             cfg: RateMatchConfig) -> tuple[np.ndarray, _Selection]:
+    """``llrs`` as SoftLlrs and the pieces they combine into, once both are checked.
 
-    ValueError unless ``llrs`` are E_r SoftLlrs, the buffer's ``llrs`` is a
-    writable, C-contiguous int8 array of N_cb values, which a combine writes
-    in place, and its ``filler_range`` passes :func:`_fillers`.
+    ValueError as :func:`buffer_filler_range` says for the buffer's filler
+    count, and unless ``llrs`` are E_r SoftLlrs and the buffer's ``llrs`` is
+    a writable, C-contiguous int8 array of N_cb values, which a combine
+    writes in place.
     """
-    fillers = _fillers(buffer.code, buffer.filler_range)
+    code = buffer.code
+    selection = _selection(code.bg, code.Zc, cfg.rv, buffer.filler_count, cfg.E_r)
     raw = as_softllr(llrs)
     if raw.shape != (cfg.E_r,):
         raise ValueError("LLR count must equal E_r")
-    buf, n_cb = buffer.llrs, buffer.code.N_cb
+    buf, n_cb = buffer.llrs, code.N_cb
     if not (isinstance(buf, np.ndarray) and buf.dtype == np.int8 and buf.shape == (n_cb,)
             and buf.flags.c_contiguous and buf.flags.writeable):
         raise ValueError(f"soft buffer must be a writable, contiguous int8 array of "
                          f"N_cb = {n_cb} LLRs")
-    return raw, fillers
+    return raw, selection
 
 
 def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> None:
-    """Add received LLRs into their buffer positions (saturating), run by run.
+    """Add received LLRs into their buffer positions (saturating), piece by piece.
 
     Positions hit more than once by one transmission (wrap-around
     repetition) accumulate every copy, in arrival order. The sum is int16,
     so any int8 the public buffer holds saturates too. ValueError as
     :func:`_checked` says.
     """
-    raw, fillers = _checked(buffer, llrs, cfg)
-    buf, at, code = buffer.llrs, 0, buffer.code
-    for a, b in _selection(code.N_cb, k0_start(code, cfg.rv), fillers, cfg.E_r):
+    raw, selection = _checked(buffer, llrs, cfg)
+    buf, at = buffer.llrs, 0
+    for a, b in selection.pieces:
         acc = np.add(buf[a:b], raw[at:at + b - a], dtype=np.int16)
         buf[a:b] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
         at += b - a
@@ -246,10 +251,10 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchCon
 def materialize_decoder_input(buffer: SoftBuffer) -> np.ndarray:
     """Full N_full LLR vector: zero punctured head, minimum-LLR fillers.
 
-    ValueError as :func:`_fillers` says for the buffer's ``filler_range``.
+    ValueError as :func:`buffer_filler_range` says for the buffer's filler count.
     """
     code = buffer.code
-    fillers = _fillers(code, buffer.filler_range)
+    fillers = buffer_filler_range(code, buffer.filler_count)
     out = np.zeros(code.N_full, dtype=np.int8)
     out[2 * code.Zc:] = buffer.llrs
     out[2 * code.Zc + fillers.start:2 * code.Zc + fillers.stop] = FILLER_LLR_RAW
@@ -263,16 +268,18 @@ def receive_block(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) ->
     :func:`deinterleave`, then :func:`rate_unmatch_combine`, then
     :func:`materialize_decoder_input`, which define it; the compiled kernel
     does all three in one call where it can be built, reading the block at
-    stride Q_m. ValueError as :func:`_checked` says, before anything is written.
+    stride Q_m and walking the same pieces from ``_selection``'s table.
+    ValueError as :func:`_checked` says, before anything is written.
     """
-    raw, fillers = _checked(buffer, llrs, cfg)
+    raw, selection = _checked(buffer, llrs, cfg)
     lib = _native.library()
     if lib is None:
         rate_unmatch_combine(buffer, deinterleave(raw, cfg.Q_m), cfg)
         return materialize_decoder_input(buffer)
     code = buffer.code
+    fillers = buffer_filler_range(code, buffer.filler_count)
     raw = np.ascontiguousarray(raw)
     out = np.empty(code.N_full, dtype=np.int8)
     lib.receive(out.ctypes.data, buffer.llrs.ctypes.data, raw.ctypes.data, cfg.E_r, cfg.Q_m,
-                code.N_cb, k0_start(code, cfg.rv), fillers.start, fillers.stop, 2 * code.Zc)
+                selection.address, code.N_cb, fillers.start, fillers.stop, 2 * code.Zc)
     return out

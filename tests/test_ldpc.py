@@ -33,7 +33,6 @@ from nrphy.ldpc import (
 from nrphy.rate_adapt import (
     HarqBufferPool,
     RateMatchConfig,
-    buffer_filler_range,
     materialize_decoder_input,
     rate_match,
     rate_unmatch_combine,
@@ -677,11 +676,10 @@ class TestDeadExtensionRows(OnDecoderPath):
         Zc, _, _, filler = select_lifting(bg, k_prime)
         code = build_code(bg, Zc)
         _, cw = random_codeword(code, rng, filler)
-        fillers = buffer_filler_range(code, filler)
         pool = HarqBufferPool()
         for n, rv in enumerate((0, 2, 3, 1)):
             cfg = RateMatchConfig(E_r=e_r, rv=rv, Q_m=2)
-            sent = rate_match(cw, fillers, cfg)
+            sent = rate_match(cw, cfg)
             noisy = 4.0 * (2.0 * sent - 1.0) + 8.0 * rng.standard_normal(sent.size)
             llrs = np.clip(np.rint(noisy), -31, 31).astype(np.int8)
             alone = pool.acquire(1, True, code, filler)

@@ -20,7 +20,7 @@ from nrphy.rate_adapt import (
     rate_match,
     rate_unmatch_combine,
     receive_block,
-    _cycle_runs,
+    _selection,
 )
 
 
@@ -86,13 +86,13 @@ class TestRateMatch:
     def test_identity_read(self, small_codeword):
         code = small_codeword.code
         cfg = RateMatchConfig(E_r=code.N_cb, rv=0, Q_m=2)
-        out = rate_match(small_codeword, range(0), cfg)
+        out = rate_match(small_codeword, cfg)
         assert np.array_equal(out, small_codeword.bits[2 * code.Zc:])
 
     def test_full_wrap_repeats(self, small_codeword):
         code = small_codeword.code
         cfg = RateMatchConfig(E_r=2 * code.N_cb, rv=0, Q_m=2)
-        out = rate_match(small_codeword, range(0), cfg)
+        out = rate_match(small_codeword, cfg)
         assert np.array_equal(out, np.tile(small_codeword.bits[2 * code.Zc:], 2))
 
     def test_circular_read_against_slicing_oracle(self, small_codeword):
@@ -101,7 +101,7 @@ class TestRateMatch:
         cfg = RateMatchConfig(E_r=8, rv=1, Q_m=2)
         k0 = k0_start(code, 1)
         expect = buf[(k0 + np.arange(8)) % code.N_cb]
-        assert np.array_equal(rate_match(small_codeword, range(0), cfg), expect)
+        assert np.array_equal(rate_match(small_codeword, cfg), expect)
 
     def test_fillers_never_transmitted(self):
         k_prime = 14
@@ -115,7 +115,7 @@ class TestRateMatch:
         fr = buffer_filler_range(code, F)
         poisoned[2 * code.Zc + fr.start: 2 * code.Zc + fr.stop] = 1
         cfg = RateMatchConfig(E_r=2 * (code.N_cb - F), rv=0, Q_m=2)
-        out = rate_match(type(cw)(bits=poisoned, code=code), fr, cfg)
+        out = rate_match(Codeword(bits=poisoned, code=code, filler_count=F), cfg)
         usable = np.ones(code.N_cb, bool)
         usable[list(fr)] = False
         expect = np.tile(cw.bits[2 * code.Zc:][usable], 2)
@@ -132,7 +132,7 @@ class TestRateMatch:
         # BG2 Zc=20: N_full = 1040; a short codeword once gave fewer than E_r bits
         code = build_code(BaseGraphId.BG2, 20)
         with pytest.raises(ValueError, match="bits"):
-            rate_match(Codeword(bits, code), range(0), RateMatchConfig(256, 0, 2))
+            rate_match(Codeword(bits, code, 0), RateMatchConfig(256, 0, 2))
 
 
 class TestInterleave:
@@ -224,11 +224,18 @@ class TestHarqPool:
             HarqBufferPool(num_slots=num_slots)
 
     def test_capacity_is_sixteen(self, small_code):
+        # every process id binds at once; 16 is not one, and a smaller pool runs out
         pool = HarqBufferPool()
         for pid in range(16):
             pool.acquire(pid, True, small_code, 0)
-        with pytest.raises(PoolExhaustedError):
+        assert len(pool.bindings) == 16
+        with pytest.raises(ValueError, match="process id"):
             pool.acquire(16, True, small_code, 0)
+        smaller = HarqBufferPool(num_slots=15)
+        for pid in range(15):
+            smaller.acquire(pid, True, small_code, 0)
+        with pytest.raises(PoolExhaustedError):
+            smaller.acquire(15, True, small_code, 0)
 
     def test_retransmission_preserves_contents(self, small_code):
         pool = HarqBufferPool()
@@ -330,7 +337,7 @@ class TestRateUnmatchCombine:
     def test_single_transmission_scatter(self, small_codeword):
         code = small_codeword.code
         cfg = RateMatchConfig(E_r=40, rv=0, Q_m=2)
-        tx = rate_match(small_codeword, range(0), cfg)
+        tx = rate_match(small_codeword, cfg)
         llrs = np.where(tx == 1, 9, -9).astype(np.int8)
         pool = HarqBufferPool()
         buf = pool.acquire(0, True, code, 0)
@@ -418,48 +425,53 @@ class TestRateUnmatchCombine:
 
 
 def selection_cases():
-    """(label, code, filler range, cfg): every rv, filler counts of 0, some and
+    """(label, code, filler count, cfg): every rv, filler counts of 0, some and
     K - 2Zc, E_r below, equal to and above N_cb, on both base graphs."""
     for bg, Zc in ((BaseGraphId.BG1, 2), (BaseGraphId.BG1, 13), (BaseGraphId.BG2, 2),
                    (BaseGraphId.BG2, 20)):
         code = build_code(bg, Zc)
         max_fillers = code.K - 2 * Zc
         for fillers in (0, max_fillers // 3, max_fillers):
-            fr = buffer_filler_range(code, fillers)
             for e_r in (2 * (code.N_cb // 5), code.N_cb, 2 * code.N_cb + 6):
                 for rv in range(4):
                     label = f"{bg.name} Zc={Zc} fillers={fillers} E_r={e_r} rv={rv}"
-                    yield label, code, fr, RateMatchConfig(E_r=e_r, rv=rv, Q_m=2)
+                    yield label, code, fillers, RateMatchConfig(E_r=e_r, rv=rv, Q_m=2)
 
 
 class TestSelectionRuns:
     """Rate matching and combining read the circular buffer as contiguous runs."""
 
     def test_runs_are_one_pass_of_the_index_definition(self):
-        for label, code, fr, cfg in selection_cases():
-            runs = _cycle_runs(code.N_cb, k0_start(code, cfg.rv), fr)
-            assert 1 <= len(runs) <= 3, label
-            cycle = np.concatenate([np.arange(a, b) for a, b in runs])
-            assert np.array_equal(cycle, selection_indices(code.N_cb, k0_start(code, cfg.rv),
-                                                           fr, code.N_cb - len(fr))), label
+        for label, code, fillers, cfg in selection_cases():
+            k0 = k0_start(code, cfg.rv)
+            fr = buffer_filler_range(code, fillers)
+            pieces = _selection(code.bg, code.Zc, cfg.rv, fillers, code.N_cb - fillers)
+            assert 1 <= len(pieces.pieces) <= 3, label
+            assert pieces.table.tolist() == [list(p) for p in pieces.pieces], label
+            assert pieces.table.dtype == np.int32 and not pieces.table.flags.writeable, label
+            cycle = np.concatenate([np.arange(a, b) for a, b in pieces.pieces])
+            assert np.array_equal(cycle, selection_indices(code.N_cb, k0, fr,
+                                                           code.N_cb - fillers)), label
 
     def test_rate_match_reads_the_indexed_positions(self):
         rng = np.random.default_rng(31)
-        for label, code, fr, cfg in selection_cases():
+        for label, code, fillers, cfg in selection_cases():
             bits = rng.integers(0, 2, code.N_full).astype(np.uint8)
-            out = rate_match(Codeword(bits, code), fr, cfg)
-            idx = selection_indices(code.N_cb, k0_start(code, cfg.rv), fr, cfg.E_r)
+            out = rate_match(Codeword(bits, code, fillers), cfg)
+            idx = selection_indices(code.N_cb, k0_start(code, cfg.rv),
+                                    buffer_filler_range(code, fillers), cfg.E_r)
             assert np.array_equal(out, bits[2 * code.Zc:][idx]), label
 
     def test_combine_adds_at_the_indexed_positions(self):
         rng = np.random.default_rng(32)
-        for label, code, fr, cfg in selection_cases():
-            buf = HarqBufferPool().acquire(0, True, code, len(fr))
+        for label, code, fillers, cfg in selection_cases():
+            buf = HarqBufferPool().acquire(0, True, code, fillers)
             held = rng.integers(-31, 32, code.N_cb).astype(np.int8)
             buf.llrs[:] = held
             llrs = rng.integers(-31, 32, cfg.E_r).astype(np.int8)
             rate_unmatch_combine(buf, llrs, cfg)
-            idx = selection_indices(code.N_cb, k0_start(code, cfg.rv), fr, cfg.E_r)
+            idx = selection_indices(code.N_cb, k0_start(code, cfg.rv),
+                                    buffer_filler_range(code, fillers), cfg.E_r)
             assert np.array_equal(buf.llrs, combine_oracle(held, llrs, idx)), label
 
 
@@ -483,7 +495,7 @@ class TestRateMatchUnmatchAdjoint:
         fr = buffer_filler_range(code, F)
         cfg = RateMatchConfig(E_r=e_r, rv=rv, Q_m=2)
 
-        tx = rate_match(cw, fr, cfg)
+        tx = rate_match(cw, cfg)
         llrs = np.where(tx == 1, 31, -31).astype(np.int8)
         pool = HarqBufferPool()
         buf = pool.acquire(0, True, code, F)
@@ -546,9 +558,8 @@ class TestReceiveBlock:
         assert np.all(held == 5)
 
 
-    # small_code: N_cb = 100 and K - 2Zc = 16, where the fillers end
-    BAD_FILLERS = [range(0, 200), range(0, 100), range(0, 17), range(15, 17), range(5, 8),
-                   range(12, 16, 2), [15]]
+    # small_code: N_cb = 100 and K - 2Zc = 16, the most fillers it can have
+    BAD_FILLERS = [-1, 17, 200, True, 2.0, "3"]
 
     @pytest.mark.parametrize("path", ["native", "numpy"])
     @pytest.mark.parametrize("fillers", BAD_FILLERS, ids=repr)
@@ -558,34 +569,23 @@ class TestReceiveBlock:
             monkeypatch.setattr(_native, "library", lambda: None)
         buf = HarqBufferPool().acquire(0, True, small_code, 0)
         buf.llrs[:] = 5
-        buf.filler_range = fillers
+        buf.filler_count = fillers
         cfg = RateMatchConfig(40, 0, 2)
         for stage in (receive_block, rate_unmatch_combine):
-            with pytest.raises(ValueError, match="filler"):
+            with pytest.raises(ValueError, match="filler count"):
                 stage(buf, np.full(40, 3, np.int8), cfg)
-        with pytest.raises(ValueError, match="filler"):
+        with pytest.raises(ValueError, match="filler count"):
             materialize_decoder_input(buf)
         assert np.all(buf.llrs == 5)
 
-    @pytest.mark.parametrize("fillers", BAD_FILLERS, ids=repr)
-    def test_rate_match_rejects_fillers(self, small_codeword, fillers):
-        with pytest.raises(ValueError, match="filler"):
-            rate_match(small_codeword, fillers, RateMatchConfig(40, 0, 2))
-
     @pytest.mark.parametrize("path", ["native", "numpy"])
-    def test_any_empty_range_is_no_fillers(self, small_code, small_codeword, monkeypatch, path):
+    @pytest.mark.parametrize("fillers", BAD_FILLERS, ids=repr)
+    def test_rate_match_rejects_fillers(self, small_codeword, monkeypatch, path, fillers):
         if path == "numpy":
             monkeypatch.setattr(_native, "library", lambda: None)
-        cfg = RateMatchConfig(E_r=160, rv=1, Q_m=4)
-        llrs = np.random.default_rng(8).integers(-31, 32, cfg.E_r).astype(np.int8)
-        outs = []
-        for fillers in (range(0), range(10, 0), range(16, 16)):
-            buf = HarqBufferPool().acquire(0, True, small_code, 0)
-            buf.filler_range = fillers
-            outs.append((rate_match(small_codeword, fillers, cfg),
-                         receive_block(buf, llrs, cfg), buf.llrs))
-        for out in outs[1:]:
-            assert all(np.array_equal(a, b) for a, b in zip(outs[0], out))
+        codeword = Codeword(small_codeword.bits, small_codeword.code, fillers)
+        with pytest.raises(ValueError, match="filler count"):
+            rate_match(codeword, RateMatchConfig(40, 0, 2))
 
 
 def _read_only(array):
