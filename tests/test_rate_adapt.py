@@ -561,16 +561,23 @@ class TestReceiveBlock:
     # small_code: N_cb = 100 and K - 2Zc = 16, the most fillers it can have
     BAD_FILLERS = [-1, 17, 200, True, 2.0, "3"]
 
+    @staticmethod
+    def _cache_every_count(codeword, cfg):
+        """Select for each valid count first: True and 2.0 equal cached counts."""
+        for count in range(17):
+            rate_match(Codeword(codeword.bits, codeword.code, count), cfg)
+
     @pytest.mark.parametrize("path", ["native", "numpy"])
     @pytest.mark.parametrize("fillers", BAD_FILLERS, ids=repr)
-    def test_rejects_fillers_before_writing_the_buffer(self, small_code, monkeypatch,
-                                                        path, fillers):
+    def test_rejects_fillers_before_writing_the_buffer(self, small_code, small_codeword,
+                                                        monkeypatch, path, fillers):
         if path == "numpy":
             monkeypatch.setattr(_native, "library", lambda: None)
+        cfg = RateMatchConfig(40, 0, 2)
+        self._cache_every_count(small_codeword, cfg)
         buf = HarqBufferPool().acquire(0, True, small_code, 0)
         buf.llrs[:] = 5
         buf.filler_count = fillers
-        cfg = RateMatchConfig(40, 0, 2)
         for stage in (receive_block, rate_unmatch_combine):
             with pytest.raises(ValueError, match="filler count"):
                 stage(buf, np.full(40, 3, np.int8), cfg)
@@ -583,9 +590,11 @@ class TestReceiveBlock:
     def test_rate_match_rejects_fillers(self, small_codeword, monkeypatch, path, fillers):
         if path == "numpy":
             monkeypatch.setattr(_native, "library", lambda: None)
+        cfg = RateMatchConfig(40, 0, 2)
+        self._cache_every_count(small_codeword, cfg)
         codeword = Codeword(small_codeword.bits, small_codeword.code, fillers)
         with pytest.raises(ValueError, match="filler count"):
-            rate_match(codeword, RateMatchConfig(40, 0, 2))
+            rate_match(codeword, cfg)
 
 
 def _read_only(array):
