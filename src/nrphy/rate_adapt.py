@@ -41,10 +41,10 @@ class RateMatchConfig:
     rv: int
     Q_m: int
 
-    def __post_init__(self):
-        as_int(self.E_r, "E_r", 1)
-        as_int(self.rv, "rv", 0, 4)
-        as_q_m(self.Q_m)
+    def __post_init__(self):  # fields stored as ints: _selection's cache is typed
+        object.__setattr__(self, "E_r", as_int(self.E_r, "E_r", 1))
+        object.__setattr__(self, "rv", as_int(self.rv, "rv", 0, 4))
+        object.__setattr__(self, "Q_m", as_q_m(self.Q_m))
         if self.E_r % self.Q_m:
             raise ValueError("E_r must be a multiple of Q_m")
 

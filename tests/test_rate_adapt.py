@@ -209,6 +209,12 @@ class TestRateMatchConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             RateMatchConfig(**dict(dict(E_r=100, rv=0, Q_m=2), **kwargs))
 
+    def test_numpy_integer_fields_are_kept_as_ints(self):
+        # the selection cache is typed: a NumPy E_r would hold a second entry per layout
+        cfg = RateMatchConfig(np.int64(256), np.int32(1), np.uint8(2))
+        assert [type(v) for v in (cfg.E_r, cfg.rv, cfg.Q_m)] == [int] * 3
+        assert cfg == RateMatchConfig(256, 1, 2)
+
 
 class TestHarqPool:
     def test_fresh_slot_is_zeroed(self, small_code):
