@@ -267,6 +267,15 @@ class TestEncoder(OnDecoderPath):
         with pytest.raises(ValueError):
             ldpc_encode(code, InfoBlock(np.zeros(code.K + 1, np.uint8), 0))
 
+    @pytest.mark.parametrize("fillers", [161, 180, 200])
+    def test_more_fillers_than_fit_before_the_punctured_head_rejected(self, fillers):
+        # BG2 Zc=20: an InfoBlock of K = 200 bits takes up to 200 fillers,
+        # but only K - 2Zc = 160 fit, as rate matching would say a stage later
+        code = build_code(BaseGraphId.BG2, 20)
+        with pytest.raises(ValueError, match=r"filler count must be in \[0, 161\)"):
+            ldpc_encode(code, InfoBlock(np.zeros(code.K, np.uint8), fillers))
+        assert ldpc_encode(code, InfoBlock(np.zeros(code.K, np.uint8), 160)).filler_count == 160
+
     def test_matches_per_row_reference_every_lifting_size(self):
         rng = np.random.default_rng(13)
         for bg in BaseGraphId:
