@@ -148,6 +148,15 @@ def as_softllr(values) -> np.ndarray:
     return values.astype(np.int8, copy=False)
 
 
+def as_filler_count(code: LiftedLdpcCode, count) -> int:
+    """``count`` as a filler count of ``code``: the one filler check.
+
+    ValueError unless it is an integer in [0, K - 2Zc], the range
+    ``select_lifting`` gives: more fillers would reach into the punctured head.
+    """
+    return as_int(count, "filler count", 0, code.K - 2 * code.Zc + 1)
+
+
 @dataclass(frozen=True)
 class InfoBlock:
     """K information bits whose trailing ``filler_count`` bits are zero pad."""
@@ -371,6 +380,9 @@ def _p0_shifts(bg: BaseGraphId, Zc: int) -> _P0Shifts:
 def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
     """Systematic encode; parity solved from the double-diagonal core.
 
+    ValueError unless ``info`` holds K bits and at most K - 2Zc fillers
+    (``as_filler_count``).
+
     Where the compiled kernel of ``_native`` can be built, the whole
     codeword is one call into it, which solves the same blocks in the same
     order from the decoder's edge table (``_layers``) and ``_p0_shifts``.
@@ -378,6 +390,7 @@ def ldpc_encode(code: LiftedLdpcCode, info: InfoBlock) -> Codeword:
     bits = info.bits
     if bits.shape != (code.K,):
         raise ValueError(f"info length {bits.shape} != K={code.K}")
+    as_filler_count(code, info.filler_count)
     Zc = code.Zc
     kb = code.systematic_cols
     lib = _native.library()

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _native
 from .errors import PoolExhaustedError, UnknownProcessError
-from .ldpc import (LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_bits, as_int,
-                   as_softllr, build_code)
+from .ldpc import (LLR_RAW_MAX, BaseGraphId, Codeword, LiftedLdpcCode, as_bits,
+                   as_filler_count, as_int, as_softllr, build_code)
 from .llr import as_q_m
 
 POOL_SLOTS = 16
@@ -58,12 +58,10 @@ def k0_start(code: LiftedLdpcCode, rv: int) -> int:
 def buffer_filler_range(code: LiftedLdpcCode, filler_count: int) -> range:
     """Filler positions in buffer coordinates (systematic tail, minus 2Zc).
 
-    The one filler check: ValueError unless ``filler_count`` is an integer
-    in [0, K - 2Zc], the range ``select_lifting`` gives: more fillers would
-    reach into the punctured head.
+    ValueError unless ``filler_count`` passes :func:`ldpc.as_filler_count`.
     """
     end = code.K - 2 * code.Zc
-    return range(end - as_int(filler_count, "filler count", 0, end + 1), end)
+    return range(end - as_filler_count(code, filler_count), end)
 
 
 @dataclass(frozen=True)
