@@ -22,8 +22,9 @@
  * runs a read-only step that writes only those blocks, folding its other
  * edges CHUNK lanes at a time as a live layer does. The parity check
  * XORs the same rotated blocks of the hard decisions, as encode XORs them
- * of the codeword. decode allocates its own working memory per call; it
- * and encode take the code as the same arguments, edges to Zc. Each lane
+ * of the codeword. decode allocates its own working memory per call and
+ * zeroes none of what it reads before writing; it and encode take the
+ * code as the same arguments, edges to Zc. Each lane
  * loop is its own function with restrict parameters, so that the compiler
  * vectorizes it without run-time alias checks.
  *
@@ -34,9 +35,10 @@
  * clamping an int would widen every lane to 32 bits and back. The check
  * node runs CHUNK lanes at a time with its state in registers, so each
  * layer's stride is its lane count rounded up to whole chunks, inside the
- * one allocation; lanes past a layer's last row read only zeroed or
- * earlier-written scratch and are never copied back. Lanes are independent,
- * so every Zc takes the one path and gets the same result.
+ * one allocation. The lanes past a layer's last row, and those a whole
+ * chunk reads past a run, may hold anything (a dead layer's messages are
+ * never written), but lanes are independent and those are never copied
+ * back. So every Zc takes the one path and gets the same result.
  *
  * Right shifts of negative values are arithmetic, as in NumPy: C leaves
  * them to the compiler, and GCC and Clang both shift arithmetically.
@@ -51,7 +53,7 @@
 #define SOFT_MAX 31 /* channel LLRs (SoftLlr) saturate here */
 #define CHUNK 32    /* check-node lanes at a time: one 512-bit register of int16 */
 
-/* decode's termination reasons, in ldpc.py's _REASONS order; NO_MEMORY: calloc failed */
+/* decode's termination reasons, in ldpc.py's _REASONS order; NO_MEMORY: malloc failed */
 enum { PARITY_SATISFIED, DECISIONS_STABLE, MAX_ITERATIONS, NO_MEMORY = -1 };
 
 /* Rotated-block XORs: decode's parity check and encode's solves */
@@ -174,14 +176,25 @@ static int padded(int lanes)
     return (lanes + CHUNK - 1) / CHUNK * CHUNK;
 }
 
+/* q = block rotated left by s: its two contiguous runs, copied. */
+static void copy_rotated(int16_t *restrict q, const int16_t *restrict block, int s, int Zc)
+{
+    memcpy(q, block + s, (size_t)(Zc - s) * sizeof *q);
+    memcpy(q + Zc - s, block, (size_t)s * sizeof *q);
+}
+
 /* One layer update: q = post - msg for each edge's rotated block of post,
  * the new messages into msg and the new posteriors into q, which are then
  * copied back the same way. edges is the layer's (degree, rows) table of
  * (start, shift) pairs; edge e of row j is lanes j * Zc on in row e of q
  * and msg, which are (degree, padded(rows * Zc)). Padding reads +127 and
- * keeps messages of 0, so that it reads +127 again in the next iteration. */
+ * keeps messages of 0, so that it reads +127 again in the next iteration.
+ * In the first iteration msg holds nothing yet, and as every |post| <= 127
+ * and every message starts at 0, q = post: it is copied, and msg is not
+ * read. check_node then writes every lane's message, pad lanes included,
+ * so every later iteration reads messages written in an earlier one. */
 static void layer(int16_t *restrict post, const int32_t *restrict edges, int16_t *restrict q,
-                  int16_t *restrict msg, int degree, int rows, int Zc)
+                  int16_t *restrict msg, int degree, int rows, int Zc, int first)
 {
     int stride = padded(rows * Zc);
     for (int b = 0; b < degree * rows; b++) {
@@ -189,10 +202,12 @@ static void layer(int16_t *restrict post, const int32_t *restrict edges, int16_t
         if (start < 0) {
             for (int t = 0; t < Zc; t++)
                 q[at + t] = LLR_MAX;
-            continue;
+        } else if (first) {
+            copy_rotated(q + at, post + start, s, Zc);
+        } else {
+            sub_run(q + at, post + start + s, msg + at, Zc - s);
+            sub_run(q + at + Zc - s, post + start, msg + at + Zc - s, s);
         }
-        sub_run(q + at, post + start + s, msg + at, Zc - s);
-        sub_run(q + at + Zc - s, post + start, msg + at + Zc - s, s);
     }
     check_node(q, msg, degree, stride);
     for (int b = 0; b < degree * rows; b++) {
@@ -243,8 +258,7 @@ static void dead_step(int16_t *restrict post, const int32_t *restrict edges,
                 q[at + t] = LLR_MAX;
             continue;
         }
-        memcpy(q + at, post + start + s, (size_t)(Zc - s) * sizeof *q);
-        memcpy(q + at + Zc - s, post + start, (size_t)s * sizeof *q);
+        copy_rotated(q + at, post + start, s, Zc);
     }
     for (int c = 0; c < stride; c += CHUNK) {
         int16_t min[CHUNK], sx[CHUNK];
@@ -316,11 +330,15 @@ static int parity_holds(const uint8_t *hard, const int32_t *edges, const int32_t
  * of 0. The extension rows' own blocks start at (kb + 4) * Zc; a layer
  * whose rows all own a block that is all zero at entry is dead, decided
  * once, and runs dead_step at its place in every iteration. The
- * posteriors, every layer's (degree, padded(lanes)) messages, zeroed, and
- * a scratch block q as large as the largest, which live and dead steps
- * share, are one calloc, each followed by CHUNK lanes of slack for
- * sub_run's whole chunks, and freed before returning. The parity check
- * XORs hard, as encode XORs the codeword. Returns the termination reason,
+ * posteriors, every layer's (degree, padded(lanes)) messages and a scratch
+ * block q as large as the largest, which live and dead steps share, are
+ * one malloc, each followed by CHUNK lanes of slack for sub_run's whole
+ * chunks, and freed before returning. The messages are not zeroed: the
+ * first iteration reads none (layer), and every later one reads those it
+ * wrote. Only what a whole chunk may read before anything is written
+ * there, the posteriors' and messages' slack and q, a few KB, is zeroed,
+ * though no lane that is copied back reads it. The parity check XORs
+ * hard, as encode XORs the codeword. Returns the termination reason,
  * or NO_MEMORY, and sets *iterations to the number run. */
 int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t *shape,
            int layers, int n, int kb, int Zc, int max_iterations, int *iterations)
@@ -335,12 +353,15 @@ int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t
         dead[i] = (char)is_dead(llr, edges + offset, degree * rows, rows, extension, Zc);
         offset += 2 * degree * rows;
     }
-    int16_t *post = calloc((size_t)(n + messages + size + 3 * CHUNK), sizeof *post);
+    int16_t *post = malloc((size_t)(n + messages + size + 3 * CHUNK) * sizeof *post);
     if (!post)
         return NO_MEMORY;
     int16_t *msg = post + n + CHUNK, *q = msg + messages + CHUNK;
     for (int i = 0; i < n; i++)
         post[i] = (int16_t)-llr[i];
+    memset(post + n, 0, CHUNK * sizeof *post);
+    memset(msg + messages, 0, CHUNK * sizeof *msg);
+    memset(q, 0, (size_t)(size + CHUNK) * sizeof *q);
     int reason = MAX_ITERATIONS;
     for (int it = 1; it <= max_iterations && reason == MAX_ITERATIONS; it++) {
         const int32_t *e = edges;
@@ -350,7 +371,7 @@ int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t
             if (dead[i])
                 dead_step(post, e, q, degree, lanes / Zc, extension, Zc);
             else
-                layer(post, e, q, m, degree, lanes / Zc, Zc);
+                layer(post, e, q, m, degree, lanes / Zc, Zc, it == 1);
             e += 2 * degree * (lanes / Zc);
             m += degree * padded(lanes);
         }

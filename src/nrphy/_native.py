@@ -14,8 +14,10 @@ replaces, which stays the fallback and the oracle in the tests:
   ``rate_adapt._selection`` lists in a table, and decoder input, in one
   call (``rate_adapt.receive_block``);
 - ``decode``: a code block's whole layered decode, from its LLRs to its
-  hard decisions, in memory it allocates per call (-1 where it cannot),
-  from one table of each edge's (column-block start, shift) pair. Its
+  hard decisions, in memory it takes from one ``malloc`` per call (-1
+  where it cannot) and does not zero, as its first iteration reads no
+  messages, from one table of each edge's (column-block start, shift)
+  pair. Its
   lane loops saturate in int16 and run the check node 32 lanes at a time,
   its state in registers; a layer whose rows all own a never-sent
   (all-zero) block runs a read-only step that folds the other edges the

@@ -557,8 +557,11 @@ def ldpc_decode(code: LiftedLdpcCode, channel_llrs: np.ndarray) -> DecodeResult:
     column-disjoint neighbours together (``_layers``), every layer in every
     iteration. The decode is one call into the compiled kernel
     (``_native``) where it can be built, which allocates its own working
-    memory (MemoryError where it cannot), else it runs the definition-level
-    min-sum in NumPy (``_min_sum``) and ``parity_check``.
+    memory (MemoryError where it cannot) and leaves its messages unzeroed:
+    in the first iteration, while every message is 0, q = post - 0 is the
+    posterior itself, so it copies the posteriors and reads no message.
+    Otherwise the decode runs the definition-level min-sum in NumPy
+    (``_min_sum``) and ``parity_check``.
 
     The kernel gives the same result with less work on layers that are
     dead: each of their rows is an extension row r >= 4 whose own block

@@ -64,10 +64,21 @@ def equality_inputs():
                     yield f"{bg.name} Zc={Zc} {name}", code, llr
 
 
+def workload_words():
+    """(label, code, LLRs) of a noisy BG1 Zc=384 and BG2 Zc=20 word, the
+    benchmark's codes, each with the own blocks of rows 13 on never sent."""
+    rng = np.random.default_rng(28)
+    for bg, Zc in ((BaseGraphId.BG1, 384), (BaseGraphId.BG2, 20)):
+        code = build_code(bg, Zc)
+        llr = noisy_llrs(code, rng)
+        zero_extension_blocks(code, llr, range(13, len(code.rows)))
+        yield f"{bg.name} Zc={Zc} never-sent tail", code, llr
+
+
 class TestNativeEqualsNumpy(OnDecoderPath):
     def test_576_decodes_bit_exact(self, monkeypatch):
         kernel = _native.library
-        reasons = Counter()
+        reasons, iterations = Counter(), Counter()
         for label, code, llr in equality_inputs():
             monkeypatch.setattr(_native, "library", kernel)
             native = ldpc_decode(code, llr)
@@ -77,8 +88,19 @@ class TestNativeEqualsNumpy(OnDecoderPath):
             assert (native.iterations_used, native.termination_reason) == \
                    (numpy.iterations_used, numpy.termination_reason), label
             reasons[native.termination_reason] += 1
+            iterations[native.iterations_used] += 1
         assert sum(reasons.values()) == 576
         assert all(reasons[r] >= 20 for r in TerminationReason), reasons
+        # the kernel's first iteration copies the posteriors, where later ones
+        # subtract messages: decodes that end there and ones that run them all
+        assert iterations[1] >= 100 and iterations[ldpc.MAX_ITERATIONS] >= 100, iterations
+
+    def test_decodes_bit_exact_on_a_dirty_heap(self):
+        # the kernel takes its working memory from malloc, which glibc fills
+        # with 0x5a here: a message read before it is written shows
+        env = dict(os.environ, PYTHONPATH=str(SRC), MALLOC_PERTURB_="165")
+        out = run_equality(env, 1)
+        assert out["built"] and out["decodes"] == 578 and out["differ"] == []
 
     def test_every_lifting_size_bit_exact(self, monkeypatch):
         # The kernel copies each edge as a rotated block of Zc lanes, so every
@@ -474,23 +496,27 @@ pwd.getpwuid = no_entry
 
 TESTS = Path(__file__).resolve().parent
 NO_AVX512 = "-mno-avx512f"
+UBSAN = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
 X86_64 = pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                             reason="-mno-avx512f is an x86-64 flag")
 
-# Decodes every sixth of equality_inputs() on the kernel and in NumPy, then
-# receives a code block at every order and rv on both; prints whether the
-# kernel built, the counts, and the labels of the decodes and receives that differ.
-WITHOUT_AVX512 = """
+# Decodes every argv[2]-th of equality_inputs() and workload_words() on the kernel
+# and in NumPy, encodes a BG1 Zc=384 and a BG2 Zc=20 block with no and the most
+# fillers on both, then receives a code block at every order and rv on both; prints
+# whether the kernel built, the counts, and the labels of what differs.
+EQUALITY = """
 import itertools, json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from nrphy import _native
-from nrphy.ldpc import BaseGraphId, build_code, ldpc_decode
+from nrphy.ldpc import BaseGraphId, InfoBlock, build_code, ldpc_decode, ldpc_encode
 from nrphy.rate_adapt import HarqBufferPool, RateMatchConfig, receive_block
-from test_native import equality_inputs
+from test_native import equality_inputs, workload_words
 kernel = _native.library
-built, differ, decodes, receives = kernel() is not None, [], 0, 0
-for label, code, llr in itertools.islice(equality_inputs(), 0, None, 6):
+built, differ, decodes, encodes, receives = kernel() is not None, [], 0, 0, 0
+inputs = itertools.chain(itertools.islice(equality_inputs(), 0, None, int(sys.argv[2])),
+                         workload_words())
+for label, code, llr in inputs:
     _native.library = kernel
     native = ldpc_decode(code, llr)
     _native.library = lambda: None
@@ -499,8 +525,20 @@ for label, code, llr in itertools.islice(equality_inputs(), 0, None, 6):
     if (native.hard_bits.tobytes(), native.iterations_used, native.termination_reason) != \\
        (numpy.hard_bits.tobytes(), numpy.iterations_used, numpy.termination_reason):
         differ.append(label)
-code = build_code(BaseGraphId.BG1, 384)
 rng = np.random.default_rng(26)
+for bg, Zc in ((BaseGraphId.BG1, 384), (BaseGraphId.BG2, 20)):
+    code = build_code(bg, Zc)
+    for fillers in (0, code.K - 2 * Zc):
+        bits = np.zeros(code.K, np.uint8)
+        bits[:code.K - fillers] = rng.integers(0, 2, code.K - fillers)
+        words = []
+        for library in (kernel, lambda: None):
+            _native.library = library
+            words.append(ldpc_encode(code, InfoBlock(bits, fillers)).bits.tobytes())
+        encodes += 1
+        if words[0] != words[1]:
+            differ.append(f"encode {bg.name} Zc={Zc} fillers={fillers}")
+code = build_code(BaseGraphId.BG1, 384)
 for q_m, rv in itertools.product((2, 4, 6, 8), range(4)):
     llrs = rng.integers(-31, 32, 2 * code.N_cb // 24 * 24).astype(np.int8)
     cfg = RateMatchConfig(E_r=llrs.size, rv=rv, Q_m=q_m)
@@ -514,8 +552,17 @@ for q_m, rv in itertools.product((2, 4, 6, 8), range(4)):
     receives += 1
     if outputs[0] != outputs[1]:
         differ.append(f"receive Q_m={q_m} rv={rv}")
-print(json.dumps({"built": built, "decodes": decodes, "receives": receives, "differ": differ}))
+print(json.dumps({"built": built, "decodes": decodes, "encodes": encodes,
+                  "receives": receives, "differ": differ}))
 """
+
+
+def run_equality(env, step):
+    """Run the equality script in ``env`` on every ``step``-th equality input; its output."""
+    done = subprocess.run([sys.executable, "-c", EQUALITY, str(TESTS), str(step)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def assert_compiles_without_warnings(tmp_path, *flags):
@@ -592,14 +639,23 @@ class TestBuild(OnDecoderPath):
     def test_kernel_without_avx512_decodes_bit_exact(self, tmp_path):
         # CHUNK is one 512-bit register of int16; without AVX-512 it spans two
         cc = os.environ.get("CC") or "cc"
-        env = decode_env(tmp_path, CC=f"{cc} {NO_AVX512}")
-        done = subprocess.run([sys.executable, "-c", WITHOUT_AVX512, str(TESTS)], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        out = json.loads(done.stdout)
-        assert out["built"] and out["decodes"] == 96 and out["receives"] == 16
-        assert out["differ"] == []
+        out = run_equality(decode_env(tmp_path, CC=f"{cc} {NO_AVX512}"), 6)
+        assert out == {"built": True, "decodes": 98, "encodes": 4, "receives": 16, "differ": []}
         assert len(list(tmp_path.glob("_layer-*.so"))) == 1
+
+    def test_kernel_with_undefined_behaviour_sanitizer_decodes_bit_exact(self, tmp_path):
+        # the sanitizer aborts the process at the first undefined operation it sees
+        cc = shlex.split(os.environ.get("CC") or "cc") + UBSAN
+        probe = tmp_path / "probe.c"
+        probe.write_text("int probe(int a, int b) { return a + b; }\n")
+        done = subprocess.run([*cc, *_native.FLAGS, "-o", str(tmp_path / "probe.so"),
+                               str(probe)], capture_output=True, text=True)
+        if done.returncode:
+            pytest.skip(f"{shlex.join(cc)} cannot link the sanitizer: {done.stderr.strip()}")
+        cache = tmp_path / "cache"
+        out = run_equality(decode_env(cache, CC=shlex.join(cc)), 6)
+        assert out == {"built": True, "decodes": 98, "encodes": 4, "receives": 16, "differ": []}
+        assert len(list(cache.glob("_layer-*.so"))) == 1
 
     def test_other_compiler_flags_get_their_own_cache_file(self, tmp_path):
         cc = os.environ.get("CC") or "cc"
