@@ -22,11 +22,11 @@
  * runs a read-only step that writes only those blocks, folding its other
  * edges CHUNK lanes at a time as a live layer does. The parity check
  * XORs the same rotated blocks of the hard decisions, as encode XORs them
- * of the codeword. decode allocates its own working memory per call and
- * zeroes none of what it reads before writing; it and encode take the
- * code as the same arguments, edges to Zc. Each lane
- * loop is its own function with restrict parameters, so that the compiler
- * vectorizes it without run-time alias checks.
+ * of the codeword. decode takes its working memory from one malloc per
+ * call and zeroes only what a whole chunk may read before it is written;
+ * it and encode take the code as the same arguments, edges to Zc. Each
+ * lane loop is its own function with restrict parameters, so that the
+ * compiler vectorizes it without run-time alias checks.
  *
  * The decoder's arithmetic stays in 16-bit lanes. |q|, |msg| <= 127: the
  * posteriors and the q = post - msg read from them saturate at 127, and a

@@ -17,9 +17,8 @@ replaces, which stays the fallback and the oracle in the tests:
   hard decisions, in memory it takes from one ``malloc`` per call (-1
   where it cannot) and does not zero, as its first iteration reads no
   messages, from one table of each edge's (column-block start, shift)
-  pair. Its
-  lane loops saturate in int16 and run the check node 32 lanes at a time,
-  its state in registers; a layer whose rows all own a never-sent
+  pair. Its lane loops saturate in int16 and run the check node 32 lanes
+  at a time, its state in registers; a layer whose rows all own a never-sent
   (all-zero) block runs a read-only step that folds the other edges the
   same way and writes only those blocks, and the parity check XORs the
   rotated blocks of the hard decisions, as ``encode`` does those of the
