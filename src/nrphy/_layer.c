@@ -23,8 +23,8 @@
  * edges CHUNK lanes at a time as a live layer does. The parity check
  * XORs the same rotated blocks of the hard decisions, as encode XORs them
  * of the codeword. decode takes its working memory from one malloc per
- * call and zeroes only what a whole chunk may read before it is written;
- * it and encode take the code as the same arguments, edges to Zc. Each
+ * call and zeroes only its slack and scratch, no messages; it and encode
+ * take the code as the same arguments, edges to Zc. Each
  * lane loop is its own function with restrict parameters, so that the
  * compiler vectorizes it without run-time alias checks.
  *
@@ -335,9 +335,9 @@ static int parity_holds(const uint8_t *hard, const int32_t *edges, const int32_t
  * one malloc, each followed by CHUNK lanes of slack for sub_run's whole
  * chunks, and freed before returning. The messages are not zeroed: the
  * first iteration reads none (layer), and every later one reads those it
- * wrote. Only what a whole chunk may read before anything is written
- * there, the posteriors' and messages' slack and q, a few KB, is zeroed,
- * though no lane that is copied back reads it. The parity check XORs
+ * wrote. Only the posteriors' and messages' slack and q, a few KB, are
+ * zeroed, which whole chunks read before anything is written there,
+ * though no lane that is copied back reads them. The parity check XORs
  * hard, as encode XORs the codeword. Returns the termination reason,
  * or NO_MEMORY, and sets *iterations to the number run. */
 int decode(const int8_t *llr, uint8_t *hard, const int32_t *edges, const int32_t *shape,
