@@ -173,6 +173,40 @@ class TestPoolErrorSurfacing:
             decode_chain(cfg_b, enc_b.symbols, pool, release=False)
 
 
+class TestBlockDelivered:
+    """``block_delivered`` compares a payload of exactly K' x C bits, or raises."""
+
+    @pytest.fixture(scope="class")
+    def decoded(self):
+        cfg = ChainConfig(**{**HARQ_POINT, "blocks": 2, "snr_db": 30.0})
+        payload = random_payload(cfg, 12)
+        return decode_chain(cfg, encode_chain(cfg, payload).symbols, HarqBufferPool()), payload
+
+    def test_matching_payload_delivers_every_block(self, decoded):
+        dec, payload = decoded
+        assert dec.block_delivered(payload) == [True, True]
+
+    @pytest.mark.parametrize("length", [192, 2 * 192 - 1, 2 * 192 + 1, 4 * 192])
+    def test_payload_of_other_length_rejected(self, decoded, length):
+        # one block short once read [True, False], twice too long [True, True]
+        dec, payload = decoded
+        with pytest.raises(ValueError, match="K' x C"):
+            dec.block_delivered(np.resize(payload, length))
+
+    @pytest.mark.parametrize("bad", [2, -1], ids=repr)
+    def test_non_binary_payload_rejected(self, decoded, bad):
+        dec, payload = decoded
+        wrong = payload.astype(np.int64)
+        wrong[-1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            dec.block_delivered(wrong)
+
+    def test_two_dimensional_payload_rejected(self, decoded):
+        dec, payload = decoded
+        with pytest.raises(ValueError, match="1-D"):
+            dec.block_delivered(payload.reshape(2, -1))
+
+
 class TestHarqCombining:
     def test_first_tx_fails_schedule_recovers(self):
         cfg = ChainConfig(**HARQ_POINT)
