@@ -55,7 +55,13 @@ class DecodeOutput:
         return [res.parity_ok for res in self.results]
 
     def block_delivered(self, payload: np.ndarray) -> list[bool]:
-        """Per block: parity holds and its K' bits equal the payload's."""
+        """Per block: parity holds and its K' bits equal the payload's.
+
+        ValueError unless ``payload`` is K' x C bits of 0 or 1.
+        """
+        payload = as_bits(payload)
+        if payload.shape != self.payload.shape:
+            raise ValueError(f"payload must be K' x C = {len(self.payload)} bits")
         k = len(self.payload) // len(self.results)  # K'
         return [res.parity_ok and np.array_equal(self.payload[b * k:(b + 1) * k],
                                                  payload[b * k:(b + 1) * k])
