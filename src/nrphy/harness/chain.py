@@ -3,8 +3,9 @@
 Encode: LDPC encode -> rate match -> interleave -> scramble -> modulate.
 Decode: LLR estimate -> descramble -> deinterleave -> rate unmatch with
 HARQ combining -> LDPC decode, where each block's deinterleaving,
-combining and decoder input are one ``receive_block`` call unless one of
-those stages' names here has been rebound. Scrambling runs over the
+combining and decoder input are one call of ``receive_block``'s body
+unless one of those stages' names here has been rebound. The chain reads
+what its ``ChainConfig`` fixes from the config's plan. Scrambling runs over the
 concatenated rate-matched stream of all blocks, mirroring a single-codeword
 transport.
 """
@@ -17,18 +18,17 @@ import numpy as np
 
 from .. import llr as llr_mod
 from ..errors import ConfigError, PoolExhaustedError, UnknownProcessError
-from ..ldpc import DecodeResult, InfoBlock, as_bits, as_int, ldpc_decode, ldpc_encode
+from ..ldpc import DecodeResult, InfoBlock, as_bits, ldpc_decode, ldpc_encode
 from ..llr import EqualizedSymbols, PackedWordStream, pack_bit_words
 from ..rate_adapt import (
     POOL_SLOTS,
     HarqBufferPool,
-    RateMatchConfig,
+    _receive,
     deinterleave,
     interleave,
     materialize_decoder_input,
     rate_match,
     rate_unmatch_combine,
-    receive_block,
 )
 from ..scramble import descramble_llrs, scramble_bits
 from .config import ChainConfig
@@ -72,19 +72,13 @@ def _block_process_id(cfg: ChainConfig, block: int) -> int:
     return (cfg.harq_process + block) % POOL_SLOTS
 
 
-def _rate_match_config(cfg: ChainConfig, rv_round: int) -> RateMatchConfig:
-    """Round ``rv_round``'s transmission layout; ValueError unless it is an integer >= 0."""
-    rv = cfg.rv_schedule[as_int(rv_round, "rv_round", 0) % len(cfg.rv_schedule)]
-    return RateMatchConfig(E_r=cfg.e_r, rv=rv, Q_m=cfg.q_m)
-
-
 def encode_chain(cfg: ChainConfig, payload: np.ndarray, rv_round: int = 0) -> EncodeOutput:
     """Run the encode pipeline over ``blocks`` identical-parameter blocks."""
     payload = as_bits(payload)
     if payload.shape != (cfg.k_prime * cfg.blocks,):
         raise ValueError(
             f"payload must be K' x C = {cfg.k_prime * cfg.blocks} bits")
-    rm_cfg = _rate_match_config(cfg, rv_round)
+    rm_cfg, _ = cfg.plan.layout(rv_round)
     code, filler = cfg.code()
 
     info = np.zeros((cfg.blocks, code.K), dtype=np.uint8)  # each row's filler tail stays 0
@@ -121,7 +115,7 @@ def decode_chain_from_llrs(
         # process ids wrap, so a later block would rebind an earlier block's buffer
         raise ConfigError(f"{cfg.blocks} blocks cannot keep combined state in "
                           f"{POOL_SLOTS} soft buffers")
-    rm_cfg = _rate_match_config(cfg, rv_round)
+    rm_cfg, selection = cfg.plan.layout(rv_round)
     code, filler = cfg.code()
 
     descrambled = descramble_llrs(llrs, cfg.identity)
@@ -138,8 +132,8 @@ def decode_chain_from_llrs(
         if staged:
             rate_unmatch_combine(buf, deinterleave(block, cfg.q_m), rm_cfg)
             decoder_input = materialize_decoder_input(buf)
-        else:
-            decoder_input = receive_block(buf, block, rm_cfg)
+        else:  # descramble_llrs checked the block; the plan checked its layout
+            decoder_input = _receive(buf, block, selection, rm_cfg)
         res = ldpc_decode(code, decoder_input)
         results.append(res)
         payload[b * cfg.k_prime:(b + 1) * cfg.k_prime] = res.hard_bits[: cfg.k_prime]
@@ -157,6 +151,5 @@ def decode_chain(
     release: bool = True,
 ) -> DecodeOutput:
     """Full decode pipeline from equalized symbols."""
-    params = llr_mod.DemapperParams.for_noise(cfg.q_m, cfg.sigma2)
-    raw = llr_mod.llr_estimate(symbols, params)
+    raw = llr_mod.llr_estimate(symbols, cfg.plan.demapper)
     return decode_chain_from_llrs(cfg, raw, pool, rv_round, new_packet, release)

@@ -7,11 +7,25 @@ from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError
 from ..ldpc import LiftedLdpcCode, as_int, build_code, choose_base_graph, select_lifting
-from ..llr import as_q_m
-from ..rate_adapt import POOL_SLOTS
+from ..llr import DemapperParams, as_q_m
+from ..rate_adapt import POOL_SLOTS, RateMatchConfig, _Selection, _selection
 from ..scramble import ScramblingIdentity
 
 DEFAULT_CONFIG_NAME = "default"
+
+
+@dataclass(frozen=True)
+class TransmissionPlan:
+    """What a configuration fixes for every chain call, derived and checked once."""
+
+    code: LiftedLdpcCode
+    filler_count: int
+    layouts: tuple[tuple[RateMatchConfig, _Selection], ...]  # one per rv_schedule entry
+    demapper: DemapperParams
+
+    def layout(self, rv_round: int) -> tuple[RateMatchConfig, _Selection]:
+        """Round ``rv_round``'s layout; ValueError unless it is an integer >= 0."""
+        return self.layouts[as_int(rv_round, "rv_round", 0) % len(self.layouts)]
 
 
 @dataclass(frozen=True)
@@ -60,8 +74,18 @@ class ChainConfig:
             raise ConfigError("snr_db is so low that its noise variance overflows") from None
         if not (math.isfinite(self.target_rate) and 0 < self.target_rate <= 1):
             raise ConfigError("target_rate must be in (0, 1]")
-        self.code()  # raises ConfigError for a K' its base graph cannot carry
-        object.__setattr__(self, "identity", identity)  # derived, not a field
+        bg = choose_base_graph(self.k_prime, self.target_rate)
+        Zc, _, _, filler = select_lifting(bg, self.k_prime)  # ConfigError for a K' bg cannot carry
+        code = build_code(bg, Zc)
+        layouts = []
+        for rv in self.rv_schedule:
+            rm_cfg = RateMatchConfig(E_r=self.e_r, rv=rv, Q_m=self.q_m)
+            layouts.append((rm_cfg, _selection(bg, Zc, rm_cfg.rv, filler, rm_cfg.E_r)))
+        plan = TransmissionPlan(code, filler, tuple(layouts),
+                                DemapperParams.for_noise(self.q_m, self.sigma2))
+        # derived, not fields: equality, hash and echo() ignore them
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "plan", plan)
 
     @property
     def G(self) -> int:
@@ -74,9 +98,7 @@ class ChainConfig:
 
     def code(self) -> tuple[LiftedLdpcCode, int]:
         """The lifted code and filler count this configuration selects."""
-        bg = choose_base_graph(self.k_prime, self.target_rate)
-        Zc, _, K, F = select_lifting(bg, self.k_prime)
-        return build_code(bg, Zc), F
+        return self.plan.code, self.plan.filler_count
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -213,21 +213,27 @@ def _checked(buffer: SoftBuffer, llrs: np.ndarray,
     """``llrs`` as SoftLlrs and the pieces they combine into, once both are checked.
 
     ValueError as :func:`buffer_filler_range` says for the buffer's filler
-    count, and unless ``llrs`` are E_r SoftLlrs and the buffer's ``llrs`` is
-    a writable, C-contiguous int8 array of N_cb values, which a combine
-    writes in place.
+    count, and unless ``llrs`` are E_r SoftLlrs.
     """
     code = buffer.code
     selection = _selection(code.bg, code.Zc, cfg.rv, buffer.filler_count, cfg.E_r)
     raw = as_softllr(llrs)
     if raw.shape != (cfg.E_r,):
         raise ValueError("LLR count must equal E_r")
-    buf, n_cb = buffer.llrs, code.N_cb
+    return raw, selection
+
+
+def _writable_llrs(buffer: SoftBuffer) -> np.ndarray:
+    """The buffer's ``llrs``, which a combine writes in place.
+
+    ValueError unless they are a writable, C-contiguous int8 array of N_cb values.
+    """
+    buf, n_cb = buffer.llrs, buffer.code.N_cb
     if not (isinstance(buf, np.ndarray) and buf.dtype == np.int8 and buf.shape == (n_cb,)
             and buf.flags.c_contiguous and buf.flags.writeable):
         raise ValueError(f"soft buffer must be a writable, contiguous int8 array of "
                          f"N_cb = {n_cb} LLRs")
-    return raw, selection
+    return buf
 
 
 def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) -> None:
@@ -236,10 +242,10 @@ def rate_unmatch_combine(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchCon
     Positions hit more than once by one transmission (wrap-around
     repetition) accumulate every copy, in arrival order. The sum is int16,
     so any int8 the public buffer holds saturates too. ValueError as
-    :func:`_checked` says.
+    :func:`_checked` and :func:`_writable_llrs` say.
     """
     raw, selection = _checked(buffer, llrs, cfg)
-    buf, at = buffer.llrs, 0
+    buf, at = _writable_llrs(buffer), 0
     for a, b in selection.pieces:
         acc = np.add(buf[a:b], raw[at:at + b - a], dtype=np.int16)
         buf[a:b] = np.clip(acc, -LLR_RAW_MAX, LLR_RAW_MAX, out=acc)
@@ -267,9 +273,19 @@ def receive_block(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) ->
     :func:`materialize_decoder_input`, which define it; the compiled kernel
     does all three in one call where it can be built, reading the block at
     stride Q_m and walking the same pieces from ``_selection``'s table.
-    ValueError as :func:`_checked` says, before anything is written.
+    ValueError as :func:`_checked` and :func:`_writable_llrs` say, before
+    anything is written.
     """
-    raw, selection = _checked(buffer, llrs, cfg)
+    return _receive(buffer, *_checked(buffer, llrs, cfg), cfg)
+
+
+def _receive(buffer: SoftBuffer, raw: np.ndarray, selection: _Selection,
+             cfg: RateMatchConfig) -> np.ndarray:
+    """:func:`receive_block` from what :func:`_checked` returns for its arguments.
+
+    The buffer, which the kernel writes through its pointer, is still checked here.
+    """
+    buf = _writable_llrs(buffer)
     lib = _native.library()
     if lib is None:
         rate_unmatch_combine(buffer, deinterleave(raw, cfg.Q_m), cfg)
@@ -278,6 +294,6 @@ def receive_block(buffer: SoftBuffer, llrs: np.ndarray, cfg: RateMatchConfig) ->
     fillers = buffer_filler_range(code, buffer.filler_count)
     raw = np.ascontiguousarray(raw)
     out = np.empty(code.N_full, dtype=np.int8)
-    lib.receive(out.ctypes.data, buffer.llrs.ctypes.data, raw.ctypes.data, cfg.E_r, cfg.Q_m,
+    lib.receive(out.ctypes.data, buf.ctypes.data, raw.ctypes.data, cfg.E_r, cfg.Q_m,
                 selection.address, code.N_cb, fillers.start, fillers.stop, 2 * code.Zc)
     return out

@@ -576,6 +576,21 @@ class TestConfigParsing:
             ChainConfig(**{field: value})
 
 
+class TestChainLlrBoundary:
+    def test_bad_llr_in_last_block_binds_no_buffer(self):
+        # descramble_llrs checks the whole stream before any block's buffer is bound
+        cfg = ChainConfig(**{**HARQ_POINT, "blocks": 3})
+        pool = HarqBufferPool()
+        pool.acquire(9, True, *cfg.code())
+        before = dict(pool.bindings)
+        llrs = np.zeros(cfg.G, np.int8)
+        llrs[-1] = 40
+        with pytest.raises(ValueError, match="SoftLlrs"):
+            decode_chain_from_llrs(cfg, llrs, pool, new_packet=True, release=False)
+        assert pool.bindings.keys() == before.keys()
+        assert all(pool.bindings[pid] is buf for pid, buf in before.items())
+
+
 def _softllr_readers():
     """(input length, call) of every public function that takes SoftLlrs."""
     cfg = ChainConfig(k_prime=100, e_r=256, target_rate=0.5)
