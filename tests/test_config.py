@@ -123,6 +123,14 @@ class TestConfigErrors:
             ChainConfig(**fields)
         assert type(exc.value) is ConfigError and str(exc.value) == message
 
+    @pytest.mark.parametrize("schedule", [[0, 2], (np.int64(0), 2), [np.uint8(0), np.int32(2)]],
+                             ids=repr)
+    def test_rv_schedule_is_stored_as_a_tuple_of_ints(self, schedule):
+        cfg, expect = ChainConfig(rv_schedule=schedule), ChainConfig(rv_schedule=(0, 2))
+        assert type(cfg.rv_schedule) is tuple
+        assert [type(rv) for rv in cfg.rv_schedule] == [int, int]
+        assert cfg == expect and hash(cfg) == hash(expect) and cfg.echo() == expect.echo()
+
     def test_base_graph_without_parity_structure_raises_config_error(self, bad_parity_tables):
         with pytest.raises(ConfigError) as exc:
             ChainConfig(**HARQ_POINT)  # BG2

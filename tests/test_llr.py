@@ -6,6 +6,7 @@ constellation subsets, scaled by 1/(2 sigma^2). Positive favors bit 1.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from nrphy.llr import (
     unpack_bit_words,
     unpack_llr_words,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def all_labels(q_m):
@@ -515,6 +518,23 @@ class TestPacking:
         with pytest.raises(FormatError, match="negative"):
             unpack_bit_words(pack_bit_words(np.ones(32, np.uint8)), -1)
 
+    @pytest.mark.parametrize("count", [True, False, 2.0, np.float64(4.0), "4"], ids=repr)
+    def test_non_integer_count_rejected(self, count):
+        # True would read as 1 and 2.0 fail deep in NumPy's slicing
+        llrs = PackedWordStream(np.array([0x05], np.uint32), KIND_LLRS)
+        with pytest.raises(FormatError, match="count must be an integer"):
+            unpack_llr_words(llrs, count)
+        bits = pack_bit_words(np.ones(32, np.uint8))
+        with pytest.raises(FormatError, match="count must be an integer"):
+            unpack_bit_words(bits, count)
+
+    def test_numpy_integer_count_reads_as_its_value(self):
+        llrs = PackedWordStream(np.array([0x05], np.uint32), KIND_LLRS)
+        assert unpack_llr_words(llrs, np.int64(1)).tolist() == [5]
+        assert unpack_llr_words(llrs, np.uint8(4)).tolist() == [5, 0, 0, 0]
+        bits = pack_bit_words(np.array([1, 0, 1], np.uint8))
+        assert unpack_bit_words(bits, np.int32(3)).tolist() == [1, 0, 1]
+
     def test_kind_mismatch_rejected(self):
         ws = pack_bit_words(np.zeros(32, np.uint8))
         with pytest.raises(FormatError):
@@ -524,6 +544,22 @@ class TestPacking:
         ws = pack_llr_words(np.array([5, -6, 7, -8, 9], np.int8))
         again = PackedWordStream.from_hex(ws.dump_hex(), KIND_LLRS)
         assert np.array_equal(again.words, ws.words)
+
+    def test_hex_dump_reads_golden_words(self):
+        text = (DATA / "golden_words.txt").read_text()
+        ws = PackedWordStream.from_hex(text, KIND_RAW_BITS)
+        assert len(ws.words) == 12 and ws.dump_hex() == text
+
+    def test_hex_dump_reads_short_words_and_blank_lines(self):
+        ws = PackedWordStream.from_hex("ffffffff\r\n\n  0 \nA\n", KIND_RAW_BITS)
+        assert ws.words.tolist() == [0xFFFFFFFF, 0, 0xA]
+
+    @pytest.mark.parametrize("line", ["1ffffffff", "-1", "zz", "+1", "0x1f", "1_0",
+                                      "0000 0001"])
+    def test_malformed_hex_dump_line_rejected(self, line):
+        # each line holds one word of at most 8 hex digits, as dump_hex writes it
+        with pytest.raises(FormatError, match="malformed hex dump"):
+            PackedWordStream.from_hex(f"00000001\n{line}\n", KIND_RAW_BITS)
 
     def test_bytes_roundtrip(self):
         ws = pack_bit_words(np.arange(100) % 2)
