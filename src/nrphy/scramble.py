@@ -3,16 +3,15 @@
 The sequence is the XOR of two length-31 LFSRs (x1 taps 3,0; x2 taps
 3,2,1,0) discarded for the first 1600 outputs. Its initialization packs
 the transmission identity as c_init = rnti * 2^15 + q * 2^14 + cell_id.
-No call runs that warm-up: it is folded into 32 register states computed
-once per process, x1's and one x2 state per bit of c_init, from which a
-call starts and generates only the n outputs it returns.
+A sequence is built as TS 38.211 5.2.1 defines it: x1 starts from 1 and
+x2 from c_init, and both run through the warm-up and the n outputs kept.
 c_init has no slot term (TS 38.211 7.3.1.1), so every transmission of one
 UE and codeword reads the same sequence: ``sequence`` keeps its last
 ``SEQUENCE_CACHE_SIZE`` (c_init, n) results, read-only, and a chain's
-scrambling and descrambling of one identity build its bits once. Every
-harness run and benchmark workload sends one identity at one length, so
-one entry serves them all; callers that alternate identities rebuild on
-each miss, as before the cache.
+scrambling and descrambling of one identity build its bits, warm-up
+included, once. Every harness run and benchmark workload sends one
+identity at one length, so one entry serves them all; callers that
+alternate identities rebuild on each miss, as before the cache.
 Descrambling operates on LLRs by conditional negation: flipping the
 underlying bit negates the log-ratio, and the symmetric SoftLlr range
 makes negation exact.
@@ -52,30 +51,6 @@ _X1_TAPS = (0, 3)
 _X2_TAPS = (0, 1, 2, 3)
 
 
-def _warm_states(taps: tuple[int, ...], starts: list[int]) -> tuple[int, ...]:
-    """Each start's state after WARMUP outputs of x[i+31] = XOR of x[i+t].
-
-    A state holds 31 consecutive outputs, the oldest in bit 0. The run is
-    the definition, one output at a time, for every start at once: bit s
-    of ``x[i]`` is output i of the register started from ``starts[s]``.
-    """
-    x = [sum(((start >> i) & 1) << s for s, start in enumerate(starts))
-         for i in range(_REG_BITS)]
-    for i in range(WARMUP):
-        out = 0
-        for t in taps:
-            out ^= x[i + t]
-        x.append(out)
-    return tuple(sum(((x[WARMUP + i] >> s) & 1) << i for i in range(_REG_BITS))
-                 for s in range(len(starts)))
-
-
-# x1 always starts from 1. x2's state is GF(2)-linear in c_init, so its
-# state after the warm-up is the XOR of _X2_WARM[i] over c_init's set bits i.
-(_X1_WARM,) = _warm_states(_X1_TAPS, [1])
-_X2_WARM = _warm_states(_X2_TAPS, [1 << i for i in range(_REG_BITS)])
-
-
 def _outputs(state: int, taps: tuple[int, ...], n: int) -> int:
     """First n outputs of the register in ``state``, output j in bit j."""
     out = state & ((1 << min(n, _REG_BITS)) - 1)
@@ -103,11 +78,8 @@ def sequence(identity: ScramblingIdentity, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=SEQUENCE_CACHE_SIZE)
 def _sequence(c_init: int, n: int) -> np.ndarray:
-    x2 = 0
-    for i, state in enumerate(_X2_WARM):
-        if c_init >> i & 1:
-            x2 ^= state
-    bits = _outputs(_X1_WARM, _X1_TAPS, n) ^ _outputs(x2, _X2_TAPS, n)
+    total = WARMUP + n
+    bits = (_outputs(1, _X1_TAPS, total) ^ _outputs(c_init, _X2_TAPS, total)) >> WARMUP
     seq = np.unpackbits(np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8),
                         count=n, bitorder="little")
     seq.flags.writeable = False

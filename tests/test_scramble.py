@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from nrphy.scramble import (
-    _X1_WARM,
-    _X2_WARM,
     SEQUENCE_CACHE_SIZE,
     ScramblingIdentity,
     _sequence,
@@ -45,21 +43,16 @@ IDENTITIES = [
     ScramblingIdentity(65535, 0, 0),
 ]
 
-# The generator starts from the state after the warm-up and fills up to
-# 28*2^k outputs per pass once 31*2^k outputs exist, so its passes change
-# step at n = 31*2^k; probe each one and either side. The lengths where
-# WARMUP + n = 31*2^k (the boundaries of a generator that runs the warm-up
-# on every call) stay, as does the 101376-bit transport block of the
-# 8-block K'=8448 link.
+# The generator runs WARMUP + n outputs from the registers' start states
+# and fills up to 28*2^k outputs per pass once 31*2^k outputs exist, so its
+# passes change step where WARMUP + n = 31*2^k; probe each one and either
+# side. The lengths n = 31*2^k (the boundaries of a generator that starts
+# from the state after the warm-up) stay, as does the 101376-bit transport
+# block of the 8-block K'=8448 link.
 ORACLE_LENGTHS = sorted(
     {4096, 101376}
     | {31 * 2 ** k + d for k in range(0, 12) for d in (-1, 0, 1)}
     | {31 * 2 ** k - 1600 + d for k in range(6, 12) for d in (-1, 0, 1)})
-
-
-def register_state(bits):
-    """31 consecutive outputs packed as a register state, the oldest in bit 0."""
-    return sum(int(b) << i for i, b in enumerate(bits))
 
 
 class TestGoldSequence:
@@ -82,21 +75,11 @@ class TestGoldSequence:
         expect = np.array(x1[1600:1600 + n], dtype=np.uint8)
         assert np.array_equal(sequence(ScramblingIdentity(0, 0, 0), n), expect)
 
-    def test_warm_states_match_oracle(self):
-        # The 32 per-process constants are the states after the 1600-output
-        # warm-up: x1's, then x2's for each c_init = 2^i. With c_init = 0 x2
-        # stays zero, so the oracle's output is x1 alone.
-        x1 = gold_oracle(0, 31)
-        assert _X1_WARM == register_state(x1)
-        assert len(_X2_WARM) == 31
-        for i, state in enumerate(_X2_WARM):
-            assert state == register_state(gold_oracle(1 << i, 31) ^ x1), i
-
     @pytest.mark.parametrize("bit", range(31))
     def test_single_bit_c_init_matches_oracle(self, bit):
         # Bits 10-13 of c_init lie past cell_id's range, beyond any
-        # ScramblingIdentity, yet each selects its own x2 state; sequence
-        # reads only c_init.
+        # ScramblingIdentity, yet each is one bit of x2's start state;
+        # sequence reads only c_init.
         ident = SimpleNamespace(c_init=1 << bit)
         assert np.array_equal(sequence(ident, 500), gold_oracle(1 << bit, 500))
 
