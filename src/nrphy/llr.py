@@ -22,6 +22,7 @@ layout; the packers only fill bytes, so words and dump files cannot disagree.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -264,6 +265,7 @@ def llr_estimate(symbols: EqualizedSymbols, params: DemapperParams) -> np.ndarra
 
 KIND_RAW_BITS = "raw_bits"
 KIND_LLRS = "llrs"
+_HEX_WORD = re.compile("[0-9a-fA-F]{1,8}")
 
 
 @dataclass(frozen=True)
@@ -289,8 +291,29 @@ class PackedWordStream:
 
     @classmethod
     def from_hex(cls, text: str, kind: str) -> "PackedWordStream":
-        words = [int(line, 16) for line in text.split()]
+        """Read a dump: one word of at most 8 hex digits per line, blank lines skipped."""
+        words = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            word = line.strip()
+            if not word:
+                continue
+            if not _HEX_WORD.fullmatch(word):
+                raise FormatError(f"malformed hex dump: line {lineno} is not "
+                                  f"one 32-bit hex word: {line!r}")
+            words.append(int(word, 16))
         return cls(np.asarray(words, dtype=np.uint32), kind)
+
+
+def _as_count(count, capacity: int) -> int:
+    """``count`` as an int; FormatError unless it is an int or NumPy integer,
+    not a bool, in [0, capacity]."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise FormatError(f"count must be an integer, not {count!r}")
+    if count < 0:
+        raise FormatError("negative count")
+    if count > capacity:
+        raise FormatError("count exceeds stream capacity")
+    return int(count)
 
 
 def pack_llr_words(llrs: np.ndarray) -> PackedWordStream:
@@ -305,10 +328,7 @@ def unpack_llr_words(stream: PackedWordStream, count: int | None = None) -> np.n
     # a bytearray keeps the returned LLRs writable, as a fresh array would be
     raw = np.frombuffer(bytearray(stream.to_bytes()), dtype=np.int8)
     if count is not None:
-        if count < 0:
-            raise FormatError("negative count")
-        if count > raw.size:
-            raise FormatError("count exceeds stream capacity")
+        count = _as_count(count, raw.size)
         if raw[count:].any():
             raise FormatError("padding after the last LLR is not zero")
         raw = raw[:count]
@@ -326,9 +346,5 @@ def pack_bit_words(bits: np.ndarray) -> PackedWordStream:
 def unpack_bit_words(stream: PackedWordStream, count: int) -> np.ndarray:
     if stream.kind != KIND_RAW_BITS:
         raise FormatError(f"expected raw bit words, got {stream.kind}")
-    if count < 0:
-        raise FormatError("negative count")
-    if count > 32 * len(stream.words):
-        raise FormatError("count exceeds stream capacity")
     return np.unpackbits(np.frombuffer(stream.to_bytes(), dtype=np.uint8),
-                         count=count, bitorder="little")
+                         count=_as_count(count, 32 * len(stream.words)), bitorder="little")
