@@ -53,8 +53,7 @@ class ChainConfig:
         if not self.rv_schedule:
             raise ConfigError("rv schedule must be nonempty")
         try:
-            for rv in self.rv_schedule:
-                as_int(rv, "every rv", 0, 4)
+            rv_schedule = tuple(as_int(rv, "every rv", 0, 4) for rv in self.rv_schedule)
             as_int(self.k_prime, "k_prime", 1)
             as_int(self.blocks, "blocks", 1)
             as_int(self.e_r, "E_r", 1)
@@ -78,11 +77,13 @@ class ChainConfig:
         Zc, _, _, filler = select_lifting(bg, self.k_prime)  # ConfigError for a K' bg cannot carry
         code = build_code(bg, Zc)
         layouts = []
-        for rv in self.rv_schedule:
+        for rv in rv_schedule:
             rm_cfg = RateMatchConfig(E_r=self.e_r, rv=rv, Q_m=self.q_m)
             layouts.append((rm_cfg, _selection(bg, Zc, rm_cfg.rv, filler, rm_cfg.E_r)))
         plan = TransmissionPlan(code, filler, tuple(layouts),
                                 DemapperParams.for_noise(self.q_m, self.sigma2))
+        # stored as a tuple of ints, so a list or NumPy entries compare and hash as one
+        object.__setattr__(self, "rv_schedule", rv_schedule)
         # derived, not fields: equality, hash and echo() ignore them
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "plan", plan)
