@@ -14,7 +14,14 @@ from collections import Counter
 import numpy as np
 
 from ..errors import ConfigError, FormatError, PoolExhaustedError, UnknownProcessError
-from ..llr import KIND_LLRS, PackedWordStream, awgn, pack_llr_words, unpack_llr_words
+from ..llr import (
+    KIND_LLRS,
+    PackedWordStream,
+    awgn,
+    llr_estimate,
+    pack_llr_words,
+    unpack_llr_words,
+)
 from ..rate_adapt import HarqBufferPool
 from .bench import run_throughput_bench
 from .chain import decode_chain, decode_chain_from_llrs, encode_chain
@@ -111,9 +118,8 @@ def _cmd_encode(cfg, args) -> int:
             fh.write(enc.scrambled_words.to_bytes())
         print(f"wrote {len(enc.scrambled_words.words)} bit words to {args.dump_words}")
     if args.dump_llrs:
-        from ..llr import DemapperParams, llr_estimate
         noisy = awgn(enc.symbols, cfg.sigma2, np.random.SeedSequence([cfg.seed, 1]))
-        raw = llr_estimate(noisy, DemapperParams.for_noise(cfg.q_m, cfg.sigma2))
+        raw = llr_estimate(noisy, cfg.plan.demapper)
         with open(args.dump_llrs, "wb") as fh:
             fh.write(pack_llr_words(raw).to_bytes())
         print(f"wrote {len(raw)} LLRs to {args.dump_llrs}")
