@@ -520,7 +520,7 @@ class TestPacking:
 
     @pytest.mark.parametrize("count", [True, False, 2.0, np.float64(4.0), "4"], ids=repr)
     def test_non_integer_count_rejected(self, count):
-        # True would read as 1 and 2.0 fail deep in NumPy's slicing
+        # a bool is not a count, though True == 1, nor is a whole float
         llrs = PackedWordStream(np.array([0x05], np.uint32), KIND_LLRS)
         with pytest.raises(FormatError, match="count must be an integer"):
             unpack_llr_words(llrs, count)
