@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -23,11 +22,11 @@ from ..llr import (
     unpack_llr_words,
 )
 from ..rate_adapt import HarqBufferPool
+from . import sim
 from .bench import run_throughput_bench
-from .chain import decode_chain, decode_chain_from_llrs, encode_chain
+from .chain import decode_chain_from_llrs, encode_chain
 from .config import load_config, with_overrides
 from .report import RunReport
-from .sim import HARQ_COLUMNS, run_bler_sweep, run_harq_sim
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -70,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="encode, add noise, decode, compare")
     _add_common(p)
-    p.add_argument("--dump-words", default=None,
-                   help="write post-scramble bit words (little-endian binary)")
 
     p = sub.add_parser("bler", help="block error rate sweep over SNR points")
     _add_common(p)
@@ -151,12 +148,7 @@ def _cmd_decode(cfg, args) -> int:
 
 def _cmd_roundtrip(cfg, args) -> int:
     payload = _random_payload(cfg)
-    enc = encode_chain(cfg, payload)
-    if args.dump_words:
-        with open(args.dump_words, "wb") as fh:
-            fh.write(enc.scrambled_words.to_bytes())
-    noisy = awgn(enc.symbols, cfg.sigma2, np.random.SeedSequence([cfg.seed, 1]))
-    dec = decode_chain(cfg, noisy, HarqBufferPool())
+    dec = sim.transmit(cfg, payload, (cfg.seed, 1), HarqBufferPool())
     for b, res in enumerate(dec.results):
         print(f"block {b}: parity_ok={res.parity_ok} "
               f"iterations={res.iterations_used}")
@@ -168,24 +160,14 @@ def _cmd_roundtrip(cfg, args) -> int:
 
 
 def _cmd_bler(cfg, args) -> int:
-    report = run_bler_sweep(cfg, args.snrs, args.blocks)
+    report = sim.run_bler_sweep(cfg, args.snrs, args.blocks)
     _emit(report, args.out)
     return EXIT_OK
 
 
 def _cmd_harq_sim(cfg, args) -> int:
-    reps = [run_harq_sim(cfg, size, args.processes, args.rounds, args.packets)
-            for size in args.pool_sizes]
-    merged = RunReport(kind="harq-sim", config=cfg.echo(), columns=HARQ_COLUMNS,
-                       rows=[row for rep in reps for row in rep.rows],
-                       iterations_histogram=dict(sum(
-                           (Counter(rep.iterations_histogram) for rep in reps), Counter())),
-                       wall_clock_s=sum(rep.wall_clock_s for rep in reps),
-                       notes=[note for rep in reps for note in rep.notes])
-    delivered_bits = sum(row["delivered_bits"] for row in merged.rows)
-    if delivered_bits and merged.wall_clock_s > 0:
-        merged.throughput_mbps = delivered_bits / merged.wall_clock_s / 1e6
-    _emit(merged, args.out)
+    report = sim.run_harq_sim(cfg, args.pool_sizes, args.processes, args.rounds, args.packets)
+    _emit(report, args.out)
     return EXIT_OK
 
 

@@ -109,34 +109,35 @@ def run_harq_link(
 
 def run_harq_sim(
     cfg: ChainConfig,
-    pool_size: int,
+    pool_sizes,
     n_processes: int,
     max_rounds: int,
     packets_per_process: int = 8,
 ) -> RunReport:
-    """Interleaved HARQ processes contending for a limited buffer pool.
+    """Interleaved HARQ processes contending for a limited buffer pool, per pool size.
 
-    Processes take turns transmitting one round each. A packet whose
-    process could not obtain a buffer is decoded round by round without
-    combining, which at the simulated operating point almost never
-    succeeds. Reports delivered information per transmission.
+    For each size in ``pool_sizes``, in order, processes take turns
+    transmitting one round each. A packet whose process could not obtain
+    a buffer is decoded round by round without combining, which at the
+    simulated operating point almost never succeeds. Reports one row and
+    one note per size, delivered information per transmission, and one
+    iteration histogram, wall clock and throughput for the whole sweep.
+    Every size is checked before any round runs.
     """
-    as_int(pool_size, "pool_size", 1, POOL_SLOTS + 1)
+    pool_sizes = [as_int(size, "pool_size", 1, POOL_SLOTS + 1) for size in pool_sizes]
     as_int(n_processes, "n_processes", 1, POOL_SLOTS + 1)
     as_int(max_rounds, "max_rounds", 1)
     as_int(packets_per_process, "packets_per_process", 1)
     cfg = replace(cfg, blocks=1)
-    pool = HarqBufferPool(num_slots=pool_size)
     report = RunReport(kind="harq-sim", config=cfg.echo(), columns=HARQ_COLUMNS)
-    t0 = time.perf_counter()
 
-    def process(pid: int):
+    def process(pool: HarqBufferPool, pid: int):
         """Send one process's packets, yielding whether each round delivered."""
         run_cfg = replace(cfg, harq_process=pid)
         for packet in range(packets_per_process):
             payload = _rng_for(cfg.seed, pid, packet).integers(0, 2, cfg.k_prime, dtype=np.uint8)
             # round 0 binds a free buffer; without one, each round is decoded on its own
-            bound = len(pool.bindings) < pool_size
+            bound = len(pool.bindings) < pool.num_slots
             for r in range(max_rounds):
                 dec = transmit(run_cfg, payload, (cfg.seed, pid, packet, r, 7),
                                pool if bound else HarqBufferPool(), r,
@@ -149,23 +150,27 @@ def run_harq_sim(
                 if ok:
                     break
 
-    # round robin, one transmission per process per turn, until all are done
-    turns = zip_longest(*map(process, range(n_processes)))
-    sent = [ok for turn in turns for ok in turn if ok is not None]
+    t0 = time.perf_counter()
+    for pool_size in pool_sizes:
+        pool = HarqBufferPool(num_slots=pool_size)
+        # round robin, one transmission per process per turn, until all are done
+        turns = zip_longest(*(process(pool, pid) for pid in range(n_processes)))
+        sent = [ok for turn in turns for ok in turn if ok is not None]
+        transmissions = len(sent)
+        delivered_bits = cfg.k_prime * sum(sent)
+        per_tx = delivered_bits / transmissions if transmissions else 0.0
+        report.add_row(
+            pool_size=pool_size,
+            processes=n_processes,
+            transmissions=transmissions,
+            delivered_bits=delivered_bits,
+            bits_per_transmission=f"{per_tx:.4f}",
+        )
+        report.notes.append(
+            f"[harq-sim] pool={pool_size}: {delivered_bits} info bits over "
+            f"{transmissions} transmissions ({per_tx:.1f} bits/tx)")
     report.wall_clock_s = time.perf_counter() - t0
-    transmissions = len(sent)
-    delivered_bits = cfg.k_prime * sum(sent)
-    per_tx = delivered_bits / transmissions if transmissions else 0.0
-    report.add_row(
-        pool_size=pool_size,
-        processes=n_processes,
-        transmissions=transmissions,
-        delivered_bits=delivered_bits,
-        bits_per_transmission=f"{per_tx:.4f}",
-    )
+    delivered_bits = sum(row["delivered_bits"] for row in report.rows)
     if delivered_bits and report.wall_clock_s > 0:
         report.throughput_mbps = delivered_bits / report.wall_clock_s / 1e6
-    report.notes.append(
-        f"[harq-sim] pool={pool_size}: {delivered_bits} info bits over "
-        f"{transmissions} transmissions ({per_tx:.1f} bits/tx)")
     return report

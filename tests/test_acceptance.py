@@ -172,7 +172,7 @@ def test_criterion_5_virtual_memory_trend():
     for size in sizes:
         samples = []
         for s in range(20):
-            rep = run_harq_sim(replace(cfg, seed=5000 + s), size, n_processes=8,
+            rep = run_harq_sim(replace(cfg, seed=5000 + s), [size], n_processes=8,
                                max_rounds=4, packets_per_process=2)
             samples.append(float(rep.rows[0]["bits_per_transmission"]))
         means[size] = float(np.mean(samples))

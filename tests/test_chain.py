@@ -3,6 +3,7 @@
 import math
 import os
 import statistics
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -21,6 +22,7 @@ from nrphy.harness import (
     run_harq_sim,
     run_throughput_bench,
 )
+from nrphy.harness import sim
 from nrphy.harness.config import load_config, parse_config_text
 from nrphy.ldpc import ldpc_decode
 from nrphy.llr import awgn, pack_llr_words
@@ -390,18 +392,18 @@ class TestPinnedOutputs:
 class TestHarqSimulator:
     def test_unconstrained_pool_matches_process_count(self):
         cfg = ChainConfig(**HARQ_POINT, seed=1)
-        full = run_harq_sim(cfg, 16, n_processes=4, max_rounds=4,
+        full = run_harq_sim(cfg, [16], n_processes=4, max_rounds=4,
                             packets_per_process=2)
-        enough = run_harq_sim(cfg, 4, n_processes=4, max_rounds=4,
+        enough = run_harq_sim(cfg, [4], n_processes=4, max_rounds=4,
                               packets_per_process=2)
         assert full.rows[0]["bits_per_transmission"] == \
             enough.rows[0]["bits_per_transmission"]
 
     def test_starved_pool_loses_throughput(self):
         cfg = ChainConfig(**HARQ_POINT, seed=2)
-        one = run_harq_sim(cfg, 1, n_processes=6, max_rounds=4,
+        one = run_harq_sim(cfg, [1], n_processes=6, max_rounds=4,
                            packets_per_process=2)
-        six = run_harq_sim(cfg, 16, n_processes=6, max_rounds=4,
+        six = run_harq_sim(cfg, [16], n_processes=6, max_rounds=4,
                            packets_per_process=2)
         assert float(one.rows[0]["bits_per_transmission"]) < \
             float(six.rows[0]["bits_per_transmission"])
@@ -414,24 +416,50 @@ class TestHarqSimulator:
         histograms = {1: {2: 31, 3: 11, 6: 1, 7: 1, 8: 2},
                       16: {2: 11, 3: 2, 4: 7, 5: 1, 6: 1, 7: 1, 8: 12}}
         for size, (transmissions, bits) in expected.items():
-            rep = run_harq_sim(cfg, size, n_processes=6, max_rounds=4,
+            rep = run_harq_sim(cfg, [size], n_processes=6, max_rounds=4,
                                packets_per_process=2)
             row = rep.rows[0]
             assert (row["transmissions"], row["delivered_bits"]) == (transmissions, bits)
             if size in histograms:
                 assert rep.iterations_histogram == histograms[size]
 
+    def test_sweep_is_one_run_per_size_in_order(self):
+        cfg = ChainConfig(**HARQ_POINT, seed=3)
+        sizes = [2, 1, 4]
+        sweep = run_harq_sim(cfg, sizes, n_processes=3, max_rounds=3, packets_per_process=2)
+        runs = [run_harq_sim(cfg, [size], n_processes=3, max_rounds=3, packets_per_process=2)
+                for size in sizes]
+        assert [row["pool_size"] for row in sweep.rows] == sizes
+        assert sweep.rows == [row for run in runs for row in run.rows]
+        assert sweep.notes == [note for run in runs for note in run.notes]
+        histogram = {}
+        for run in runs:
+            for iterations, count in run.iterations_histogram.items():
+                histogram[iterations] = histogram.get(iterations, 0) + count
+        assert sweep.iterations_histogram == histogram
+        delivered_bits = sum(row["delivered_bits"] for row in sweep.rows)
+        assert sweep.throughput_mbps == delivered_bits / sweep.wall_clock_s / 1e6
+        assert sweep.config == replace(cfg, blocks=1).echo()
+
+    @pytest.mark.parametrize("sizes", [[4, 0], [4, 17], [4, True], [4, 2.0]], ids=repr)
+    def test_bad_size_rejected_before_any_round(self, sizes, monkeypatch):
+        rounds = []
+        monkeypatch.setattr(sim, "transmit", lambda *args, **kwargs: rounds.append(args))
+        with pytest.raises(ValueError, match="pool_size"):
+            run_harq_sim(ChainConfig(**HARQ_POINT), sizes, 2, 2, 2)
+        assert rounds == []
+
     def test_zero_rounds_rejected(self):
         cfg = ChainConfig(**HARQ_POINT)
         with pytest.raises(ValueError, match="max_rounds"):
-            run_harq_sim(cfg, 16, n_processes=1, max_rounds=0,
+            run_harq_sim(cfg, [16], n_processes=1, max_rounds=0,
                          packets_per_process=1)
 
     @pytest.mark.parametrize("packets", [0, -2])
     def test_no_packets_rejected(self, packets):
         cfg = ChainConfig(**HARQ_POINT)
         with pytest.raises(ValueError, match="packets_per_process"):
-            run_harq_sim(cfg, 16, n_processes=1, max_rounds=1, packets_per_process=packets)
+            run_harq_sim(cfg, [16], n_processes=1, max_rounds=1, packets_per_process=packets)
 
     @pytest.mark.parametrize("max_rounds", [0, -3])
     def test_link_with_no_rounds_rejected(self, max_rounds):
@@ -444,7 +472,7 @@ class TestHarqSimulator:
     def test_more_processes_than_ids_rejected(self):
         cfg = ChainConfig(**HARQ_POINT)
         with pytest.raises(ValueError, match="n_processes"):
-            run_harq_sim(cfg, 16, n_processes=17, max_rounds=1,
+            run_harq_sim(cfg, [16], n_processes=17, max_rounds=1,
                          packets_per_process=1)
 
     @pytest.mark.parametrize("value", [True, 2.0], ids=repr)
@@ -456,10 +484,10 @@ class TestHarqSimulator:
         calls = {
             "link max_rounds": lambda: run_harq_link(cfg, HarqBufferPool(), random_payload(cfg),
                                                      seed_key=(1,), max_rounds=value),
-            "pool_size": lambda: run_harq_sim(cfg, value, 2, 2, 2),
-            "n_processes": lambda: run_harq_sim(cfg, 4, value, 2, 2),
-            "max_rounds": lambda: run_harq_sim(cfg, 4, 2, value, 2),
-            "packets_per_process": lambda: run_harq_sim(cfg, 4, 2, 2, value),
+            "pool_size": lambda: run_harq_sim(cfg, [value], 2, 2, 2),
+            "n_processes": lambda: run_harq_sim(cfg, [4], value, 2, 2),
+            "max_rounds": lambda: run_harq_sim(cfg, [4], 2, value, 2),
+            "packets_per_process": lambda: run_harq_sim(cfg, [4], 2, 2, value),
             "blocks_per_point": lambda: run_bler_sweep(cfg, [10.0], value),
         }
         with pytest.raises(ValueError, match=name.split()[-1]):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nrphy.harness import sim
 from nrphy.harness.cli import main
 from nrphy.harness.config import load_config
 from nrphy.harness.sim import run_harq_sim
@@ -57,6 +58,15 @@ class TestRoundtrip:
         assert main(["roundtrip", "--config", small_config]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_one_transmit_per_roundtrip(self, small_config, monkeypatch, capsys):
+        calls = []
+        transmit = sim.transmit
+        monkeypatch.setattr(sim, "transmit",
+                            lambda *args, **kwargs: calls.append(args) or transmit(*args, **kwargs))
+        assert main(["roundtrip", "--config", small_config]) == 0
+        cfg = load_config(small_config)
+        assert [(args[0], args[2]) for args in calls] == [(cfg, (cfg.seed, 1))]
+
     def test_missing_config_exits_2(self, capsys):
         assert main(["roundtrip", "--config", "/does/not/exist"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -98,6 +108,13 @@ class TestUsageErrors:
             main(["roundtrip", "--config", small_config, "--bogus"])
         assert exc.value.code == 2
 
+    def test_roundtrip_has_no_word_dump(self, small_config, tmp_path):
+        # encode --dump-words writes the same words for the same config and seed
+        with pytest.raises(SystemExit) as exc:
+            main(["roundtrip", "--config", small_config, "--dump-words", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -121,6 +138,12 @@ class TestUsageErrors:
     def test_out_of_range_pool_size_exits_1(self, small_config, capsys):
         assert main(["harq-sim", "--config", small_config, "--pool-sizes", "0"]) == 1
         assert "pool_size" in capsys.readouterr().err
+
+    def test_bad_pool_size_after_a_good_one_exits_1_before_any_output(self, small_config,
+                                                                     capsys):
+        assert main(["harq-sim", "--config", small_config, "--pool-sizes", "2,17"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "pool_size" in err
 
 
 class TestEncodeDecodePipeline:
@@ -260,8 +283,16 @@ class TestReports:
         lines = capsys.readouterr().out.splitlines()
         expected = Counter()
         for size in (1, 2):
-            expected.update(run_harq_sim(load_config(str(cfg)), size, 2, 3, 2)
+            expected.update(run_harq_sim(load_config(str(cfg)), [size], 2, 3, 2)
                             .iterations_histogram)
         hist = " ".join(f"{k}:{v}" for k, v in sorted(expected.items()))
         assert f"[harq-sim] iterations histogram: {hist}" in lines
         assert any(line.startswith("[harq-sim] throughput=") for line in lines), lines
+
+    def test_harq_sim_summary_shows_the_one_block_it_simulates(self, tmp_path, capsys):
+        cfg = tmp_path / "harq.cfg"
+        cfg.write_text("k_prime = 192\ntarget_rate = 0.75\ne_r = 256\nblocks = 3\n")
+        assert main(["harq-sim", "--config", str(cfg), "--pool-sizes", "1",
+                     "--processes", "1", "--packets", "1", "--rounds", "1"]) == 0
+        config_line = capsys.readouterr().out.splitlines()[0]
+        assert config_line.startswith("[harq-sim] config: G=256 blocks=1 "), config_line
