@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from ..errors import ConfigError
 from ..ldpc import LiftedLdpcCode, as_int, build_code, choose_base_graph, select_lifting
@@ -12,6 +15,19 @@ from ..rate_adapt import POOL_SLOTS, RateMatchConfig, _Selection, _selection
 from ..scramble import ScramblingIdentity
 
 DEFAULT_CONFIG_NAME = "default"
+
+
+def _as_real(value, name: str) -> float:
+    """``value`` as a float; ConfigError unless it is a real number, not a bool.
+
+    An integer beyond a float's range reads as an infinity.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -50,40 +66,53 @@ class ChainConfig:
     seed: int = 2025
 
     def __post_init__(self):
-        if not self.rv_schedule:
+        schedule = self.rv_schedule
+        if isinstance(schedule, np.ndarray) and schedule.ndim == 1:
+            schedule = tuple(schedule)
+        if not isinstance(schedule, (list, tuple)):
+            raise ConfigError("rv schedule must be a list, tuple or 1-D array of integers, "
+                              f"not {schedule!r}")
+        if not schedule:
             raise ConfigError("rv schedule must be nonempty")
         try:
-            rv_schedule = tuple(as_int(rv, "every rv", 0, 4) for rv in self.rv_schedule)
-            as_int(self.k_prime, "k_prime", 1)
-            as_int(self.blocks, "blocks", 1)
-            as_int(self.e_r, "E_r", 1)
-            as_int(self.harq_process, "harq_process", 0, POOL_SLOTS)
-            as_int(self.seed, "seed", 0)
+            normal = {
+                "rv_schedule": tuple(as_int(rv, "every rv", 0, 4) for rv in schedule),
+                "k_prime": as_int(self.k_prime, "k_prime", 1),
+                "blocks": as_int(self.blocks, "blocks", 1),
+                "e_r": as_int(self.e_r, "E_r", 1),
+                "harq_process": as_int(self.harq_process, "harq_process", 0, POOL_SLOTS),
+                "seed": as_int(self.seed, "seed", 0),
+            }
             identity = ScramblingIdentity(rnti=self.rnti, q=self.q, cell_id=self.cell_id)
-            as_q_m(self.q_m)
+            normal.update(rnti=identity.rnti, q=identity.q, cell_id=identity.cell_id,
+                          q_m=as_q_m(self.q_m))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # stored as checked: plain ints, floats and a tuple of ints, so a list, NumPy
+        # scalars or an array compare and hash as the plain values do
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
         if self.e_r % self.q_m:
             raise ConfigError("E_r must be a multiple of Q_m")
+        object.__setattr__(self, "snr_db", _as_real(self.snr_db, "snr_db"))
         if not math.isfinite(self.snr_db):
             raise ConfigError("snr_db must be finite")
         try:
             self.sigma2
         except OverflowError:  # below about -3082 dB
             raise ConfigError("snr_db is so low that its noise variance overflows") from None
+        object.__setattr__(self, "target_rate", _as_real(self.target_rate, "target_rate"))
         if not (math.isfinite(self.target_rate) and 0 < self.target_rate <= 1):
             raise ConfigError("target_rate must be in (0, 1]")
         bg = choose_base_graph(self.k_prime, self.target_rate)
         Zc, _, _, filler = select_lifting(bg, self.k_prime)  # ConfigError for a K' bg cannot carry
         code = build_code(bg, Zc)
         layouts = []
-        for rv in rv_schedule:
+        for rv in self.rv_schedule:
             rm_cfg = RateMatchConfig(E_r=self.e_r, rv=rv, Q_m=self.q_m)
             layouts.append((rm_cfg, _selection(bg, Zc, rm_cfg.rv, filler, rm_cfg.E_r)))
         plan = TransmissionPlan(code, filler, tuple(layouts),
                                 DemapperParams.for_noise(self.q_m, self.sigma2))
-        # stored as a tuple of ints, so a list or NumPy entries compare and hash as one
-        object.__setattr__(self, "rv_schedule", rv_schedule)
         # derived, not fields: equality, hash and echo() ignore them
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "plan", plan)

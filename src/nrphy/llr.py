@@ -138,7 +138,8 @@ class DemapperParams:
         offs += [0] * (3 - len(offs))
         inv = _INV_NOISE_MAX
         if sigma2 > 0:
-            inv = min(_INV_NOISE_MAX, int(round((1 << INV_NOISE_FRAC_BITS) / sigma2)))
+            # clamped before rounding: the quotient is inf for a subnormal sigma2
+            inv = round(min(_INV_NOISE_MAX, (1 << INV_NOISE_FRAC_BITS) / sigma2))
         return cls(
             Q_m=q_m,
             A=int(round(a_real * SYMBOL_SCALE)),

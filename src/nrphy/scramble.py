@@ -37,10 +37,10 @@ class ScramblingIdentity:
     q: int
     cell_id: int
 
-    def __post_init__(self):
-        as_int(self.rnti, "rnti", 0, 1 << 16)
-        as_int(self.q, "codeword index q", 0, 2)
-        as_int(self.cell_id, "cell_id", 0, 1008)
+    def __post_init__(self):  # stored as ints, so c_init cannot overflow a NumPy width
+        object.__setattr__(self, "rnti", as_int(self.rnti, "rnti", 0, 1 << 16))
+        object.__setattr__(self, "q", as_int(self.q, "codeword index q", 0, 2))
+        object.__setattr__(self, "cell_id", as_int(self.cell_id, "cell_id", 0, 1008))
 
     @property
     def c_init(self) -> int:

@@ -1,14 +1,17 @@
 """The configuration's transmission plan and its errors."""
 
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nrphy.errors import ConfigError
-from nrphy.harness import ChainConfig
+from nrphy.harness import ChainConfig, encode_chain
 from nrphy.harness.config import load_config, parse_config_text
 from nrphy.ldpc import build_code, choose_base_graph, select_lifting
 from nrphy.llr import DemapperParams
@@ -137,3 +140,219 @@ class TestConfigErrors:
         assert type(exc.value) is ConfigError and "parity structure" in str(exc.value)
         with pytest.raises(ConfigError, match="target_rate"):  # checked before the code
             ChainConfig(**{**HARQ_POINT, "target_rate": 0.0})
+
+
+NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+class TestNormalForm:
+    """Every field is stored as a plain int, float or tuple of ints, or raises ConfigError."""
+
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        cfg = ChainConfig(e_r=np.int16(12672), blocks=np.int16(8))
+        assert type(cfg.e_r) is int and type(cfg.blocks) is int
+        assert type(cfg.G) is int and cfg.G == 12672 * 8  # int16 overflowed to -29696
+        payload = np.zeros(cfg.k_prime * cfg.blocks, dtype=np.uint8)
+        assert encode_chain(cfg, payload).scrambled_words.words.size == cfg.G // 32
+
+    @pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+    def test_every_numpy_width_gives_the_plain_config(self, dtype):
+        plain = dict(k_prime=96, target_rate=0.5, e_r=120, q_m=4, rv_schedule=(0, 3),
+                     rnti=100, q=1, cell_id=99, harq_process=15, blocks=2, seed=7)
+        cfg = ChainConfig(**{k: tuple(map(dtype, v)) if k == "rv_schedule" else
+                             v if k == "target_rate" else dtype(v) for k, v in plain.items()})
+        expect = ChainConfig(**plain)
+        for name, value in plain.items():
+            got = getattr(cfg, name)
+            assert got == value and type(got) is type(value), name
+        assert cfg == expect and hash(cfg) == hash(expect) and cfg.echo() == expect.echo()
+        assert cfg.identity == expect.identity and type(cfg.identity.c_init) is int
+
+    @pytest.mark.parametrize("schedule", [np.array([0, 2]), np.array([0, 2], dtype=np.uint8)],
+                             ids=repr)
+    def test_a_1d_integer_array_schedule_reads_as_its_tuple(self, schedule):
+        cfg, expect = ChainConfig(rv_schedule=schedule), ChainConfig(rv_schedule=(0, 2))
+        assert type(cfg.rv_schedule) is tuple
+        assert [type(rv) for rv in cfg.rv_schedule] == [int, int]
+        assert cfg == expect and hash(cfg) == hash(expect)
+
+    @pytest.mark.parametrize("schedule, message", [
+        (5, "rv schedule must be a list, tuple or 1-D array of integers, not 5"),
+        ("02", "rv schedule must be a list, tuple or 1-D array of integers, not '02'"),
+        (np.array(2), "rv schedule must be a list, tuple or 1-D array of integers, "
+                      "not array(2)"),
+        (np.array([[0, 2]]), "rv schedule must be a list, tuple or 1-D array of integers, "
+                             "not array([[0, 2]])"),
+        (np.array([], dtype=np.int64), "rv schedule must be nonempty"),
+        (np.array([0.0, 2.0]), "every rv must be an integer, not np.float64(0.0)"),
+        (np.array([True]), "every rv must be an integer, not np.True_"),
+        (np.array([0, 5]), "every rv must be in [0, 4)"),
+    ], ids=repr)
+    def test_a_bad_schedule_raises_config_error(self, schedule, message):
+        with pytest.raises(ConfigError) as exc:
+            ChainConfig(rv_schedule=schedule)
+        assert type(exc.value) is ConfigError and str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["snr_db", "target_rate"])
+    @pytest.mark.parametrize("value", ["3", "0.5", True, False, np.True_, None, 1j, [0.5]],
+                             ids=repr)
+    def test_a_real_field_that_is_no_real_number_raises_config_error(self, name, value):
+        with pytest.raises(ConfigError) as exc:
+            ChainConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be a real number, not {value!r}"
+
+    @pytest.mark.parametrize("name, value", [
+        ("snr_db", np.float32(3)), ("snr_db", 3), ("snr_db", np.int8(-5)),
+        ("snr_db", np.float16(0.5)), ("target_rate", np.float64(0.75)), ("target_rate", 1),
+        ("target_rate", np.float32(0.5)),
+    ], ids=repr)
+    def test_a_real_field_is_stored_as_a_float(self, name, value):
+        cfg, expect = ChainConfig(**{name: value}), ChainConfig(**{name: float(value)})
+        assert type(getattr(cfg, name)) is float
+        assert cfg == expect and hash(cfg) == hash(expect) and cfg.echo() == expect.echo()
+
+    @pytest.mark.parametrize("snr_db", [3050.0, 3082.0, 3200.0, 4000.0])
+    def test_a_noiseless_snr_builds_the_clamped_demapper(self, snr_db):
+        # sigma2 = 10^(-snr_db / 10) is subnormal or 0 here; both read as noiseless
+        assert ChainConfig(snr_db=snr_db).plan.demapper.inv_noise == 0xFFFF
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"snr_db": 10 ** 400}, "snr_db must be finite"),
+        ({"snr_db": -10 ** 400}, "snr_db must be finite"),
+        ({"target_rate": 10 ** 400}, "target_rate must be in (0, 1]"),
+        ({"target_rate": np.float32("nan")}, "target_rate must be in (0, 1]"),
+        ({"snr_db": np.float64("inf")}, "snr_db must be finite"),
+    ], ids=["snr_db=10**400", "snr_db=-10**400", "target_rate=10**400",
+            "target_rate=float32(nan)", "snr_db=float64(inf)"])
+    def test_a_real_beyond_float_range_is_not_finite(self, fields, message):
+        with pytest.raises(ConfigError) as exc:
+            ChainConfig(**fields)
+        assert type(exc.value) is ConfigError and str(exc.value) == message
+
+
+def in_range_or_near(lo, hi):
+    """An integer in [lo, hi], or at most two past either end."""
+    return st.integers(lo, hi) | st.integers(lo - 2, hi + 2)
+
+
+@st.composite
+def integer_like(draw, values, wild=False):
+    """A drawn integer as an int or a NumPy integer that holds it; ``wild``, as a
+    float, a bool or a string."""
+    value = draw(values)
+    if wild:
+        return draw(st.one_of(
+            st.sampled_from([float, np.float64, np.float32]).map(lambda t: t(value)),
+            st.sampled_from([True, False, np.True_, np.False_]),
+            st.just(str(value))))
+    widths = [t for t in NUMPY_INTEGERS if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    return draw(st.sampled_from([int, *widths]).map(lambda t: t(value)))
+
+
+def real_like(lo, hi, wild=False):
+    """A real in [lo, hi] as a float, a NumPy float or an integer; ``wild``, any
+    float (nan, +-inf), an integer beyond a float's range, a bool or a string."""
+    if wild:
+        return st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+            st.sampled_from([10 ** 400, -10 ** 400, True, False, np.True_, np.False_]),
+            st.text(max_size=3))
+    return st.one_of(
+        st.floats(lo, hi),
+        st.floats(lo, hi).map(np.float64),
+        st.floats(lo, hi, width=32).map(np.float32),
+        integer_like(st.integers(math.ceil(lo), math.floor(hi))))
+
+
+RV = in_range_or_near(0, 3)
+
+# A schedule as a list, a tuple or a 1-D integer array of any width; wild, empty, an
+# array of floats or bools or of 0 or 2 dimensions, entries that are not integers, or
+# a value that is no sequence
+RV_SCHEDULES = st.one_of(
+    st.lists(integer_like(RV), min_size=1, max_size=5),
+    st.lists(integer_like(RV), min_size=1, max_size=5).map(tuple),
+    st.tuples(st.sampled_from(NUMPY_INTEGERS), st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    .map(lambda a: np.array(a[1], dtype=a[0])),
+    st.lists(RV, min_size=1, max_size=5).map(np.array),
+)
+WILD_RV_SCHEDULES = st.one_of(
+    st.sampled_from([[], (), np.array([], dtype=np.int64)]),
+    st.tuples(st.sampled_from([np.float64, np.float32, np.bool_]),
+              st.lists(st.integers(0, 1), max_size=5)).map(lambda a: np.array(a[1], dtype=a[0])),
+    st.lists(RV, min_size=1, max_size=4).map(lambda v: np.array([v])),
+    integer_like(RV).map(np.array),
+    st.lists(integer_like(RV, wild=True), min_size=1, max_size=3),
+    integer_like(RV),
+    st.text(max_size=3),
+)
+
+
+def integer_field(lo, hi):
+    return integer_like(in_range_or_near(lo, hi)), integer_like(in_range_or_near(lo, hi), True)
+
+
+# (value, wild value) per field; e_r is capped at 10^5, so each example builds in
+# milliseconds, and drawn as often as not a multiple of 8, so of every Q_m
+CONFIG_FIELDS = {
+    "k_prime": integer_field(1, 8448),
+    "target_rate": (real_like(0, 1), real_like(0, 1, True)),
+    "e_r": (integer_like(st.integers(1, 12500).map(lambda n: 8 * n)
+                         | in_range_or_near(1, 10 ** 5)),
+            integer_like(in_range_or_near(1, 10 ** 5), True)),
+    "q_m": (integer_like(st.sampled_from([2, 4, 6, 8]) | in_range_or_near(2, 8)),
+            integer_like(in_range_or_near(2, 8), True)),
+    "rv_schedule": (RV_SCHEDULES, WILD_RV_SCHEDULES),
+    "rnti": integer_field(0, 65535),
+    "q": integer_field(0, 1),
+    "cell_id": integer_field(0, 1007),
+    "harq_process": integer_field(0, 15),
+    "blocks": integer_field(1, 32),
+    # sigma2 overflows below about -3082 dB and is subnormal from about 3077 dB
+    "snr_db": (real_like(-100, 100) | real_like(-3100, -3000) | real_like(3000, 3300),
+               real_like(0, 0, True)),
+    "seed": integer_field(0, 2 ** 64 - 1),
+}
+
+REAL_FIELDS = ("target_rate", "snr_db")
+
+
+@st.composite
+def config_fields(draw):
+    """Keyword values for any subset of the fields, at most two of them wild."""
+    names = draw(st.lists(st.sampled_from(list(CONFIG_FIELDS)), unique=True))
+    wild = draw(st.sets(st.sampled_from(names), max_size=2)) if names else set()
+    return {name: draw(CONFIG_FIELDS[name][name in wild]) for name in names}
+
+
+def as_plain(value):
+    """The value a caller would give with Python types: ints, floats and tuples."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return tuple(as_plain(v) for v in value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+class TestConfigBoundaryProperty:
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(config_fields())
+    def test_any_fields_raise_config_error_or_give_the_plain_config(self, fields):
+        try:
+            cfg = ChainConfig(**fields)
+        except ConfigError as exc:
+            assert type(exc) is ConfigError
+            return
+        for name in CONFIG_FIELDS:
+            value = getattr(cfg, name)
+            if name == "rv_schedule":
+                assert type(value) is tuple and all(type(rv) is int for rv in value), value
+            else:
+                assert type(value) is (float if name in REAL_FIELDS else int), (name, value)
+        plain = ChainConfig(**{name: as_plain(value) for name, value in fields.items()})
+        assert cfg == plain and hash(cfg) == hash(plain) and cfg.echo() == plain.echo()
+        assert cfg.identity == plain.identity and cfg.plan.demapper == plain.plan.demapper

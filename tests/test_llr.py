@@ -206,6 +206,11 @@ class TestDemapperParams:
         assert DemapperParams.for_noise(2, 0.5).inv_noise == 512
         assert DemapperParams.for_noise(2, 0.0).inv_noise == 0xFFFF  # clamped
 
+    @pytest.mark.parametrize("sigma2", [1e-300, 1e-308, 1e-320, 5e-324])
+    def test_tiny_noise_variance_clamps(self, sigma2):
+        # 2^8 / sigma2 is inf below about 1.4e-306, which round() cannot convert
+        assert DemapperParams.for_noise(2, sigma2).inv_noise == 0xFFFF
+
     def test_rejects_unknown_order(self):
         with pytest.raises(ValueError):
             DemapperParams.for_noise(3, 1.0)

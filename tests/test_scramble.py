@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nrphy.harness import ChainConfig, encode_chain
 from nrphy.scramble import (
     SEQUENCE_CACHE_SIZE,
     ScramblingIdentity,
@@ -55,6 +56,10 @@ ORACLE_LENGTHS = sorted(
     | {31 * 2 ** k - 1600 + d for k in range(6, 12) for d in (-1, 0, 1)})
 
 
+NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64]
+
+
 class TestGoldSequence:
     def test_c_init_packing(self):
         ident = ScramblingIdentity(rnti=3, q=1, cell_id=5)
@@ -65,6 +70,21 @@ class TestGoldSequence:
     def test_non_integer_identity_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ScramblingIdentity(**dict(dict(rnti=42, q=0, cell_id=1), **{field: value}))
+
+    @pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+    def test_numpy_integer_identity_is_the_plain_one(self, dtype):
+        # c_init = rnti * 2^15 + ... overflowed in the caller's fixed-width type
+        rnti, cell_id = (min(int(np.iinfo(dtype).max), hi) for hi in (65535, 1007))
+        plain = ScramblingIdentity(rnti, 1, cell_id)
+        ident = ScramblingIdentity(dtype(rnti), dtype(1), dtype(cell_id))
+        assert [type(v) for v in (ident.rnti, ident.q, ident.cell_id, ident.c_init)] == [int] * 4
+        assert ident.c_init == plain.c_init == (rnti << 15) + (1 << 14) + cell_id
+        assert ident == plain and hash(ident) == hash(plain)
+        point = dict(k_prime=192, target_rate=0.75, e_r=256, q=1, cell_id=cell_id)
+        payload = np.random.default_rng(4).integers(0, 2, 192, dtype=np.uint8)
+        words = [encode_chain(ChainConfig(**point, rnti=r), payload).scrambled_words.words
+                 for r in (rnti, dtype(rnti))]
+        assert np.array_equal(words[0], words[1])
 
     def test_zero_identity_is_x1_only(self):
         # c_init = 0 keeps x2 all-zero, so the output is the x1 stream alone.
