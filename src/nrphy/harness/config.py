@@ -9,7 +9,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ..errors import ConfigError
-from ..ldpc import LiftedLdpcCode, as_int, build_code, choose_base_graph, select_lifting
+from ..ldpc import (LiftedLdpcCode, _p0_shifts, as_int, build_code, choose_base_graph,
+                    select_lifting)
 from ..llr import DemapperParams, as_q_m
 from ..rate_adapt import POOL_SLOTS, RateMatchConfig, _Selection, _selection
 from ..scramble import ScramblingIdentity
@@ -107,6 +108,7 @@ class ChainConfig:
         bg = choose_base_graph(self.k_prime, self.target_rate)
         Zc, _, _, filler = select_lifting(bg, self.k_prime)  # ConfigError for a K' bg cannot carry
         code = build_code(bg, Zc)
+        _p0_shifts(bg, Zc)  # the encoder's inverse, once: ConfigError for a singular core
         layouts = []
         for rv in self.rv_schedule:
             rm_cfg = RateMatchConfig(E_r=self.e_r, rv=rv, Q_m=self.q_m)

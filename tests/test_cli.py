@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, exit codes, file formats."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from nrphy.harness.cli import main
 from nrphy.harness.config import load_config
 from nrphy.harness.sim import run_harq_sim
 from nrphy.llr import KIND_LLRS, PackedWordStream, unpack_llr_words
+
+HARQ_IR_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "harq_ir.cfg")
 
 SMALL_CONFIG = """
 k_prime = 96
@@ -213,6 +216,25 @@ class TestEncodeDecodePipeline:
         request.getfixturevalue("bad_parity_tables")
         assert main(["decode", "--config", small_config, "--in", str(llrs)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["encode"], ["roundtrip"], ["bler", "--snrs", "0"],
+                                      ["harq-sim", "--pool-sizes", "2"], ["bench"]], ids=repr)
+    def test_singular_parity_core_exits_2(self, argv, request, capsys):
+        request.getfixturevalue("singular_core_tables")
+        assert main([*argv, "--config", HARQ_IR_CFG]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "configuration error: parity core is not invertible for this lifting size\n"
+
+    def test_singular_parity_core_decode_exits_2(self, tmp_path, request, capsys):
+        llrs = tmp_path / "llrs.bin"
+        assert main(["encode", "--config", HARQ_IR_CFG, "--dump-llrs", str(llrs)]) == 0
+        capsys.readouterr()
+        request.getfixturevalue("singular_core_tables")
+        assert main(["decode", "--config", HARQ_IR_CFG, "--in", str(llrs)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "configuration error: parity core is not invertible for this lifting size\n"
 
 
 class TestReports:

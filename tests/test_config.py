@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from nrphy.errors import ConfigError
 from nrphy.harness import ChainConfig, encode_chain
 from nrphy.harness.config import load_config, parse_config_text
-from nrphy.ldpc import build_code, choose_base_graph, select_lifting
+from nrphy.ldpc import _p0_shifts, build_code, choose_base_graph, select_lifting
 from nrphy.llr import DemapperParams
 from nrphy.rate_adapt import RateMatchConfig, _selection
 from test_chain import HARQ_POINT
@@ -62,6 +62,13 @@ class TestTransmissionPlan:
         assert louder.plan.demapper == DemapperParams.for_noise(cfg.q_m, louder.sigma2)
         assert louder.plan.demapper != cfg.plan.demapper
         assert cfg.plan.demapper == DemapperParams.for_noise(cfg.q_m, cfg.sigma2)
+
+    def test_the_encoders_inverse_is_derived_with_the_plan(self):
+        _p0_shifts.cache_clear()
+        cfg = ChainConfig(**HARQ_POINT)
+        assert _p0_shifts.cache_info().misses == 1
+        encode_chain(cfg, np.zeros(cfg.k_prime, dtype=np.uint8))
+        assert _p0_shifts.cache_info().misses == 1
 
     def test_equality_hash_and_echo_ignore_the_plan(self):
         a, b = ChainConfig(**HARQ_POINT), ChainConfig(**HARQ_POINT)
@@ -140,6 +147,16 @@ class TestConfigErrors:
         assert type(exc.value) is ConfigError and "parity structure" in str(exc.value)
         with pytest.raises(ConfigError, match="target_rate"):  # checked before the code
             ChainConfig(**{**HARQ_POINT, "target_rate": 0.0})
+
+    @pytest.mark.parametrize("fields", [HARQ_POINT, dict(k_prime=192, target_rate=0.75, e_r=256),
+                                        dict(k_prime=96, target_rate=0.5, e_r=256)], ids=repr)
+    def test_base_graph_with_a_singular_core_raises_config_error(self, singular_core_tables,
+                                                                fields):
+        with pytest.raises(ConfigError) as exc:
+            ChainConfig(**fields)  # BG2
+        assert type(exc.value) is ConfigError
+        assert str(exc.value) == "parity core is not invertible for this lifting size"
+        ChainConfig()  # BG1 is unchanged
 
 
 NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64,
