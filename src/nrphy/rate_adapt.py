@@ -171,20 +171,18 @@ class HarqBufferPool:
         self.bindings: dict[int, SoftBuffer] = {}
 
     def acquire(self, process_id: int, is_new_packet: bool,
-                code: LiftedLdpcCode = None, filler_count: int = 0) -> SoftBuffer:
+                code: LiftedLdpcCode, filler_count: int) -> SoftBuffer:
         """Bind (new packet) or look up (retransmission) a soft buffer.
 
         An id that is not an integer in [0, POOL_SLOTS) raises ValueError
         before anything else. A full pool refuses a new packet on any unbound
-        id; a retransmission given a code raises ValueError where it or the
-        filler count, checked by :func:`buffer_filler_range`, differs from
-        the bound buffer's.
+        id; a retransmission raises ValueError where the code or the filler
+        count, checked by :func:`ldpc.as_filler_count`, differs from the
+        bound buffer's.
         """
         process_id = as_int(process_id, "process id", 0, POOL_SLOTS)
         if is_new_packet:
-            if code is None:
-                raise ValueError("new packet requires the code dimensions")
-            fillers = len(buffer_filler_range(code, filler_count))
+            fillers = as_filler_count(code, filler_count)
             if process_id not in self.bindings and len(self.bindings) == self.num_slots:
                 raise PoolExhaustedError(f"all {self.num_slots} soft buffers are bound")
             buf = SoftBuffer(code, np.zeros(code.N_cb, dtype=np.int8), fillers)
@@ -193,12 +191,10 @@ class HarqBufferPool:
         if process_id not in self.bindings:
             raise UnknownProcessError(f"no buffer bound to process {process_id}")
         buf = self.bindings[process_id]
-        if code is not None:
-            if (buf.code.bg, buf.code.Zc) != (code.bg, code.Zc):
-                raise ValueError("bound buffer dimensions do not match the code")
-            if buf.filler_count != len(buffer_filler_range(code, filler_count)):
-                raise ValueError(f"bound buffer has {buf.filler_count} fillers, "
-                                 f"not {filler_count}")
+        if (buf.code.bg, buf.code.Zc) != (code.bg, code.Zc):
+            raise ValueError("bound buffer dimensions do not match the code")
+        if buf.filler_count != as_filler_count(code, filler_count):
+            raise ValueError(f"bound buffer has {buf.filler_count} fillers, not {filler_count}")
         return buf
 
     def release(self, process_id: int) -> None:

@@ -247,8 +247,17 @@ class TestHarqPool:
         pool = HarqBufferPool()
         buf = pool.acquire(3, True, small_code, 0)
         buf.llrs[5] = 17
-        again = pool.acquire(3, False)
+        again = pool.acquire(3, False, small_code, 0)
         assert again.llrs[5] == 17
+
+    def test_every_lookup_names_its_code_and_fillers(self, small_code):
+        # a lookup once skipped the bound buffer's check when given no code
+        pool = HarqBufferPool()
+        pool.acquire(3, True, small_code, 0)
+        with pytest.raises(TypeError):
+            pool.acquire(3, False)
+        with pytest.raises(TypeError):
+            pool.acquire(3, False, small_code)
 
     def test_release_lifecycle(self, small_code):
         pool = HarqBufferPool()
@@ -257,7 +266,7 @@ class TestHarqPool:
         with pytest.raises(UnknownProcessError):
             pool.release(3)
         with pytest.raises(UnknownProcessError):
-            pool.acquire(3, False)
+            pool.acquire(3, False, small_code, 0)
 
     def test_reused_slot_comes_back_zeroed(self, small_code):
         pool = HarqBufferPool(num_slots=1)
@@ -280,7 +289,7 @@ class TestHarqPool:
         pool = HarqBufferPool()
         pool.acquire(0, True, small_code, 0)
         with pytest.raises(ValueError, match="do not match"):
-            pool.acquire(0, False, build_code(BaseGraphId.BG2, 4))
+            pool.acquire(0, False, build_code(BaseGraphId.BG2, 4), 0)
 
     def test_retransmission_with_other_filler_count_rejected(self):
         # K' = 8448 and 8348 both lift BG1 to Zc = 384; the bound buffer keeps
@@ -299,7 +308,7 @@ class TestHarqPool:
             pool.acquire(pid, True, small_code, 0)
         pool.acquire(1, True, small_code, 0)
         with pytest.raises(ValueError, match="process id"):
-            pool.acquire(pid, False)
+            pool.acquire(pid, False, small_code, 0)
         assert list(pool.bindings) == [1]
 
     @pytest.mark.parametrize("pid", [True, 1.0, np.bool_(True), -1, 16, "x"], ids=repr)
