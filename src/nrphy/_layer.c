@@ -187,8 +187,9 @@ static void copy_rotated(int16_t *restrict q, const int16_t *restrict block, int
  * the new messages into msg and the new posteriors into q, which are then
  * copied back the same way. edges is the layer's (degree, rows) table of
  * (start, shift) pairs; edge e of row j is lanes j * Zc on in row e of q
- * and msg, which are (degree, padded(rows * Zc)). Padding reads +127 and
- * keeps messages of 0, so that it reads +127 again in the next iteration.
+ * and msg, which are (degree, padded(rows * Zc)). Padding reads +127 on
+ * every load, so no step reads its messages but a whole chunk of sub_run
+ * past the end of a run, whose q lanes the padding's own load overwrites.
  * In the first iteration msg holds nothing yet, and as every |post| <= 127
  * and every message starts at 0, q = post: it is copied, and msg is not
  * read. check_node then writes every lane's message, pad lanes included,
@@ -212,10 +213,8 @@ static void layer(int16_t *restrict post, const int32_t *restrict edges, int16_t
     check_node(q, msg, degree, stride);
     for (int b = 0; b < degree * rows; b++) {
         int start = edges[2 * b], s = edges[2 * b + 1], at = b / rows * stride + b % rows * Zc;
-        if (start < 0) {
-            memset(msg + at, 0, (size_t)Zc * sizeof *msg);
+        if (start < 0)
             continue;
-        }
         memcpy(post + start + s, q + at, (size_t)(Zc - s) * sizeof *q);
         memcpy(post + start, q + at + Zc - s, (size_t)s * sizeof *q);
     }
@@ -326,8 +325,8 @@ static int parity_holds(const uint8_t *hard, const int32_t *edges, const int32_t
  * or else if no decision changed since the previous iteration. The layers
  * are given by shape, one (degree, lanes) pair per layer; edges holds each
  * layer's (degree, lanes / Zc) table of (start, shift) pairs, one layer
- * after the other. Padding edges (start < 0) read +127 and keep messages
- * of 0. The extension rows' own blocks start at (kb + 4) * Zc; a layer
+ * after the other. Padding edges (start < 0) read +127 in every iteration.
+ * The extension rows' own blocks start at (kb + 4) * Zc; a layer
  * whose rows all own a block that is all zero at entry is dead, decided
  * once, and runs dead_step at its place in every iteration. The
  * posteriors, every layer's (degree, padded(lanes)) messages and a scratch

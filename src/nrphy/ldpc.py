@@ -447,7 +447,9 @@ class _Layers:
     entry [e, j] is the (c * Zc, shift) pair of the j-th row's e-th edge,
     whose lane t reads bit c * Zc + (t + shift) % Zc. A row shorter than
     its layer is padded after its real edges with (-1, -1), which reads
-    +127 and keeps a message of 0. No real |q| exceeds 127 and every row
+    +127 in every iteration: the NumPy path keeps its messages at 0, so its
+    shared sentinel stays +127, and the kernel loads +127 for each padding
+    block and never reads its messages. No real |q| exceeds 127 and every row
     has at least two real edges, so padding can tie the two smallest |q|
     of a lane but never lower them, and being positive it never flips a
     sign. The kernel reads each edge's rotated column block as two runs,
