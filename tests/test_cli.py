@@ -142,12 +142,6 @@ class TestUsageErrors:
         assert main(["harq-sim", "--config", small_config, "--pool-sizes", "0"]) == 1
         assert "pool_size" in capsys.readouterr().err
 
-    def test_bad_pool_size_after_a_good_one_exits_1_before_any_output(self, small_config,
-                                                                     capsys):
-        assert main(["harq-sim", "--config", small_config, "--pool-sizes", "2,17"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and "pool_size" in err
-
 
 class TestEncodeDecodePipeline:
     def test_word_dump_then_decode(self, small_config, tmp_path, capsys):
