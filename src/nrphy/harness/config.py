@@ -89,8 +89,8 @@ class ChainConfig:
                           q_m=as_q_m(self.q_m))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # stored as checked: plain ints, floats and a tuple of ints, so a list, NumPy
-        # scalars or an array compare and hash as the plain values do
+        # every field is stored as checked, so a list, NumPy scalars or an array
+        # compare and hash as the plain values do
         for name, value in normal.items():
             object.__setattr__(self, name, value)
         if self.e_r % self.q_m:
